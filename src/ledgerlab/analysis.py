@@ -24,7 +24,7 @@ seed; safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .accounts import (
@@ -54,6 +54,7 @@ from .utxo import (
     UtxoId,
     UtxoTx,
     ValidationReport,
+    _advance,
     chainstate_snapshot,
     coinbase_issue,
     lock_to_wallet,
@@ -223,12 +224,7 @@ def audit_replay(
                 report=report,
             )
         )
-        active = dict(shadow.active)
-        for tx_in in entry.tx.inputs:
-            active.pop(tx_in.outpoint, None)
-        for index, tx_out in enumerate(entry.tx.outputs):
-            active[UtxoId(txid=entry.recorded_txid, index=index)] = tx_out
-        shadow = replace(shadow, active=active, log=shadow.log + (entry.tx,))
+        shadow = _advance(shadow, entry.tx, entry.recorded_txid)
     return audits
 
 

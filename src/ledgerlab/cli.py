@@ -28,12 +28,15 @@ import os
 import sys
 from pathlib import Path
 
+from .accounts import account_from_snapshot
 from .analysis import audit_trace, matrix_report, render_tables_text
 from .crypto import get_scheme
 from .encoding import canonical_json, parse_json
 from .errors import FormatError, LedgerError, NotFoundError, ScenarioError
 from .scenario import REPORT_FILENAMES, execute_scenario
-from .utxo import UtxoId, decode_log_entries
+from .scripts import script_to_text
+from .tokens import token_from_snapshot
+from .utxo import UtxoId, active_from_snapshot, decode_log_entries
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -144,26 +147,24 @@ def _render_rows(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
 def _inspect_table(doc: dict) -> str:
     kernel = doc.get("kernel")
     if kernel == "account":
-        balances = doc.get("balances", {})
-        nonces = doc.get("nonces", {})
+        state = account_from_snapshot(doc)
         rows = [
-            (address, str(balances[address]), str(nonces.get(address, 0)))
-            for address in sorted(balances)
+            (address, str(balance), str(state.nonces.get(address, 0)))
+            for address, balance in sorted(state.balances.items())
         ]
         return _render_rows(("address", "balance", "nonce"), rows)
     if kernel == "token":
-        objects = doc.get("objects", {})
+        registry = token_from_snapshot(doc)
         rows = [
-            (token, str(entry.get("value")), str(entry.get("owner")))
-            for token, entry in sorted(objects.items())
+            (token, str(entry.value), entry.owner)
+            for token, entry in sorted(registry.objects.items())
         ]
         return _render_rows(("token", "value", "owner"), rows)
     if kernel == "utxo":
-        active = doc.get("active", {})
-        rows = [
-            (outpoint, str(entry.get("value")), str(entry.get("locking")))
-            for outpoint, entry in sorted(active.items())
-        ]
+        rows = sorted(
+            (outpoint.render(), str(entry.value), script_to_text(entry.locking))
+            for outpoint, entry in active_from_snapshot(doc).items()
+        )
         return _render_rows(("outpoint", "value", "locking"), rows)
     raise FormatError(f"snapshot has unknown kernel {kernel!r}")
 

@@ -142,14 +142,14 @@ def settle_round(
         raise ConfigError(f"unknown ordering rule {rule!r}")
     outcomes = []
     for replica in replicas:
-        pending = list(replica.mempool)
-        delivery = tuple(txid_of(tx).hex() for tx in pending)
+        pending = [(txid_of(tx), tx) for tx in replica.mempool]
+        delivery = tuple(txid.hex() for txid, _ in pending)
         if rule == "canonical-txid-order":
-            pending.sort(key=lambda tx: txid_of(tx))
+            pending.sort(key=lambda item: item[0])
         accepted: list[str] = []
         rejected: list[tuple[str, tuple[str, ...]]] = []
-        for tx in pending:
-            txid_hex = txid_of(tx).hex()
+        for txid, tx in pending:
+            txid_hex = txid.hex()
             try:
                 replica.chainstate = utxo_apply(replica.chainstate, tx, scheme)
                 accepted.append(txid_hex)

@@ -842,6 +842,7 @@ class _Runner:
 
     def build_reports(self, wanted: list[str]) -> dict[str, object]:
         reports: dict[str, object] = {}
+        matrix: dict | None = None
         for report in wanted:
             if report == "state":
                 if self.kernel == "account":
@@ -892,10 +893,10 @@ class _Runner:
                     ],
                     "transcript_disjoint_from_coins": self._transcript_disjoint(),
                 }
-            elif report == "matrix":
-                reports[report] = matrix_report(self.seed, self.scheme)
-            elif report == "tables":
-                reports[report] = render_tables_text(matrix_report(self.seed, self.scheme))
+            elif report in ("matrix", "tables"):
+                if matrix is None:
+                    matrix = matrix_report(self.seed, self.scheme)
+                reports[report] = matrix if report == "matrix" else render_tables_text(matrix)
             elif report == "events":
                 pass  # always emitted below
             else:  # pragma: no cover - validation precludes this

@@ -32,14 +32,24 @@ transaction is rejected outright (its inputs are gone). There is nothing
 probabilistic here; the guarantees hold for every interleaving because
 application is strictly sequential per chainstate.
 
-States are immutable snapshots; apply returns a new chainstate and never
-touches its input. Concurrent writers must serialize through one owner.
+States are persistent values: apply returns a new chainstate and never
+changes what its input reads. Behind them, a line of states descended
+from one genesis shares one private ledger, mutated in place, so an
+apply costs O(|tx|), not O(|state|). A state is its ledger's head iff
+their log lengths are equal; the head is advanced in place, recording
+one undo journal entry per transaction. Reading or applying to any
+other state forks it onto a new ledger: one copy of the head's
+containers, rewound through the journal to that state's length. Forks
+therefore happen only where histories branch (replicas starting from
+one state, a probe applying twice to one state). Since even a read may
+fork, the states of one family must be used from one thread at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal, Sequence
+from types import MappingProxyType
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .crypto import Amount, CryptoScheme, KeyPair, Wallet, check_amount, digest
 from .encoding import Reader, encode_script, u8, u32, u64, varbytes
@@ -52,6 +62,8 @@ from .scripts import (
     execute,
     p2h_unlocking,
     p2pkh_unlocking,
+    script_from_text,
+    script_to_text,
 )
 
 _MAGIC = b"UTX1"
@@ -120,21 +132,116 @@ class UtxoTx:
     issuer_signature: bytes = b""
 
 
-@dataclass(frozen=True)
+# Journal marker: the outpoint was newly added to `spent`.
+_SPENT = object()
+
+
+@dataclass(eq=False, slots=True)
+class _Ledger:
+    """Mutable storage behind a family of chainstates; see the module doc.
+
+    `journal[i]` undoes `log[base + i]`: one flat tuple of (outpoint, prior)
+    pairs in the order they were written, where prior is the outpoint's
+    previous active entry, None if it had none, or `_SPENT` if the pair
+    added it to `spent`. A fork starts its journal at its own length, and
+    no ledger refers to any chainstate, so a dead family is freed at once.
+    """
+
+    active: dict[UtxoId, TxOutput]
+    log: list[UtxoTx]
+    # Every outpoint any logged tx names as an input: consumed_outpoints(log)
+    # as dict keys, since a copied set can take twice a dict's memory.
+    spent: dict[UtxoId, None]
+    base: int = 0
+    journal: list[tuple] = field(default_factory=list)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Chainstate:
     """Active output set plus the append-only log it derives from."""
 
     issuer_public_key: bytes
-    active: dict[UtxoId, TxOutput] = field(default_factory=dict)
-    log: tuple[UtxoTx, ...] = field(default=())
-    allow_p2h: bool = True
+    allow_p2h: bool
+    _ledger: _Ledger = field(repr=False)
+    _length: int
 
     @staticmethod
     def genesis(issuer_public_key: bytes, *, allow_p2h: bool = True) -> "Chainstate":
-        return Chainstate(issuer_public_key=issuer_public_key, allow_p2h=allow_p2h)
+        return Chainstate(issuer_public_key, allow_p2h, _Ledger({}, [], {}), 0)
+
+    @property
+    def active(self) -> Mapping[UtxoId, TxOutput]:
+        """Read-only view of the active set. It is live: copy it with
+        dict() to keep it across an apply to this state."""
+        return MappingProxyType(_own(self).active)
+
+    @property
+    def log(self) -> tuple[UtxoTx, ...]:
+        return tuple(self._ledger.log[: self._length])
 
     def total_active_value(self) -> Amount:
-        return sum(out.value for out in self.active.values())
+        return sum(out.value for out in _own(self).active.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Chainstate):
+            return NotImplemented
+        return (
+            self.issuer_public_key == other.issuer_public_key
+            and self.allow_p2h == other.allow_p2h
+            and self._length == other._length
+            and self._ledger.log[: self._length] == other._ledger.log[: other._length]
+            and _own(self).active == _own(other).active
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _own(state: Chainstate) -> _Ledger:
+    """The ledger with `state` at its head, forking it there if needed."""
+    ledger, length = state._ledger, state._length
+    if length == len(ledger.log):
+        return ledger
+    active = dict(ledger.active)
+    spent = dict(ledger.spent)
+    for undo in reversed(ledger.journal[length - ledger.base :]):
+        for at in range(len(undo) - 2, -1, -2):
+            outpoint, prior = undo[at], undo[at + 1]
+            if prior is _SPENT:
+                del spent[outpoint]
+            elif prior is None:
+                del active[outpoint]
+            else:
+                active[outpoint] = prior
+    fork = _Ledger(active, ledger.log[:length], spent, base=length)
+    object.__setattr__(state, "_ledger", fork)
+    return fork
+
+
+def _advance(state: Chainstate, tx: UtxoTx, txid: bytes) -> Chainstate:
+    """Append `tx` under `txid` without validating it, in O(|tx|).
+
+    Inputs leave the active set (absent ones are skipped, so an audit can
+    carry an invalid row) and join `spent`; outputs are created under
+    `txid`. Returns the successor state, the ledger's new head.
+    """
+    ledger = _own(state)
+    active, spent = ledger.active, ledger.spent
+    undo: list[object] = []
+    for tx_in in tx.inputs:
+        outpoint = tx_in.outpoint
+        prior = active.pop(outpoint, None)
+        if prior is not None:
+            undo += (outpoint, prior)
+        if outpoint not in spent:
+            spent[outpoint] = None
+            undo += (outpoint, _SPENT)
+    for index, tx_out in enumerate(tx.outputs):
+        outpoint = UtxoId(txid=txid, index=index)
+        undo += (outpoint, active.get(outpoint))
+        active[outpoint] = tx_out
+    ledger.log.append(tx)
+    ledger.journal.append(tuple(undo))
+    return Chainstate(state.issuer_public_key, state.allow_p2h, ledger, state._length + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +304,13 @@ def decode_utxo_tx(data: bytes) -> UtxoTx:
 
 
 def txid_of(tx: UtxoTx) -> bytes:
-    return digest(encode_utxo_tx(tx))
+    """The digest of the canonical bytes, memoized on the frozen tx."""
+    try:
+        return tx._txid  # type: ignore[attr-defined]
+    except AttributeError:
+        txid = digest(encode_utxo_tx(tx))
+        object.__setattr__(tx, "_txid", txid)
+        return txid
 
 
 def utxo_signing_payload(tx: UtxoTx) -> bytes:
@@ -291,17 +404,15 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     # Per-input presence and script checks against the active set.
     payload = utxo_signing_payload(tx) if tx.inputs else b""
     ctx = ExecutionContext(signing_payload=payload, scheme=scheme)
+    ledger = _own(state)
     all_present = True
-    previously_consumed: set[UtxoId] | None = None
     for tx_in in tx.inputs:
-        entry = state.active.get(tx_in.outpoint)
+        entry = ledger.active.get(tx_in.outpoint)
         if entry is None:
             all_present = False
-            if previously_consumed is None:
-                previously_consumed = consumed_outpoints(state.log)
             reason = (
                 REASON_SPENT_INPUT
-                if tx_in.outpoint in previously_consumed
+                if tx_in.outpoint in ledger.spent
                 else REASON_UNKNOWN_INPUT
             )
             if reason not in reasons:
@@ -334,7 +445,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     if tx.kind == "normal" and all_present and not any(
         r == REASON_DUPLICATE_INPUT for r in reasons
     ):
-        total_in = sum(state.active[tx_in.outpoint].value for tx_in in tx.inputs)
+        total_in = sum(ledger.active[tx_in.outpoint].value for tx_in in tx.inputs)
         if total_out is not None and total_in != total_out:
             reasons.append(REASON_CONSERVATION)
 
@@ -364,13 +475,7 @@ def utxo_apply(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Chainstat
         raise TxRejected(
             "transaction rejected: " + ", ".join(report.reasons), report=report
         )
-    new_txid = txid_of(tx)
-    active = dict(state.active)
-    for tx_in in tx.inputs:
-        del active[tx_in.outpoint]
-    for index, tx_out in enumerate(tx.outputs):
-        active[UtxoId(txid=new_txid, index=index)] = tx_out
-    return replace(state, active=active, log=state.log + (tx,))
+    return _advance(state, tx, txid_of(tx))
 
 
 def replay_log(
@@ -542,21 +647,43 @@ def merge_payment(
 
 
 def chainstate_snapshot(state: Chainstate) -> dict:
-    from .scripts import script_to_text
-
+    active = _own(state).active
     return {
         "kernel": "utxo",
         "issuer_public_key": state.issuer_public_key.hex(),
         "allow_p2h": state.allow_p2h,
-        "log_length": len(state.log),
+        "log_length": state._length,
         "active": {
             outpoint.render(): {
                 "value": entry.value,
                 "locking": script_to_text(entry.locking),
             }
-            for outpoint, entry in sorted(state.active.items())
+            for outpoint, entry in sorted(
+                active.items(), key=lambda kv: (kv[0].txid, kv[0].index)
+            )
         },
     }
+
+
+def active_from_snapshot(doc: dict) -> dict[UtxoId, TxOutput]:
+    """Strictly decode the active set of a chainstate snapshot.
+
+    A snapshot carries no log, so it cannot rebuild a chainstate; every
+    outpoint, value and locking script is still checked."""
+    if doc.get("kernel") != "utxo":
+        raise FormatError("not a utxo snapshot")
+    raw = doc.get("active")
+    if not isinstance(raw, dict):
+        raise FormatError("malformed utxo snapshot")
+    active = {}
+    for text, entry in raw.items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("locking"), str):
+            raise FormatError(f"malformed utxo entry {text!r}")
+        active[UtxoId.parse(text)] = TxOutput(
+            value=_check_value(entry.get("value")),
+            locking=script_from_text(entry["locking"]),
+        )
+    return active
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,18 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import settings
 
 from ledgerlab.crypto import derive_wallet, get_scheme
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Property tests draw the same examples on every run, within a fixed
+# budget, so the suite stays deterministic and its wall time bounded.
+settings.register_profile(
+    "ledgerlab", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("ledgerlab")
 
 CRITERIA = {
     1: "claim matrix reproduced exactly",

@@ -23,7 +23,11 @@ from ledgerlab.rng import SeededStream
 from ledgerlab.tokens import TokenRegistry, token_issue
 from ledgerlab.utxo import (
     Chainstate,
+    LogEntry,
+    TxInput,
+    TxOutput,
     UtxoId,
+    UtxoTx,
     coinbase_issue,
     decode_log_entries,
     export_log,
@@ -283,6 +287,28 @@ def test_audit_replay_flags_tampered_entry(toy):
     assert not audited[4].ok
     assert not audited[4].txid_matches
     assert all(step.ok for step in audited[:4])
+
+
+def test_audit_replay_keeps_an_invalid_rows_inputs_spent(toy):
+    """An invalid row is still carried forward: a never-created outpoint
+    it names counts as spent for every later row naming it."""
+    issuer = toy.keygen(b"audit-ghost-issuer")
+    lock = lock_to_wallet(derive_wallet(toy, "audit-ghost-party"))
+    genesis = coinbase_issue(Chainstate.genesis(issuer.public_key), [(5, lock)], issuer, toy)
+    ghost = UtxoId(txid=digest(b"never created"), index=0)
+    rows = [genesis.log[0]] + [
+        UtxoTx(
+            kind="normal",
+            inputs=(TxInput(outpoint=ghost, unlocking=()),),
+            outputs=(TxOutput(value=value, locking=lock),),
+        )
+        for value in (1, 2)
+    ]
+    entries = [LogEntry(recorded_txid=txid_of(tx), tx=tx) for tx in rows]
+    audits = audit_replay(entries, issuer.public_key, toy)
+    assert audits[0].ok
+    assert audits[1].report.reasons == ("unknown-input",)
+    assert audits[2].report.reasons == ("spent-input",)
 
 
 def test_audit_trace_ok_and_failure(toy, three_step_chain):

@@ -219,6 +219,23 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
     assert "unknown kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kernel": "account", "balances": [1, 2]},
+        {"kernel": "utxo", "active": {"x": 5}},
+    ],
+    ids=["account-balances-list", "utxo-entry-not-object"],
+)
+def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 # -- trace -------------------------------------------------------------------
 
 

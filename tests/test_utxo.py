@@ -1,8 +1,12 @@
 """Outpoint kernel: validation, atomic application, log replay."""
 
 import dataclasses
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import reference_active_set
 from ledgerlab.crypto import derive_wallet, digest
@@ -306,6 +310,89 @@ def test_consumed_outpoints_helper(toy, chain, wallets):
     tx = split_payment(toy, chain, wallets[0], tip(chain), 3, lock_to_wallet(wallets[1]))
     state = utxo_apply(chain, tx, toy)
     assert consumed_outpoints(state.log) == {tx.inputs[0].outpoint}
+
+
+@pytest.fixture(scope="module")
+def fork_root(toy, wallets):
+    """A state holding four outputs of wallets[0], shared by every example,
+    so each one also branches off states that earlier examples advanced."""
+    issuer = toy.keygen(b"fork-issuer")
+    lock = lock_to_wallet(wallets[0])
+    genesis = Chainstate.genesis(issuer.public_key)
+    return coinbase_issue(genesis, [(value, lock) for value in (9, 5, 3, 1)], issuer, toy)
+
+
+def expected_reasons(log, tx):
+    """Oracle: the input reasons validating `tx` after `log` must give."""
+    active, consumed = reference_active_set(log), consumed_outpoints(log)
+    return {
+        "spent-input" if tx_in.outpoint in consumed else "unknown-input"
+        for tx_in in tx.inputs
+        if tx_in.outpoint not in active
+    }
+
+
+@given(data=st.data())
+def test_branching_states_match_replay_and_reference(toy, wallets, fork_root, data):
+    """Applies taken from randomly chosen earlier states, read back in
+    random order, each equal the replay of their own log and judge every
+    transaction built in any branch as the log-derived oracle does."""
+    payer, lock = wallets[0], lock_to_wallet(wallets[0])
+    states, built = [fork_root], []
+
+    def check(state):
+        log = state.log
+        assert state.active == replay_log(log, state.issuer_public_key, toy).active
+        flattened = {op: (out.value, out.locking) for op, out in state.active.items()}
+        assert flattened == reference_active_set(log)
+        for tx in built:
+            assert set(utxo_validate(state, tx, toy).reasons) == expected_reasons(log, tx)
+
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        state = data.draw(st.sampled_from(states), label="base")
+        action = data.draw(st.sampled_from(["split", "resubmit", "read"]), label="action")
+        if action == "read":
+            check(state)
+        elif action == "split":
+            outpoint = data.draw(
+                st.sampled_from(sorted(state.active, key=lambda o: (o.txid, o.index)))
+            )
+            amount = data.draw(st.integers(1, state.active[outpoint].value))
+            tx = split_payment(toy, state, payer, outpoint, amount, lock)
+            built.append(tx)
+            states.append(utxo_apply(state, tx, toy))
+        elif built:
+            # A tx built in any branch: accepted iff its inputs are active here.
+            tx = data.draw(st.sampled_from(built))
+            expected = expected_reasons(state.log, tx)
+            before = chainstate_snapshot(state)
+            if expected:
+                with pytest.raises(TxRejected) as excinfo:
+                    utxo_apply(state, tx, toy)
+                assert set(excinfo.value.report.reasons) == expected
+            else:
+                states.append(utxo_apply(state, tx, toy))
+            assert chainstate_snapshot(state) == before
+    for index in data.draw(st.permutations(range(len(states))), label="read order"):
+        check(states[index])
+
+
+def test_apply_allocates_per_transaction_not_per_state(toy, issuer, wallets):
+    """Apply is O(|tx|): one split on a 5000-output state must allocate
+    far less than a single copy of its active set."""
+    lock = lock_to_wallet(wallets[0])
+    genesis = Chainstate.genesis(issuer.public_key)
+    state = coinbase_issue(genesis, [(2, lock)] * 5000, issuer, toy)
+    tx = split_payment(toy, state, wallets[0], tip(state), 1, lock_to_wallet(wallets[1]))
+    one_copy = sys.getsizeof(dict(state.active))
+    tracemalloc.start()
+    try:
+        after = utxo_apply(state, tx, toy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(after.active) == 5001
+    assert peak < one_copy / 10, (peak, one_copy)
 
 
 def test_log_export_import_roundtrip(toy, issuer):
