@@ -117,6 +117,39 @@ def _index_by_txid(txs: Sequence[UtxoTx]) -> dict[bytes, tuple[int, UtxoTx]]:
     return {txid_of(tx): (position, tx) for position, tx in enumerate(txs)}
 
 
+def _walk(
+    index: dict[bytes, tuple[int, UtxoTx]], target: UtxoId
+) -> list[tuple[int, UtxoId, UtxoId | None, UtxoTx]]:
+    """The (log position, produced, consumed, producing tx) steps from the
+    target back to its coinbase, following each spend's first input;
+    consumed is None at the coinbase.
+
+    Raises NotFoundError if the target or a link is missing from the
+    index, DomainError if the links form a cycle.
+    """
+    if target.txid not in index:
+        raise NotFoundError(f"no transaction {target.txid.hex()} in the log")
+    _, creator = index[target.txid]
+    if target.index >= len(creator.outputs):
+        raise NotFoundError(f"transaction has no output {target.index}")
+    steps: list[tuple[int, UtxoId, UtxoId | None, UtxoTx]] = []
+    current = target
+    # An acyclic walk visits each indexed transaction at most once.
+    for _ in range(len(index) + 1):
+        position, tx = index[current.txid]
+        if tx.kind == "coinbase":
+            steps.append((position, current, None, tx))
+            return steps
+        consumed = tx.inputs[0].outpoint
+        steps.append((position, current, consumed, tx))
+        if consumed.txid not in index:
+            raise NotFoundError(
+                f"broken chain: no transaction {consumed.txid.hex()} in the log"
+            )
+        current = consumed
+    raise DomainError("lineage walk exceeded the log length; the log is cyclic")
+
+
 def trace_lineage(txs: Sequence[UtxoTx], target: UtxoId) -> LineageChain:
     """Follow first inputs from the target back to its coinbase origin.
 
@@ -124,28 +157,11 @@ def trace_lineage(txs: Sequence[UtxoTx], target: UtxoId) -> LineageChain:
     input (lineage_dag exports the rest). Raises NotFoundError if the
     target was never created in this log.
     """
-    index = _index_by_txid(txs)
-    if target.txid not in index:
-        raise NotFoundError(f"no transaction {target.txid.hex()} in the log")
-    _, creator = index[target.txid]
-    if target.index >= len(creator.outputs):
-        raise NotFoundError(f"transaction has no output {target.index}")
-
-    steps: list[LineageStep] = []
-    current = target
-    for _ in range(len(txs) + 1):
-        position, tx = index[current.txid]
-        if tx.kind == "coinbase":
-            steps.append(LineageStep(txid=current.txid, consumed=None, produced=current))
-            return LineageChain(target=target, steps=tuple(steps))
-        consumed = tx.inputs[0].outpoint
-        steps.append(LineageStep(txid=current.txid, consumed=consumed, produced=current))
-        if consumed.txid not in index:
-            raise NotFoundError(
-                f"broken chain: no transaction {consumed.txid.hex()} in the log"
-            )
-        current = consumed
-    raise DomainError("lineage walk exceeded the log length; the log is cyclic")
+    steps = tuple(
+        LineageStep(txid=produced.txid, consumed=consumed, produced=produced)
+        for _, produced, consumed, _ in _walk(_index_by_txid(txs), target)
+    )
+    return LineageChain(target=target, steps=steps)
 
 
 def lineage_dag(txs: Sequence[UtxoTx], target: UtxoId) -> dict:
@@ -291,49 +307,31 @@ def audit_trace(
     still occupies its place in the chain; the tampering surfaces as that
     step failing verification (id mismatch, dead signature, or both).
     """
-    index: dict[bytes, tuple[int, LogEntry]] = {
-        entry.recorded_txid: (position, entry)
-        for position, entry in enumerate(entries)
-    }
-    if target.txid not in index:
-        raise NotFoundError(f"no transaction {target.txid.hex()} in the log")
-    _, creator = index[target.txid]
-    if target.index >= len(creator.tx.outputs):
-        raise NotFoundError(f"transaction has no output {target.index}")
-
+    walk = _walk(
+        {
+            entry.recorded_txid: (position, entry.tx)
+            for position, entry in enumerate(entries)
+        },
+        target,
+    )
     audits = audit_replay(entries, issuer_public_key, scheme, allow_p2h=allow_p2h)
-
-    steps: list[TraceStep] = []
-    current = target
-    for _ in range(len(entries) + 1):
-        position, entry = index[current.txid]
+    steps = []
+    for position, produced, consumed, tx in walk:
         audit = audits[position]
-        problems: list[str] = []
-        if not audit.txid_matches:
-            problems.append("recorded-txid-mismatch")
+        problems = [] if audit.txid_matches else ["recorded-txid-mismatch"]
         problems.extend(audit.report.reasons)
-        consumed = (
-            None if entry.tx.kind == "coinbase" else entry.tx.inputs[0].outpoint
-        )
         steps.append(
             TraceStep(
                 position=position,
-                txid=current.txid,
-                produced=current,
+                txid=produced.txid,
+                produced=produced,
                 consumed=consumed,
-                kind=entry.tx.kind,
+                kind=tx.kind,
                 verified=audit.ok,
                 problems=tuple(problems),
             )
         )
-        if consumed is None:
-            return TraceAudit(target=target, steps=tuple(steps))
-        if consumed.txid not in index:
-            raise NotFoundError(
-                f"broken chain: no transaction {consumed.txid.hex()} in the log"
-            )
-        current = consumed
-    raise DomainError("lineage walk exceeded the log length; the log is cyclic")
+    return TraceAudit(target=target, steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

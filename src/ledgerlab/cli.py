@@ -108,10 +108,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sys.stdout.write(canonical_json(bundle))
         return EXIT_OK
 
-    out_dir = Path(args.out)
+    return _write_reports(args.out, result.reports)
+
+
+def _write_reports(out: str, reports: dict[str, object]) -> int:
+    """Write each report to its REPORT_FILENAMES file under `out`."""
+    out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, document in sorted(result.reports.items()):
+        for name, document in sorted(reports.items()):
             target = out_dir / REPORT_FILENAMES[name]
             if isinstance(document, str):
                 target.write_text(document, encoding="utf-8")
@@ -174,13 +179,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         doc = _read_document(args.snapshot, "snapshot file")
         if not isinstance(doc, dict):
             raise FormatError("snapshot must be a JSON object")
-        if args.format == "json":
-            sys.stdout.write(canonical_json(doc))
-        else:
-            sys.stdout.write(_inspect_table(doc))
+        # Both formats go through the kernel's strict decoder first.
+        table = _inspect_table(doc)
     except FormatError as exc:
         _diag(str(exc))
         return EXIT_INVALID
+    sys.stdout.write(canonical_json(doc) if args.format == "json" else table)
     return EXIT_OK
 
 
@@ -241,16 +245,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.out is not None:
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "matrix.json").write_text(canonical_json(doc), encoding="utf-8")
-            (out_dir / "tables.txt").write_text(text, encoding="utf-8")
-            _diag(f"wrote {out_dir / 'matrix.json'}")
-            _diag(f"wrote {out_dir / 'tables.txt'}")
-        except OSError as exc:
-            _diag(f"cannot write reports: {exc}")
-            return EXIT_EXECUTION
+        return _write_reports(args.out, {"matrix": doc, "tables": text})
     return EXIT_OK
 
 

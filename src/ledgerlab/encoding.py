@@ -47,6 +47,11 @@ def u32(value: int) -> bytes:
 
 
 def u64(value: int) -> bytes:
+    # Amounts and nonces can arrive here unchecked from scenario files, so
+    # a value too wide for the field is malformed input. (Callers reject
+    # negative values before encoding.)
+    if value > 0xFFFF_FFFF_FFFF_FFFF:
+        raise FormatError(f"{value} exceeds the 64-bit range")
     return value.to_bytes(8, "big")
 
 

@@ -381,27 +381,26 @@ class _Runner:
             )
 
         self.account_mode = doc.get("account_mode", "naive")
-        self.account = AccountState.empty()
-        self.tokens = TokenRegistry.empty()
-        self.submitted_account: list[AccountTx] = []
-        self.submitted_utxo: list[UtxoTx] = []
-        self.submitted_token: list[tuple[str, str, str]] = []
+        # The kernel's state, and each entry _submit kept for a replay to
+        # name: an AccountTx, a (payer, payee, token) transfer or a UtxoTx.
+        self.state: AccountState | TokenRegistry | Chainstate | None = None
+        self.submitted: list = []
         self.rounds: list[RoundReport] = []
 
         issuer_cfg = doc.get("issuer") or {}
-        issuer_seed = issuer_cfg.get("seed", "issuer")
-        if self.kernel == "utxo":
-            self.utxo_issuer = scheme.keygen(
-                b"issuer:%d:" % seed + issuer_seed.encode("utf-8")
-            )
-            self.chain = Chainstate.genesis(
+        issuer_seed = b"issuer:%d:" % seed + issuer_cfg.get("seed", "issuer").encode("utf-8")
+        if self.kernel == "account":
+            self.state = AccountState.empty()
+        elif self.kernel == "token":
+            self.state = TokenRegistry.empty()
+        elif self.kernel == "utxo":
+            self.utxo_issuer = scheme.keygen(issuer_seed)
+            self.state = Chainstate.genesis(
                 self.utxo_issuer.public_key, allow_p2h=doc.get("allow_p2h", True)
             )
-        if self.kernel == "ecash":
+        elif self.kernel == "ecash":
             self.bank: IssuerKeys = issuer_setup(
-                list(issuer_cfg["denominations"]),
-                b"issuer:%d:" % seed + issuer_seed.encode("utf-8"),
-                scheme,
+                list(issuer_cfg["denominations"]), issuer_seed, scheme
             )
             self.spent = SpentList()
             self.transcript = WithdrawalTranscript()
@@ -414,12 +413,30 @@ class _Runner:
             raise ScenarioError(f"unknown participant {name!r}", action_index=index)
         return self.wallets[name]
 
+    def _token(self, index: int, action: dict) -> str:
+        token = action.get("token")
+        if token is None:
+            raise ScenarioError(
+                f"action {index}: token {action['action']} requires a token id",
+                action_index=index,
+            )
+        return token
+
+    def _amount(self, index: int, action: dict) -> int:
+        amount = action.get("amount")
+        if amount is None:
+            raise ScenarioError(
+                f"action {index}: {action['action']} requires an amount",
+                action_index=index,
+            )
+        return amount
+
     def _holdings(self, wallet: Wallet) -> list[tuple[UtxoId, int]]:
         """The wallet's active outpoints, deterministically ordered."""
         lock = lock_to_wallet(wallet)
         found = [
             (outpoint, entry.value)
-            for outpoint, entry in self.chain.active.items()
+            for outpoint, entry in self.state.active.items()
             if entry.locking == lock
         ]
         found.sort(key=lambda item: item[0].render())
@@ -440,9 +457,58 @@ class _Runner:
             action_index=index,
         )
 
-    def _apply_utxo(self, tx: UtxoTx) -> None:
-        self.chain = utxo_apply(self.chain, tx, self.scheme)
-        self.submitted_utxo.append(tx)
+    def _spends(
+        self, payer: Wallet, targets: list[Wallet], amount: int, index: int
+    ) -> tuple[list[UtxoId], int, list[UtxoTx]]:
+        """Greedy funding, then one spend of it per target: the amount to
+        the target first, any change to the payer second."""
+        funding = self._select_funding(payer, amount, index)
+        total = sum(self.state.active[op].value for op in funding)
+        change = []
+        if total > amount:
+            change.append(TxOutput(value=total - amount, locking=lock_to_wallet(payer)))
+        txs = [
+            make_spend(
+                self.scheme,
+                self.state,
+                funding,
+                [TxOutput(value=amount, locking=lock_to_wallet(target)), *change],
+                signer=payer,
+            )
+            for target in targets
+        ]
+        return funding, total, txs
+
+    def _account_tx(
+        self, payer: Wallet, payee: Wallet, amount: int, nonce: int | None = None
+    ) -> AccountTx:
+        """Sign a transfer; under nonce protection it defaults to the nonce
+        the payer's account expects next."""
+        if nonce is None and self.account_mode == "nonce-protected":
+            nonce = self.state.nonce(payer.address)
+        return make_account_tx(self.scheme, payer, payee.address, amount, nonce=nonce)
+
+    def _submit(self, entry, keep: bool = True) -> None:
+        """Apply one entry to the kernel state; a kept entry can be replayed."""
+        if self.kernel == "account":
+            self.state = account_apply(self.state, entry, self.account_mode, self.scheme)
+        elif self.kernel == "token":
+            self.state = token_transfer(self.state, *entry)
+        else:
+            self.state = utxo_apply(self.state, entry, self.scheme)
+        if keep:
+            self.submitted.append(entry)
+
+    def _attempt(self, entry, keep: bool = False, **details: object) -> dict:
+        """Submit a probe entry and describe the outcome instead of raising."""
+        try:
+            self._submit(entry, keep)
+        except TxRejected as exc:
+            reasons = exc.report.reasons if exc.report is not None else ()
+            return {**details, "accepted": False, "reasons": list(reasons)}
+        except LedgerError as exc:
+            return {**details, "accepted": False, "error": str(exc)}
+        return {**details, "accepted": True}
 
     def _event(self, index: int, action: dict, **details: object) -> None:
         self.events.append({"index": index, "action": action["action"], **details})
@@ -465,68 +531,38 @@ class _Runner:
         to = self.wallet(action["to"], index)
         amount = action["amount"]
         if self.kernel == "account":
-            self.account = account_mint(self.account, to.address, amount)
+            self.state = account_mint(self.state, to.address, amount)
             self._event(index, action, to=to.address, amount=amount)
         elif self.kernel == "token":
-            token = action.get("token")
-            if token is None:
-                raise ScenarioError(
-                    f"action {index}: token issue requires a token id",
-                    action_index=index,
-                )
-            self.tokens = token_issue(self.tokens, token, amount, to.address)
+            token = self._token(index, action)
+            self.state = token_issue(self.state, token, amount, to.address)
             self._event(index, action, token=token, to=to.address, value=amount)
-        elif self.kernel == "utxo":
-            self.chain = coinbase_issue(
-                self.chain, [(amount, lock_to_wallet(to))], self.utxo_issuer, self.scheme
+        else:
+            self.state = coinbase_issue(
+                self.state, [(amount, lock_to_wallet(to))], self.utxo_issuer, self.scheme
             )
-            tx = self.chain.log[-1]
-            self.submitted_utxo.append(tx)
+            tx = self.state.log[-1]
+            self.submitted.append(tx)
             self._event(
                 index, action, to=to.address, amount=amount, txid=txid_of(tx).hex()
-            )
-        else:
-            raise ScenarioError(
-                f"action {index}: issue is not defined for {self.kernel}",
-                action_index=index,
             )
 
     def _do_pay(self, index: int, action: dict) -> None:
         payer = self.wallet(action["from"], index)
         payee = self.wallet(action["to"], index)
         if self.kernel == "token":
-            token = action.get("token")
-            if token is None:
-                raise ScenarioError(
-                    f"action {index}: token pay requires a token id",
-                    action_index=index,
-                )
-            self.tokens = token_transfer(self.tokens, payer.address, payee.address, token)
-            self.submitted_token.append((payer.address, payee.address, token))
+            token = self._token(index, action)
+            self._submit((payer.address, payee.address, token))
             self._event(index, action, token=token)
             return
-        amount = action.get("amount")
-        if amount is None:
-            raise ScenarioError(
-                f"action {index}: pay requires an amount", action_index=index
-            )
+        amount = self._amount(index, action)
         if self.kernel == "account":
-            nonce = action.get("nonce")
-            if nonce is None and self.account_mode == "nonce-protected":
-                nonce = self.account.nonce(payer.address)
-            tx = make_account_tx(self.scheme, payer, payee.address, amount, nonce=nonce)
-            self.account = account_apply(self.account, tx, self.account_mode, self.scheme)
-            self.submitted_account.append(tx)
+            tx = self._account_tx(payer, payee, amount, action.get("nonce"))
+            self._submit(tx)
             self._event(index, action, txid=account_txid(tx).hex())
             return
-        # utxo: greedy funding selection, payee output first, change second.
-        funding = self._select_funding(payer, amount, index)
-        total = sum(self.chain.active[op].value for op in funding)
-        outputs = [TxOutput(value=amount, locking=lock_to_wallet(payee))]
-        if total > amount:
-            outputs.append(TxOutput(value=total - amount, locking=lock_to_wallet(payer)))
-        tx = make_spend(self.scheme, self.chain, funding, outputs, signer=payer)
-        self._apply_utxo(tx)
+        funding, total, (tx,) = self._spends(payer, [payee], amount, index)
+        self._submit(tx)
         self._event(
             index,
             action,
@@ -552,9 +588,9 @@ class _Runner:
                 )
             outpoint = holdings[0][0]
         tx = split_payment(
-            self.scheme, self.chain, payer, outpoint, amount, lock_to_wallet(payee)
+            self.scheme, self.state, payer, outpoint, amount, lock_to_wallet(payee)
         )
-        self._apply_utxo(tx)
+        self._submit(tx)
         self._event(
             index, action, txid=txid_of(tx).hex(), outpoint=outpoint.render(),
             outputs=len(tx.outputs),
@@ -573,224 +609,94 @@ class _Runner:
                 action_index=index,
             )
         tx = merge_payment(
-            self.scheme, self.chain, payer, outpoints, lock_to_wallet(payee)
+            self.scheme, self.state, payer, outpoints, lock_to_wallet(payee)
         )
-        self._apply_utxo(tx)
+        self._submit(tx)
         self._event(
             index, action, txid=txid_of(tx).hex(),
             merged=[op.render() for op in outpoints],
         )
 
     def _do_replay(self, index: int, action: dict) -> None:
-        times = action.get("times", 1)
-        submission = action.get("index", -1)
-        attempts: list[dict] = []
+        if not self.submitted:
+            raise ScenarioError(
+                f"action {index}: nothing submitted yet", action_index=index
+            )
+        position = action.get("index", -1)
+        if not -len(self.submitted) <= position < len(self.submitted):
+            raise ScenarioError(
+                f"action {index}: no submission at index {position}; "
+                f"{len(self.submitted)} submitted",
+                action_index=index,
+            )
+        entry = self.submitted[position]
+        attempts = [self._attempt(entry) for _ in range(action.get("times", 1))]
         if self.kernel == "utxo":
-            if not self.submitted_utxo:
-                raise ScenarioError(
-                    f"action {index}: nothing submitted yet", action_index=index
-                )
-            tx = self.submitted_utxo[submission]
-            for _ in range(times):
-                try:
-                    self.chain = utxo_apply(self.chain, tx, self.scheme)
-                    attempts.append({"accepted": True})
-                except TxRejected as exc:
-                    attempts.append(
-                        {
-                            "accepted": False,
-                            "reasons": list(exc.report.reasons if exc.report is not None else ()),
-                        }
-                    )
-            self._event(index, action, txid=txid_of(tx).hex(), attempts=attempts)
+            self._event(index, action, txid=txid_of(entry).hex(), attempts=attempts)
         elif self.kernel == "account":
-            if not self.submitted_account:
-                raise ScenarioError(
-                    f"action {index}: nothing submitted yet", action_index=index
-                )
-            tx = self.submitted_account[submission]
-            for _ in range(times):
-                try:
-                    self.account = account_apply(
-                        self.account, tx, self.account_mode, self.scheme
-                    )
-                    attempts.append({"accepted": True})
-                except LedgerError as exc:
-                    attempts.append({"accepted": False, "error": str(exc)})
             self._event(
                 index,
                 action,
-                txid=account_txid(tx).hex(),
+                txid=account_txid(entry).hex(),
                 attempts=attempts,
-                payer_balance=self.account.balance(tx.payer),
+                payer_balance=self.state.balance(entry.payer),
             )
-        elif self.kernel == "token":
-            if not self.submitted_token:
-                raise ScenarioError(
-                    f"action {index}: nothing submitted yet", action_index=index
-                )
-            payer, payee, token = self.submitted_token[submission]
-            for _ in range(times):
-                try:
-                    self.tokens = token_transfer(self.tokens, payer, payee, token)
-                    attempts.append({"accepted": True})
-                except LedgerError as exc:
-                    attempts.append({"accepted": False, "error": str(exc)})
-            self._event(index, action, token=token, attempts=attempts)
         else:
-            raise ScenarioError(
-                f"action {index}: replay is not defined for {self.kernel}",
-                action_index=index,
-            )
+            self._event(index, action, token=entry[2], attempts=attempts)
 
     def _do_double_spend(self, index: int, action: dict) -> None:
         if self.kernel == "ecash":
-            wallet_name = action.get("wallet")
-            if wallet_name is None:
+            if action.get("wallet") is None:
                 raise ScenarioError(
                     f"action {index}: ecash double-spend requires a wallet",
                     action_index=index,
                 )
-            self.wallet(wallet_name, index)
-            stash = self.coins.get(wallet_name, [])
-            if not stash:
-                raise ScenarioError(
-                    f"action {index}: {wallet_name!r} holds no coins",
-                    action_index=index,
-                )
-            coin = stash[action.get("coin", -1)]
-            outcomes = []
-            for _ in range(2):
-                result = redeem(self.spent, coin, self.bank, self.scheme)
-                outcomes.append(
-                    {"accepted": result.accepted, "reason": result.reason}
-                )
-            self._event(
-                index, action, serial=coin.serial.hex(), attempts=outcomes
-            )
+            self._redeem(index, action, times=2)
             return
         payer_name = action.get("from")
         pair = action.get("to")
-        amount = action.get("amount")
         if payer_name is None or pair is None:
             raise ScenarioError(
                 f"action {index}: double-spend requires from and to",
                 action_index=index,
             )
         payer = self.wallet(payer_name, index)
-        first = self.wallet(pair[0], index)
-        second = self.wallet(pair[1], index)
+        targets = [self.wallet(name, index) for name in pair]
+        if self.kernel == "token":
+            token = self._token(index, action)
+            attempts = [
+                self._attempt((payer.address, target.address, token), to=target.address)
+                for target in targets
+            ]
+            self._event(index, action, token=token, attempts=attempts)
+            return
+        amount = self._amount(index, action)
         if self.kernel == "utxo":
-            if amount is None:
-                raise ScenarioError(
-                    f"action {index}: double-spend requires an amount",
-                    action_index=index,
-                )
-            funding = self._select_funding(payer, amount, index)
-            total = sum(self.chain.active[op].value for op in funding)
-            txs = []
-            for target in (first, second):
-                outputs = [TxOutput(value=amount, locking=lock_to_wallet(target))]
-                if total > amount:
-                    outputs.append(
-                        TxOutput(value=total - amount, locking=lock_to_wallet(payer))
-                    )
-                txs.append(
-                    make_spend(self.scheme, self.chain, funding, outputs, signer=payer)
-                )
-            outcomes = []
-            for tx in txs:
-                try:
-                    self._apply_utxo(tx)
-                    outcomes.append({"txid": txid_of(tx).hex(), "accepted": True})
-                except TxRejected as exc:
-                    outcomes.append(
-                        {
-                            "txid": txid_of(tx).hex(),
-                            "accepted": False,
-                            "reasons": list(exc.report.reasons if exc.report is not None else ()),
-                        }
-                    )
-            self._event(index, action, attempts=outcomes)
-        elif self.kernel == "account":
-            if amount is None:
-                raise ScenarioError(
-                    f"action {index}: double-spend requires an amount",
-                    action_index=index,
-                )
-            outcomes = []
-            for position, target in enumerate((first, second)):
-                nonce = (
-                    self.account.nonce(payer.address)
-                    if self.account_mode == "nonce-protected"
-                    else None
-                )
-                tx = make_account_tx(
-                    self.scheme, payer, target.address, amount, nonce=nonce
-                )
-                try:
-                    self.account = account_apply(
-                        self.account, tx, self.account_mode, self.scheme
-                    )
-                    self.submitted_account.append(tx)
-                    outcomes.append({"accepted": True, "to": target.address})
-                except LedgerError as exc:
-                    outcomes.append(
-                        {"accepted": False, "to": target.address, "error": str(exc)}
-                    )
-            self._event(
-                index, action, attempts=outcomes,
-                payer_balance=self.account.balance(payer.address),
-            )
-        elif self.kernel == "token":
-            token = action.get("token")
-            if token is None:
-                raise ScenarioError(
-                    f"action {index}: token double-spend requires a token id",
-                    action_index=index,
-                )
-            outcomes = []
-            for target in (first, second):
-                try:
-                    self.tokens = token_transfer(
-                        self.tokens, payer.address, target.address, token
-                    )
-                    outcomes.append({"accepted": True, "to": target.address})
-                except LedgerError as exc:
-                    outcomes.append(
-                        {"accepted": False, "to": target.address, "error": str(exc)}
-                    )
-            self._event(index, action, token=token, attempts=outcomes)
-        else:
-            raise ScenarioError(
-                f"action {index}: double-spend is not defined for {self.kernel}",
-                action_index=index,
-            )
+            _, _, txs = self._spends(payer, targets, amount, index)
+            attempts = [self._attempt(tx, keep=True, txid=txid_of(tx).hex()) for tx in txs]
+            self._event(index, action, attempts=attempts)
+            return
+        attempts = []
+        for target in targets:
+            # Built after the first attempt, so a protected second spend
+            # carries the nonce the payer's account expects next.
+            tx = self._account_tx(payer, target, amount)
+            attempts.append(self._attempt(tx, keep=True, to=target.address))
+        self._event(
+            index, action, attempts=attempts,
+            payer_balance=self.state.balance(payer.address),
+        )
 
     def _do_broadcast_round(self, index: int, action: dict) -> None:
         payer = self.wallet(action["from"], index)
-        pair = action["to"]
-        first = self.wallet(pair[0], index)
-        second = self.wallet(pair[1], index)
-        amount = action["amount"]
-        funding = self._select_funding(payer, amount, index)
-        total = sum(self.chain.active[op].value for op in funding)
-        txs = []
-        for target in (first, second):
-            outputs = [TxOutput(value=amount, locking=lock_to_wallet(target))]
-            if total > amount:
-                outputs.append(
-                    TxOutput(value=total - amount, locking=lock_to_wallet(payer))
-                )
-            txs.append(
-                make_spend(self.scheme, self.chain, funding, outputs, signer=payer)
-            )
+        targets = [self.wallet(name, index) for name in action["to"]]
+        _, _, txs = self._spends(payer, targets, action["amount"], index)
         rule = action.get("rule", "canonical-txid-order")
         round_seed = action.get("round_seed", self.seed)
         # Observational: replicas get a copy of the chainstate; the
         # scenario's own chain does not advance.
         _, report = run_round(
-            self.chain, txs, action.get("replicas", 3), round_seed, rule, self.scheme
+            self.state, txs, action.get("replicas", 3), round_seed, rule, self.scheme
         )
         self.rounds.append(report)
         self._event(
@@ -818,6 +724,11 @@ class _Runner:
         self._event(index, action, denomination=denomination, serials=serials)
 
     def _do_redeem(self, index: int, action: dict) -> None:
+        self._redeem(index, action, action.get("times", 1))
+
+    def _redeem(self, index: int, action: dict, times: int) -> None:
+        """Redeem one of a wallet's coins `times` times, logging each outcome;
+        a single redemption that is refused fails the action."""
         wallet_name = action["wallet"]
         self.wallet(wallet_name, index)
         stash = self.coins.get(wallet_name, [])
@@ -825,8 +736,14 @@ class _Runner:
             raise ScenarioError(
                 f"action {index}: {wallet_name!r} holds no coins", action_index=index
             )
-        coin = stash[action.get("coin", -1)]
-        times = action.get("times", 1)
+        position = action.get("coin", -1)
+        if not -len(stash) <= position < len(stash):
+            raise ScenarioError(
+                f"action {index}: {wallet_name!r} holds no coin at index {position}; "
+                f"it holds {len(stash)}",
+                action_index=index,
+            )
+        coin = stash[position]
         attempts = []
         for _ in range(times):
             result = redeem(self.spent, coin, self.bank, self.scheme)
@@ -845,21 +762,16 @@ class _Runner:
         matrix: dict | None = None
         for report in wanted:
             if report == "state":
-                if self.kernel == "account":
-                    reports[report] = account_snapshot(self.account)
-                elif self.kernel == "token":
-                    reports[report] = token_snapshot(self.tokens)
-                else:
-                    reports[report] = chainstate_snapshot(self.chain)
-            elif report == "metrics":
-                state = {
-                    "account": self.account,
-                    "token": self.tokens,
-                    "utxo": getattr(self, "chain", None),
+                snapshot = {
+                    "account": account_snapshot,
+                    "token": token_snapshot,
+                    "utxo": chainstate_snapshot,
                 }[self.kernel]
-                reports[report] = measure_state(state).doc()
+                reports[report] = snapshot(self.state)
+            elif report == "metrics":
+                reports[report] = measure_state(self.state).doc()
             elif report == "log":
-                reports[report] = export_log(self.chain)
+                reports[report] = export_log(self.state)
             elif report == "growth":
                 growth = self.doc.get("growth", {})
                 reports[report] = growth_report(

@@ -1,6 +1,9 @@
 """Command-line behaviour: exit codes, output shapes, file handling."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -11,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ledgerlab
 from ledgerlab.accounts import AccountState, account_mint, account_snapshot
@@ -132,6 +136,60 @@ def test_run_execution_failure_exits_3_with_action_index(tmp_path, capsys):
     assert "execution failed at action 1" in capsys.readouterr().err
 
 
+TWO_TO_THE_64 = 1 << 64
+
+
+@pytest.mark.parametrize(
+    "kernel, actions, message",
+    [
+        (
+            "account",
+            [
+                {"action": "issue", "to": "a", "amount": 5},
+                {"action": "pay", "from": "a", "to": "b", "amount": 1},
+                {"action": "replay", "index": 7},
+            ],
+            "no submission at index 7",
+        ),
+        (
+            "ecash",
+            [
+                {"action": "withdraw", "wallet": "a", "denomination": 5},
+                {"action": "redeem", "wallet": "a", "coin": 3},
+            ],
+            "no coin at index 3",
+        ),
+        (
+            "account",
+            [
+                {"action": "issue", "to": "a", "amount": TWO_TO_THE_64},
+                {"action": "pay", "from": "a", "to": "b", "amount": TWO_TO_THE_64},
+            ],
+            "exceeds the 64-bit range",
+        ),
+    ],
+    ids=["replay-index", "redeem-coin", "account-amount-2^64"],
+)
+def test_run_out_of_range_value_exits_3_without_traceback(
+    kernel, actions, message, tmp_path, capsys
+):
+    doc = {
+        "schema_version": 1,
+        "kernel": kernel,
+        "participants": [{"name": "a"}, {"name": "b"}],
+        "actions": actions,
+    }
+    if kernel == "ecash":
+        doc["issuer"] = {"denominations": [5]}
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"execution failed at action {len(actions) - 1}" in err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_run_missing_file_exits_2(capsys):
     assert main(["run", "/nonexistent/scenario.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -143,6 +201,57 @@ def test_run_does_not_mutate_the_scenario_file(capsys):
     assert main(["run", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+
+# The integer fields each action takes that the fuzz below rewrites.
+FUZZED_FIELDS = {
+    "issue": ("amount",),
+    "pay": ("amount", "nonce"),
+    "split": ("amount",),
+    "replay": ("index", "times"),
+    "double-spend": ("amount", "coin"),
+    "broadcast-round": ("amount",),
+    "redeem": ("coin", "times"),
+}
+WIDE_INTS = st.one_of(
+    st.integers(-12, 12),
+    st.sampled_from([1 << 63, (1 << 64) - 1, 1 << 64, 1 << 200, -(1 << 64)]),
+)
+# A run repeats its probe `times` times, so like replica counts this sets
+# how much work a run does rather than whether its input is valid.
+TIMES = st.integers(-2, 6)
+# tables.json takes no actions, so there is nothing in it to mutate.
+FUZZED_SCENARIOS = sorted(
+    entry.name
+    for entry in SCENARIO_DIR.iterdir()
+    if entry.name.endswith(".json") and entry.name != "tables.json"
+)
+
+
+@given(data=st.data())
+def test_run_exits_0_2_or_3_on_mutated_scenarios(data, tmp_path_factory):
+    name = data.draw(st.sampled_from(FUZZED_SCENARIOS))
+    doc = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+    actions = doc["actions"]
+    for _ in range(data.draw(st.integers(1, 4))):
+        if not actions:
+            break
+        position = data.draw(st.integers(0, len(actions) - 1))
+        action = actions[position]
+        mutation = data.draw(st.sampled_from(["set", "set", "drop", "duplicate"]))
+        if mutation == "drop":
+            del actions[position]
+        elif mutation == "duplicate":
+            actions.insert(position, copy.deepcopy(action))
+        elif action["action"] in FUZZED_FIELDS:
+            field = data.draw(st.sampled_from(FUZZED_FIELDS[action["action"]]))
+            action[field] = data.draw(TIMES if field == "times" else WIDE_INTS)
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (0, 2, 3), err.getvalue()
 
 
 # -- inspect -----------------------------------------------------------------
@@ -211,12 +320,15 @@ def test_inspect_json_format_echoes_canonically(toy, tmp_path, capsys):
 def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json", encoding="utf-8")
-    assert main(["inspect", str(garbled)]) == 2
-    capsys.readouterr()
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"kernel": "abacus"}), encoding="utf-8")
-    assert main(["inspect", str(unknown)]) == 2
-    assert "unknown kernel" in capsys.readouterr().err
+    for fmt in ("table", "json"):
+        assert main(["inspect", str(garbled), "--format", fmt]) == 2
+        capsys.readouterr()
+        assert main(["inspect", str(unknown), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert "unknown kernel" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -230,10 +342,12 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["inspect", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1
+    for fmt in ("table", "json"):
+        assert main(["inspect", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 # -- trace -------------------------------------------------------------------

@@ -48,6 +48,13 @@ def test_int_packing_widths():
         u64(-1)
 
 
+def test_u64_rejects_values_past_64_bits():
+    assert u64((1 << 64) - 1) == b"\xff" * 8
+    for value in (1 << 64, 1 << 200):
+        with pytest.raises(FormatError, match="exceeds the 64-bit range"):
+            u64(value)
+
+
 def test_varbytes_roundtrip_and_cap():
     data = b"\x00\x01\x02"
     reader = Reader(varbytes(data))
