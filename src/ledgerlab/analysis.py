@@ -38,7 +38,7 @@ from .crypto import CryptoScheme, Wallet, derive_wallet
 from .encoding import canonical_json
 from .errors import (
     ConfigError,
-    DomainError,
+    FormatError,
     FundsError,
     NotFoundError,
     OwnershipError,
@@ -55,10 +55,11 @@ from .utxo import (
     UtxoTx,
     ValidationReport,
     _advance,
-    chainstate_snapshot,
+    _unjournaled_genesis,
     coinbase_issue,
     lock_to_wallet,
     make_spend,
+    snapshot_text,
     split_payment,
     txid_of,
     utxo_apply,
@@ -125,7 +126,8 @@ def _walk(
     consumed is None at the coinbase.
 
     Raises NotFoundError if the target or a link is missing from the
-    index, DomainError if the links form a cycle.
+    index or a normal transaction has no input to follow, FormatError if
+    the links form a cycle (possible only through recorded ids).
     """
     if target.txid not in index:
         raise NotFoundError(f"no transaction {target.txid.hex()} in the log")
@@ -140,6 +142,10 @@ def _walk(
         if tx.kind == "coinbase":
             steps.append((position, current, None, tx))
             return steps
+        if not tx.inputs:
+            raise NotFoundError(
+                f"broken chain: transaction at log position {position} has no inputs"
+            )
         consumed = tx.inputs[0].outpoint
         steps.append((position, current, consumed, tx))
         if consumed.txid not in index:
@@ -147,7 +153,7 @@ def _walk(
                 f"broken chain: no transaction {consumed.txid.hex()} in the log"
             )
         current = consumed
-    raise DomainError("lineage walk exceeded the log length; the log is cyclic")
+    raise FormatError("lineage walk exceeded the log length; the log is cyclic")
 
 
 def trace_lineage(txs: Sequence[UtxoTx], target: UtxoId) -> LineageChain:
@@ -229,7 +235,7 @@ def audit_replay(
     ones flagged.
     """
     audits: list[StepAudit] = []
-    shadow = Chainstate.genesis(issuer_public_key, allow_p2h=allow_p2h)
+    shadow = _unjournaled_genesis(issuer_public_key, allow_p2h)
     for position, entry in enumerate(entries):
         report = utxo_validate(shadow, entry.tx, scheme)
         audits.append(
@@ -552,13 +558,13 @@ def _utxo_fraud(scenario: FraudScenario, seed: int, scheme: CryptoScheme) -> Fra
         [TxOutput(value=10, locking=lock_to_wallet(payee))], signer=payer,
     )
     state_once = utxo_apply(state, tx, scheme)
-    snapshot_once = canonical_json(chainstate_snapshot(state_once))
+    snapshot_once = snapshot_text(state_once)
     try:
         utxo_apply(state_once, tx, scheme)
         outcome = OUTCOME_SUCCEEDED
         evidence = {"replay": "accepted"}
     except TxRejected as exc:
-        snapshot_after = canonical_json(chainstate_snapshot(state_once))
+        snapshot_after = snapshot_text(state_once)
         outcome = OUTCOME_PREVENTED
         evidence = {
             "replayed_txid": txid_of(tx).hex(),

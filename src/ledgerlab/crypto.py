@@ -157,6 +157,7 @@ for _i in range(2, 100):
             _sieve[_j] = False
 _TRIAL_PRIMES = [i for i, flag in enumerate(_sieve) if flag]
 del _sieve, _i, _j
+_TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
 
 _RSA_EXPONENT = 65537
 
@@ -191,7 +192,12 @@ def _is_probable_prime(n: int) -> bool:
 def _gen_prime(stream: SeededStream, bits: int) -> int:
     while True:
         candidate = stream.randint_bits(bits) | 1
-        if any(candidate % p == 0 and candidate != p for p in _TRIAL_PRIMES):
+        # Above the largest trial prime (every candidate of 15 or more bits,
+        # as the top bit is set) a common factor is exactly a trial divisor.
+        if candidate > _TRIAL_PRIMES[-1]:
+            if math.gcd(candidate, _TRIAL_PRIMORIAL) != 1:
+                continue
+        elif any(candidate % p == 0 and candidate != p for p in _TRIAL_PRIMES):
             continue
         if _is_probable_prime(candidate):
             return candidate

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from .crypto import CryptoScheme, digest
-from .encoding import canonical_json
 from .errors import ConfigError, TxRejected
 from .rng import SeededStream
-from .utxo import Chainstate, UtxoTx, chainstate_snapshot, txid_of, utxo_apply
+from .utxo import Chainstate, UtxoTx, snapshot_text, txid_of, utxo_apply
 
 OrderingRule = Literal["arrival-order", "canonical-txid-order"]
 
@@ -56,8 +55,9 @@ class Replica:
 
 
 def state_digest(state: Chainstate) -> str:
-    """Digest of the canonical snapshot; equal iff states are bit-identical."""
-    return digest(canonical_json(chainstate_snapshot(state)).encode("utf-8")).hex()
+    """Digest of the canonical snapshot text; equal iff states are
+    bit-identical."""
+    return digest(snapshot_text(state).encode("utf-8")).hex()
 
 
 def make_replicas(count: int, genesis: Chainstate) -> list[Replica]:

@@ -43,10 +43,13 @@ containers, rewound through the journal to that state's length. Forks
 therefore happen only where histories branch (replicas starting from
 one state, a probe applying twice to one state). Since even a read may
 fork, the states of one family must be used from one thread at a time.
+A replay or audit from genesis, whose intermediate states never escape,
+keeps no journal; the state a replay returns journals what follows it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Sequence
@@ -118,8 +121,16 @@ class TxInput:
     unlocking: Script
 
 
-@dataclass(frozen=True)
-class TxOutput:
+class _SnapshotMemo:
+    """A slot for `_snapshot_entry`'s memo, outside the dataclass fields."""
+
+    __slots__ = ("_snapshot",)
+
+
+# Slotted: outputs are the most numerous objects of a ledger, and a slot
+# costs less than an instance dict even with the memo filled in.
+@dataclass(frozen=True, slots=True)
+class TxOutput(_SnapshotMemo):
     value: Amount
     locking: Script
 
@@ -145,6 +156,8 @@ class _Ledger:
     previous active entry, None if it had none, or `_SPENT` if the pair
     added it to `spent`. A fork starts its journal at its own length, and
     no ledger refers to any chainstate, so a dead family is freed at once.
+    The journal is None while only the head may be used (see
+    `_unjournaled_genesis`).
     """
 
     active: dict[UtxoId, TxOutput]
@@ -153,7 +166,7 @@ class _Ledger:
     # as dict keys, since a copied set can take twice a dict's memory.
     spent: dict[UtxoId, None]
     base: int = 0
-    journal: list[tuple] = field(default_factory=list)
+    journal: list[tuple] | None = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -217,6 +230,13 @@ def _own(state: Chainstate) -> _Ledger:
     return fork
 
 
+def _unjournaled_genesis(issuer_public_key: bytes, allow_p2h: bool) -> Chainstate:
+    """A genesis whose ledger records no undo entries, for a caller that
+    uses only the head and lets no earlier state escape: forking one of
+    those would have nothing to rewind through."""
+    return Chainstate(issuer_public_key, allow_p2h, _Ledger({}, [], {}, journal=None), 0)
+
+
 def _advance(state: Chainstate, tx: UtxoTx, txid: bytes) -> Chainstate:
     """Append `tx` under `txid` without validating it, in O(|tx|).
 
@@ -240,7 +260,8 @@ def _advance(state: Chainstate, tx: UtxoTx, txid: bytes) -> Chainstate:
         undo += (outpoint, active.get(outpoint))
         active[outpoint] = tx_out
     ledger.log.append(tx)
-    ledger.journal.append(tuple(undo))
+    if ledger.journal is not None:
+        ledger.journal.append(tuple(undo))
     return Chainstate(state.issuer_public_key, state.allow_p2h, ledger, state._length + 1)
 
 
@@ -486,9 +507,11 @@ def replay_log(
     allow_p2h: bool = True,
 ) -> Chainstate:
     """Rebuild a chainstate by applying a log from genesis."""
-    state = Chainstate.genesis(issuer_public_key, allow_p2h=allow_p2h)
+    state = _unjournaled_genesis(issuer_public_key, allow_p2h)
     for tx in txs:
         state = utxo_apply(state, tx, scheme)
+    # Only the head escapes: journal the applies made to it from here on.
+    state._ledger.base, state._ledger.journal = state._length, []
     return state
 
 
@@ -663,6 +686,42 @@ def chainstate_snapshot(state: Chainstate) -> dict:
             )
         },
     }
+
+
+def _snapshot_entry(entry: TxOutput) -> str:
+    """`entry` as canonical_json renders it inside a snapshot's active set,
+    memoized on the frozen output like txid_of's txid. The memo is no
+    field, so equality, hashing, replace(), asdict() and copies never see
+    it."""
+    try:
+        return entry._snapshot
+    except AttributeError:
+        text = (
+            '{\n      "locking": ' + json.dumps(script_to_text(entry.locking))
+            + ',\n      "value": ' + json.dumps(entry.value) + "\n    }"
+        )
+        object.__setattr__(entry, "_snapshot", text)
+        return text
+
+
+def snapshot_text(state: Chainstate) -> str:
+    """Exactly canonical_json(chainstate_snapshot(state)), joined from each
+    active output's memoized text. Forked states share their outputs, so
+    replicas digesting one history render each output once."""
+    rows = [
+        f'    "{outpoint.render()}": {_snapshot_entry(entry)}'
+        for outpoint, entry in _own(state).active.items()
+    ]
+    # Sorting whole rows sorts by rendered key, the order sort_keys gives
+    # ("...:10" before "...:2"): keys are distinct, and the quote closing
+    # each sorts below every character a rendered key can hold.
+    rows.sort()
+    return (
+        '{\n  "active": ' + ("{\n" + ",\n".join(rows) + "\n  }" if rows else "{}")
+        + ',\n  "allow_p2h": ' + json.dumps(state.allow_p2h)
+        + ',\n  "issuer_public_key": ' + json.dumps(state.issuer_public_key.hex())
+        + ',\n  "kernel": "utxo",\n  "log_length": ' + str(state._length) + "\n}\n"
+    )
 
 
 def active_from_snapshot(doc: dict) -> dict[UtxoId, TxOutput]:

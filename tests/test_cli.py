@@ -24,9 +24,12 @@ from ledgerlab.encoding import canonical_json
 from ledgerlab.tokens import TokenRegistry, token_issue, token_snapshot
 from ledgerlab.utxo import (
     Chainstate,
+    TxOutput,
     UtxoId,
+    UtxoTx,
     chainstate_snapshot,
     coinbase_issue,
+    encode_utxo_tx,
     export_log,
     lock_to_wallet,
     split_payment,
@@ -395,6 +398,32 @@ def test_trace_malformed_target_exits_2(traced_log, capsys):
     path, _, _, _ = traced_log
     assert main(["trace", str(path), "zz:0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("defect", ["cyclic-links", "input-less-row"])
+def test_trace_malformed_log_exits_2_without_traceback(
+    traced_log, wallets, tmp_path, capsys, defect
+):
+    path, _, _, coinbase_leaf = traced_log
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if defect == "cyclic-links":
+        # Row 1 spends the coinbase's output and now claims the coinbase's
+        # id, so its recorded link points back at itself.
+        doc["txs"][1]["txid"] = doc["txs"][0]["txid"]
+        target = coinbase_leaf
+    else:
+        orphan = UtxoTx("normal", (), (TxOutput(1, lock_to_wallet(wallets[0])),))
+        doc["txs"].append(
+            {"txid": txid_of(orphan).hex(), "raw": encode_utxo_tx(orphan).hex()}
+        )
+        target = UtxoId(txid=txid_of(orphan), index=0).render()
+    bad_path = tmp_path / "malformed-log.json"
+    bad_path.write_text(canonical_json(doc), encoding="utf-8")
+    assert main(["trace", str(bad_path), target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 # -- tables ------------------------------------------------------------------

@@ -6,7 +6,10 @@ import pytest
 
 from conftest import read_vector_file
 from ledgerlab.crypto import (
+    _TRIAL_PRIMES,
     DIGEST_SIZE,
+    _gen_prime,
+    _is_probable_prime,
     address_of,
     check_amount,
     derive_wallet,
@@ -34,6 +37,24 @@ def test_toy_signature_golden_vectors(toy):
     for message, expected in read_vector_file("toy_signature_vectors.txt"):
         assert toy.sign(pair.private_key, message) == expected
         assert toy.verify(pair.public_key, message, expected)
+
+
+def test_gen_prime_matches_trial_division_by_each_prime():
+    """The gcd test draws the same primes as dividing by every trial prime,
+    on both sides of the largest one (9973, a 14-bit number)."""
+
+    def reference(stream, bits):
+        while True:
+            candidate = stream.randint_bits(bits) | 1
+            if any(candidate % p == 0 and candidate != p for p in _TRIAL_PRIMES):
+                continue
+            if _is_probable_prime(candidate):
+                return candidate
+
+    for bits in (3, 8, 13, 14, 15, 16, 24, 128):
+        for seed in range(4):
+            label = b"gen-prime-%d-%d" % (bits, seed)
+            assert _gen_prime(SeededStream(label), bits) == reference(SeededStream(label), bits)
 
 
 def test_address_is_hex_digest_of_public_key(toy):

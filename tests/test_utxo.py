@@ -1,5 +1,6 @@
 """Outpoint kernel: validation, atomic application, log replay."""
 
+import copy
 import dataclasses
 import sys
 import tracemalloc
@@ -9,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import reference_active_set
+from ledgerlab.analysis import audit_replay
 from ledgerlab.crypto import derive_wallet, digest
+from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import (
     AuthError,
     FormatError,
@@ -20,10 +23,12 @@ from ledgerlab.rng import SeededStream
 from ledgerlab.scripts import compile_p2h, push
 from ledgerlab.utxo import (
     Chainstate,
+    LogEntry,
     TxInput,
     TxOutput,
     UtxoId,
     UtxoTx,
+    _advance,
     chainstate_snapshot,
     coinbase_issue,
     consumed_outpoints,
@@ -35,6 +40,7 @@ from ledgerlab.utxo import (
     make_spend,
     merge_payment,
     replay_log,
+    snapshot_text,
     split_payment,
     txid_of,
     utxo_apply,
@@ -393,6 +399,119 @@ def test_apply_allocates_per_transaction_not_per_state(toy, issuer, wallets):
         tracemalloc.stop()
     assert len(after.active) == 5001
     assert peak < one_copy / 10, (peak, one_copy)
+
+
+def test_replay_and_audit_keep_no_undo_journal(toy, issuer, wallets):
+    """No intermediate state of a replay or an audit escapes, so neither
+    journals its rows: a replayed chain retains less than the same chain
+    built by apply by at least that chain's journal, an audit's transient
+    ledger is about the size of the replayed one, and the replayed state
+    can still be applied to twice (which forks it)."""
+    lock, payee = lock_to_wallet(wallets[0]), lock_to_wallet(wallets[1])
+    state = coinbase_issue(Chainstate.genesis(issuer.public_key), [(900, lock)], issuer, toy)
+    change = tip(state)
+    for _ in range(300):
+        tx = split_payment(toy, state, wallets[0], change, 1, payee)
+        state = utxo_apply(state, tx, toy)
+        change = tip(state, 1)
+    txs = list(state.log)
+    entries = [LogEntry(recorded_txid=txid_of(tx), tx=tx) for tx in txs]
+    journal_bytes = sum(sys.getsizeof(undo) for undo in state._ledger.journal)
+    tracemalloc.start()
+    try:
+        built = Chainstate.genesis(issuer.public_key)
+        for tx in txs:
+            built = utxo_apply(built, tx, toy)
+        built_bytes, _ = tracemalloc.get_traced_memory()
+        replayed = replay_log(txs, issuer.public_key, toy)
+        replayed_bytes = tracemalloc.get_traced_memory()[0] - built_bytes
+        tracemalloc.reset_peak()
+        audits = audit_replay(entries, issuer.public_key, toy)
+        after_audit, audit_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(audit.ok for audit in audits)
+    assert built_bytes - replayed_bytes > journal_bytes, (built_bytes, replayed_bytes, journal_bytes)
+    # Beside the journal-free replayed ledger, an audit's journal would show.
+    audit_bytes = audit_peak - after_audit
+    assert audit_bytes - replayed_bytes < journal_bytes / 2, (audit_bytes, replayed_bytes)
+    assert replayed.active == built.active and not replayed._ledger.journal
+    spend = split_payment(toy, replayed, wallets[0], tip(replayed, 1), 1, payee)
+    other = split_payment(toy, replayed, wallets[0], tip(replayed, 1), 2, payee)
+    first, second = utxo_apply(replayed, spend, toy), utxo_apply(replayed, other, toy)
+    for branch in (replayed, first, second):
+        assert branch.active == replay_log(branch.log, issuer.public_key, toy).active
+
+
+@pytest.mark.parametrize("allow_p2h", [True, False])
+def test_snapshot_text_of_empty_genesis(issuer, allow_p2h):
+    genesis = Chainstate.genesis(issuer.public_key, allow_p2h=allow_p2h)
+    assert '"active": {}' in snapshot_text(genesis)
+    assert snapshot_text(genesis) == canonical_json(chainstate_snapshot(genesis))
+
+
+@pytest.fixture(scope="module")
+def snapshot_root(toy, wallets):
+    """Eleven p2pkh outputs and a p2h one: with 12 outputs, rendered-key
+    order ("...:10" before "...:2") and (txid, index) order differ."""
+    issuer = toy.keygen(b"snapshot-issuer")
+    outputs = [(value, lock_to_wallet(wallets[value % 2])) for value in range(1, 12)]
+    outputs.append((5, compile_p2h(digest(b"snapshot-preimage"))))
+    return coinbase_issue(Chainstate.genesis(issuer.public_key), outputs, issuer, toy)
+
+
+@given(data=st.data())
+def test_snapshot_text_matches_canonical_snapshot(toy, wallets, snapshot_root, data):
+    """snapshot_text is canonical_json(chainstate_snapshot) for branching
+    states rendered before and after they fork, including states carried
+    past an invalid row by _advance, as audit_replay carries them."""
+    signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
+    payees = [lock_to_wallet(wallets[2]), compile_p2h(digest(b"snapshot-payee"))]
+    states, built = [snapshot_root], []
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        state = data.draw(st.sampled_from(states), label="base")
+        action = data.draw(st.sampled_from(["split", "invalid", "render"]), label="action")
+        if action == "render":
+            assert snapshot_text(state) == canonical_json(chainstate_snapshot(state))
+        elif action == "split":
+            spendable = sorted(
+                (op for op, out in state.active.items() if out.locking in signers),
+                key=lambda o: (o.txid, o.index),
+            )
+            if not spendable:
+                continue
+            outpoint = data.draw(st.sampled_from(spendable))
+            held = state.active[outpoint]
+            amount = data.draw(st.integers(1, held.value))
+            payee = data.draw(st.sampled_from(payees))
+            tx = split_payment(toy, state, signers[held.locking], outpoint, amount, payee)
+            built.append(tx)
+            states.append(utxo_apply(state, tx, toy))
+        elif built:
+            # A tampered row under its honest recorded id, as in an audit.
+            tx = data.draw(st.sampled_from(built))
+            first = tx.outputs[0]
+            forged = dataclasses.replace(
+                tx, outputs=(TxOutput(first.value + 1, first.locking),) + tx.outputs[1:]
+            )
+            assert not utxo_validate(state, forged, toy).valid
+            states.append(_advance(state, forged, txid_of(tx)))
+    for index in data.draw(st.permutations(range(len(states))), label="read order"):
+        state = states[index]
+        assert snapshot_text(state) == canonical_json(chainstate_snapshot(state))
+
+
+def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
+    lock = lock_to_wallet(wallets[0])
+    state = coinbase_issue(Chainstate.genesis(issuer.public_key), [(7, lock)], issuer, toy)
+    snapshot_text(state)
+    memoized, fresh = state.active[tip(state)], TxOutput(value=7, locking=lock)
+    assert memoized._snapshot in snapshot_text(state)
+    assert memoized == fresh and hash(memoized) == hash(fresh)
+    assert dataclasses.asdict(memoized) == dataclasses.asdict(fresh)
+    assert [f.name for f in dataclasses.fields(memoized)] == ["value", "locking"]
+    for clone in (dataclasses.replace(memoized), copy.copy(memoized), copy.deepcopy(memoized)):
+        assert clone == fresh and not hasattr(clone, "_snapshot")
 
 
 def test_log_export_import_roundtrip(toy, issuer):
