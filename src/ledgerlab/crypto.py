@@ -23,7 +23,11 @@ the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
 clear message.
 
 All operations are pure functions of their inputs; instances hold no
-mutable state and are safe for unrestricted concurrent use.
+mutable state and are safe for unrestricted concurrent use. The
+module-level caches (generated keys, decoded RSA keys, and the CRT
+parameters of the RSA keys this process generated) hold only results of
+pure functions, so a hit returns exactly what a recomputation would, and
+each cache is bounded.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -128,6 +133,7 @@ def _unpack_ints(payload: bytes, count: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+@lru_cache(maxsize=1024)
 def _decode_rsa_public(public_key: bytes) -> tuple[int, int]:
     if public_key[:4] != _TAG_RSA_PUB:
         raise FormatError("not an RSA public key")
@@ -137,6 +143,7 @@ def _decode_rsa_public(public_key: bytes) -> tuple[int, int]:
     return n, e
 
 
+@lru_cache(maxsize=1024)
 def _decode_rsa_private(private_key: bytes) -> tuple[int, int]:
     if private_key[:4] != _TAG_RSA_PRV:
         raise FormatError("not an RSA private key")
@@ -203,6 +210,15 @@ def _gen_prime(stream: SeededStream, bits: int) -> int:
             return candidate
 
 
+# (p, q, d mod (p-1), d mod (q-1), q^-1 mod p) per private key generated in
+# this process, oldest first. A key missing here (evicted, or packed by
+# hand) is exponentiated with the plain pow(m, d, n), which gives the same
+# integer: RSA with CRT is PKCS #1 v2.2, section 5.1.2.
+_CRT: dict[bytes, tuple[int, int, int, int, int]] = {}
+_CRT_LIMIT = 4096
+
+
+@lru_cache(maxsize=4096)
 def _rsa_keygen(seed: bytes, modulus_bits: int) -> KeyPair:
     stream = SeededStream(b"rsa-keygen:%d:" % modulus_bits + seed)
     half = modulus_bits // 2
@@ -218,6 +234,9 @@ def _rsa_keygen(seed: bytes, modulus_bits: int) -> KeyPair:
         d = pow(_RSA_EXPONENT, -1, phi)
         public = _pack_ints(_TAG_RSA_PUB, (n, _RSA_EXPONENT))
         private = _pack_ints(_TAG_RSA_PRV, (n, d))
+        if len(_CRT) >= _CRT_LIMIT:
+            del _CRT[next(iter(_CRT))]
+        _CRT[private] = (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
         return KeyPair(public_key=public, private_key=private)
 
 
@@ -230,9 +249,20 @@ def _sig_width(n: int) -> int:
     return (n.bit_length() + 7) // 8
 
 
+def _rsa_private_op(private_key: bytes, value: int, n: int, d: int) -> int:
+    """pow(value, d, n) for 0 <= value < n, through CRT when the key's
+    factors are known (Garner's recombination)."""
+    crt = _CRT.get(private_key)
+    if crt is None:
+        return pow(value, d, n)
+    p, q, dp, dq, q_inv = crt
+    m_q = pow(value, dq, q)
+    return m_q + (q_inv * (pow(value, dp, p) - m_q) % p) * q
+
+
 def _rsa_sign(private_key: bytes, message: bytes) -> bytes:
     n, d = _decode_rsa_private(private_key)
-    sigma = pow(_fdh(message, n), d, n)
+    sigma = _rsa_private_op(private_key, _fdh(message, n), n, d)
     return sigma.to_bytes(_sig_width(n), "big")
 
 
@@ -310,7 +340,7 @@ class CryptoScheme(ABC):
         value = int.from_bytes(blinded, "big")
         if value >= n:
             raise DomainError("blinded message outside the key's modulus")
-        return pow(value, d, n).to_bytes(_sig_width(n), "big")
+        return _rsa_private_op(private_key, value, n, d).to_bytes(_sig_width(n), "big")
 
     def unblind(self, blinded_signature: bytes, factor: bytes, public_key: bytes) -> bytes:
         n, _ = _decode_rsa_public(public_key)

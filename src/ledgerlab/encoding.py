@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .scripts import Op, Opcode, Script
+from .scripts import BARE_OPS, Op, Opcode, Script
 
 # Caps keep hostile or fuzzed input from requesting absurd allocations.
 MAX_FIELD_BYTES = 1 << 24
@@ -35,7 +35,9 @@ _OPCODE_WIRE = {
     Opcode.EQUALVERIFY: 4,
     Opcode.CHECKSIG: 5,
 }
-_WIRE_OPCODE = {v: k for k, v in _OPCODE_WIRE.items()}
+_OPCODE_TAG = {opcode: bytes((wire,)) for opcode, wire in _OPCODE_WIRE.items()}
+_PUSH_WIRE = _OPCODE_WIRE[Opcode.PUSH]
+_WIRE_BARE_OP = {_OPCODE_WIRE[opcode]: op for opcode, op in BARE_OPS.items()}
 
 
 def u8(value: int) -> bytes:
@@ -64,8 +66,9 @@ def varbytes(data: bytes) -> bytes:
 def encode_script(script: Script) -> bytes:
     parts = [u32(len(script))]
     for op in script:
-        parts.append(u8(_OPCODE_WIRE[op.opcode]))
-        if op.opcode is Opcode.PUSH:
+        opcode = op.opcode
+        parts.append(_OPCODE_TAG[opcode])
+        if opcode is Opcode.PUSH:
             parts.append(varbytes(op.operand))  # type: ignore[arg-type]
     return b"".join(parts)
 
@@ -80,16 +83,15 @@ class Reader:
 
     def __init__(self, data: bytes):
         self._data = data
-        self._offset = 0
+        # Index of the next unread byte.
+        self.offset = 0
 
     def read(self, n: int) -> bytes:
-        if n < 0 or self._offset + n > len(self._data):
-            raise FormatError(
-                f"truncated input: wanted {n} bytes at offset {self._offset}"
-            )
-        chunk = self._data[self._offset : self._offset + n]
-        self._offset += n
-        return chunk
+        offset = self.offset
+        if n < 0 or offset + n > len(self._data):
+            raise FormatError(f"truncated input: wanted {n} bytes at offset {offset}")
+        self.offset = offset + n
+        return self._data[offset : offset + n]
 
     def u8(self) -> int:
         return self.read(1)[0]
@@ -114,15 +116,19 @@ class Reader:
 
     def script(self) -> Script:
         ops = []
+        data = self._data
         for _ in range(self.count()):
-            wire = self.u8()
-            if wire not in _WIRE_OPCODE:
-                raise FormatError(f"unknown opcode tag {wire}")
-            opcode = _WIRE_OPCODE[wire]
-            if opcode is Opcode.PUSH:
-                ops.append(Op(opcode, self.varbytes()))
-            else:
-                ops.append(Op(opcode))
+            offset = self.offset
+            if offset >= len(data):
+                raise FormatError(f"truncated input: wanted 1 bytes at offset {offset}")
+            wire = data[offset]
+            self.offset = offset + 1
+            op = _WIRE_BARE_OP.get(wire)
+            if op is None:
+                if wire != _PUSH_WIRE:
+                    raise FormatError(f"unknown opcode tag {wire}")
+                op = Op(Opcode.PUSH, self.varbytes())
+            ops.append(op)
         return tuple(ops)
 
     def expect(self, magic: bytes) -> None:
@@ -131,9 +137,9 @@ class Reader:
             raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
 
     def finish(self) -> None:
-        if self._offset != len(self._data):
+        if self.offset != len(self._data):
             raise FormatError(
-                f"{len(self._data) - self._offset} trailing bytes after decode"
+                f"{len(self._data) - self.offset} trailing bytes after decode"
             )
 
 

@@ -67,6 +67,10 @@ TRUE_BYTES = b"\x01"
 FALSE_BYTES = b""
 
 
+# One shared instance per operand-free instruction; Op is frozen.
+BARE_OPS = {opcode: Op(opcode) for opcode in Opcode if opcode is not Opcode.PUSH}
+
+
 def push(data: bytes) -> Op:
     return Op(Opcode.PUSH, bytes(data))
 
@@ -87,11 +91,11 @@ def compile_p2pkh(pubkey_hash: bytes) -> Script:
             f"pubkey hash must be {DIGEST_SIZE} bytes, got {len(pubkey_hash)}"
         )
     return (
-        Op(Opcode.DUP),
-        Op(Opcode.HASH),
+        BARE_OPS[Opcode.DUP],
+        BARE_OPS[Opcode.HASH],
         push(pubkey_hash),
-        Op(Opcode.EQUALVERIFY),
-        Op(Opcode.CHECKSIG),
+        BARE_OPS[Opcode.EQUALVERIFY],
+        BARE_OPS[Opcode.CHECKSIG],
     )
 
 
@@ -99,7 +103,7 @@ def compile_p2h(target: bytes) -> Script:
     """Locking script satisfied by revealing the digest's preimage."""
     if len(target) != DIGEST_SIZE:
         raise FormatError(f"hash target must be {DIGEST_SIZE} bytes, got {len(target)}")
-    return (Op(Opcode.HASH), push(target), Op(Opcode.EQUAL))
+    return (BARE_OPS[Opcode.HASH], push(target), BARE_OPS[Opcode.EQUAL])
 
 
 def p2pkh_unlocking(signature: bytes, public_key: bytes) -> Script:
@@ -256,7 +260,7 @@ def script_from_text(text: str) -> Script:
             raise FormatError("PUSH requires a `:hex` operand")
         else:
             try:
-                ops.append(Op(Opcode(token)))
+                ops.append(BARE_OPS[Opcode(token)])
             except ValueError as exc:
                 raise FormatError(f"unknown opcode {token!r}") from exc
     return tuple(ops)

@@ -45,6 +45,21 @@ one state, a probe applying twice to one state). Since even a read may
 fork, the states of one family must be used from one thread at a time.
 A replay or audit from genesis, whose intermediate states never escape,
 keeps no journal; the state a replay returns journals what follows it.
+
+Transactions and outputs are frozen, and each memoizes bytes derived
+from its fields in slots that are not dataclass fields, so equality,
+hashing, replace(), asdict(), copies and pickles never see them:
+
+* `txid_of` and `utxo_signing_payload` store a transaction's id and its
+  signing payload on first use. A builder stores the payload it signed
+  on the signed transaction: signing fills exactly the fields the
+  payload blanks (the unlocking scripts and the issuer signature).
+  `decode_utxo_tx` stores both from the bytes it has just checked, since
+  `encode_utxo_tx(decode_utxo_tx(b)) == b` for every `b` it accepts.
+* `_snapshot_entry` stores an output's rendered snapshot text.
+
+replace() builds a new object with empty memos, so a memo never passes
+from a transaction to an altered copy.
 """
 
 from __future__ import annotations
@@ -135,8 +150,14 @@ class TxOutput(_SnapshotMemo):
     locking: Script
 
 
-@dataclass(frozen=True)
-class UtxoTx:
+class _TxMemo:
+    """Slots for the txid and signing-payload memos, outside the fields."""
+
+    __slots__ = ("_txid", "_payload")
+
+
+@dataclass(frozen=True, slots=True)
+class UtxoTx(_TxMemo):
     kind: TxKind
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
@@ -297,31 +318,45 @@ def encode_utxo_tx(tx: UtxoTx, *, for_signing: bool = False) -> bytes:
     return b"".join(parts)
 
 
+# An empty script or signature field: a zero u32 length.
+_EMPTY_FIELD = bytes(4)
+
+
 def decode_utxo_tx(data: bytes) -> UtxoTx:
+    """Strictly decode canonical bytes. The decoded tx carries its txid
+    and signing payload, both derived from `data` (see the module doc)."""
     reader = Reader(data)
     reader.expect(_MAGIC)
     kind_tag = reader.u8()
     if kind_tag not in (0, 1):
         raise FormatError(f"bad tx kind tag {kind_tag}")
+    # The signing payload is `data` with an empty field spliced over every
+    # unlocking script and over the issuer signature.
+    payload = []
+    kept = 0
     inputs = []
     for _ in range(reader.count()):
-        txid = reader.read(TXID_BYTES)
-        index = reader.u32()
+        outpoint = UtxoId(txid=reader.read(TXID_BYTES), index=reader.u32())
+        payload += (data[kept : reader.offset], _EMPTY_FIELD)
         unlocking = reader.script()
-        inputs.append(TxInput(outpoint=UtxoId(txid=txid, index=index), unlocking=unlocking))
-    outputs = []
-    for _ in range(reader.count()):
-        value = reader.u64()
-        locking = reader.script()
-        outputs.append(TxOutput(value=value, locking=locking))
+        kept = reader.offset
+        inputs.append(TxInput(outpoint=outpoint, unlocking=unlocking))
+    outputs = [
+        TxOutput(value=reader.u64(), locking=reader.script())
+        for _ in range(reader.count())
+    ]
+    payload += (data[kept : reader.offset], _EMPTY_FIELD)
     issuer_signature = reader.varbytes()
     reader.finish()
-    return UtxoTx(
+    tx = UtxoTx(
         kind="coinbase" if kind_tag else "normal",
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         issuer_signature=issuer_signature,
     )
+    object.__setattr__(tx, "_txid", digest(data))
+    object.__setattr__(tx, "_payload", b"".join(payload))
+    return tx
 
 
 def txid_of(tx: UtxoTx) -> bytes:
@@ -335,7 +370,20 @@ def txid_of(tx: UtxoTx) -> bytes:
 
 
 def utxo_signing_payload(tx: UtxoTx) -> bytes:
-    return encode_utxo_tx(tx, for_signing=True)
+    """The canonical bytes with every unlocking script and the issuer
+    signature emptied, memoized on the frozen tx."""
+    try:
+        return tx._payload  # type: ignore[attr-defined]
+    except AttributeError:
+        payload = encode_utxo_tx(tx, for_signing=True)
+        object.__setattr__(tx, "_payload", payload)
+        return payload
+
+
+def _signed(tx: UtxoTx, payload: bytes) -> UtxoTx:
+    """`tx`, built by signing `payload`, with that payload memoized."""
+    object.__setattr__(tx, "_payload", payload)
+    return tx
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +588,9 @@ def make_coinbase(
         outputs=tuple(TxOutput(value=v, locking=lock) for v, lock in outputs),
         issuer_signature=b"",
     )
-    signature = scheme.sign(issuer.private_key, utxo_signing_payload(unsigned))
-    return replace(unsigned, issuer_signature=signature)
+    payload = utxo_signing_payload(unsigned)
+    signature = scheme.sign(issuer.private_key, payload)
+    return _signed(replace(unsigned, issuer_signature=signature), payload)
 
 
 def coinbase_issue(
@@ -610,7 +659,7 @@ def make_spend(
                 f"outpoint {outpoint.render()} has an unrecognized locking template"
             )
         inputs.append(TxInput(outpoint=outpoint, unlocking=unlocking))
-    return replace(unsigned, inputs=tuple(inputs))
+    return _signed(replace(unsigned, inputs=tuple(inputs)), payload)
 
 
 def split_payment(
@@ -696,9 +745,11 @@ def _snapshot_entry(entry: TxOutput) -> str:
     try:
         return entry._snapshot
     except AttributeError:
+        # json.dumps adds nothing to either: script text holds only opcode
+        # names, spaces, "PUSH:" and lowercase hex, and values are ints.
         text = (
-            '{\n      "locking": ' + json.dumps(script_to_text(entry.locking))
-            + ',\n      "value": ' + json.dumps(entry.value) + "\n    }"
+            '{\n      "locking": "' + script_to_text(entry.locking)
+            + '",\n      "value": ' + str(entry.value) + "\n    }"
         )
         object.__setattr__(entry, "_snapshot", text)
         return text

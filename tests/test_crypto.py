@@ -5,11 +5,20 @@ import hashlib
 import pytest
 
 from conftest import read_vector_file
+from ledgerlab import crypto
 from ledgerlab.crypto import (
+    _CRT,
+    _RSA_EXPONENT,
+    _TAG_RSA_PRV,
+    _TAG_RSA_PUB,
     _TRIAL_PRIMES,
     DIGEST_SIZE,
+    _decode_rsa_private,
+    _fdh,
     _gen_prime,
     _is_probable_prime,
+    _pack_ints,
+    _rsa_keygen,
     address_of,
     check_amount,
     derive_wallet,
@@ -175,6 +184,85 @@ def test_blind_sign_rejects_oversized_value(toy):
     issuer = toy.blind_keygen(b"oversize")
     with pytest.raises(DomainError):
         toy.blind_sign(issuer.private_key, b"\xff" * 64)
+
+
+def _plain_signatures(private_key, messages, blinded):
+    """Signatures and blind signatures by the textbook pow(m, d, n)."""
+    n, d = _decode_rsa_private(private_key)
+    width = (n.bit_length() + 7) // 8
+    return (
+        [pow(_fdh(m, n), d, n).to_bytes(width, "big") for m in messages],
+        [pow(int.from_bytes(b, "big"), d, n).to_bytes(width, "big") for b in blinded],
+    )
+
+
+def _signing_inputs(stream, private_key, count):
+    n, _ = _decode_rsa_private(private_key)
+    width = (n.bit_length() + 7) // 8
+    messages = [stream.randbytes(stream.randbelow(200)) for _ in range(count)]
+    # Both ends of the blinded domain, plus random values below n.
+    blinded = [bytes(width), (n - 1).to_bytes(width, "big")] + [
+        stream.randbelow(n).to_bytes(width, "big") for _ in range(count)
+    ]
+    return messages, blinded
+
+
+@pytest.mark.parametrize("seed", [b"crt-0", b"crt-1", b"crt-2", b"golden-signer"])
+def test_crt_signing_matches_plain_pow_on_toy_keys(toy, seed):
+    pair = toy.keygen(seed)
+    assert pair.private_key in _CRT
+    messages, blinded = _signing_inputs(SeededStream(b"crt:" + seed), pair.private_key, 200)
+    signatures, blind_signatures = _plain_signatures(pair.private_key, messages, blinded)
+    assert [toy.sign(pair.private_key, m) for m in messages] == signatures
+    assert [toy.blind_sign(pair.private_key, b) for b in blinded] == blind_signatures
+    assert all(toy.verify(pair.public_key, m, s) for m, s in zip(messages, signatures))
+
+
+def test_crt_signing_matches_plain_pow_on_a_2048_bit_key(real):
+    pair = real.blind_keygen(b"blind-real")  # the key test_blinding_roundtrip_real uses
+    assert pair.private_key in _CRT
+    messages, blinded = _signing_inputs(SeededStream("crt-2048"), pair.private_key, 12)
+    signatures, blind_signatures = _plain_signatures(pair.private_key, messages, blinded)
+    assert [real.sign(pair.private_key, m) for m in messages] == signatures
+    assert [real.blind_sign(pair.private_key, b) for b in blinded] == blind_signatures
+
+
+def test_hand_packed_key_signs_by_plain_pow(toy):
+    """A key _rsa_keygen never produced has no CRT entry and still signs."""
+    stream = SeededStream("hand-packed-key")
+    p, q = _gen_prime(stream, 128), _gen_prime(stream, 128)
+    n, d = p * q, pow(_RSA_EXPONENT, -1, (p - 1) * (q - 1))
+    private = _pack_ints(_TAG_RSA_PRV, (n, d))
+    public = _pack_ints(_TAG_RSA_PUB, (n, _RSA_EXPONENT))
+    assert private not in _CRT
+    messages, blinded = _signing_inputs(stream, private, 50)
+    signatures, blind_signatures = _plain_signatures(private, messages, blinded)
+    assert [toy.sign(private, m) for m in messages] == signatures
+    assert [toy.blind_sign(private, b) for b in blinded] == blind_signatures
+    assert all(toy.verify(public, m, s) for m, s in zip(messages, signatures))
+    assert private not in _CRT
+
+
+def test_keygen_memo_survives_an_evicted_crt_entry(toy):
+    """A memo hit whose CRT entry is gone signs by plain pow, same bytes."""
+    pair = toy.keygen(b"evicted-crt")
+    signature = toy.sign(pair.private_key, b"message")
+    hits = _rsa_keygen.cache_info().hits
+    entry = _CRT.pop(pair.private_key)
+    try:
+        again = toy.keygen(b"evicted-crt")
+        assert _rsa_keygen.cache_info().hits == hits + 1
+        assert again == pair and pair.private_key not in _CRT
+        assert toy.sign(again.private_key, b"message") == signature
+    finally:
+        _CRT[pair.private_key] = entry
+
+
+def test_crt_table_is_bounded_and_evicts_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(crypto, "_CRT", {})
+    monkeypatch.setattr(crypto, "_CRT_LIMIT", 2)
+    keys = [_rsa_keygen.__wrapped__(b"crt-bound-%d" % i, 256).private_key for i in range(3)]
+    assert list(crypto._CRT) == keys[1:]
 
 
 def test_get_scheme_cached_and_strict():

@@ -1,8 +1,11 @@
 """Wire format: strict readers, canonical JSON, layout stability."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import reference_encode_account_tx, reference_encode_utxo_tx
 from ledgerlab.accounts import (
@@ -24,14 +27,19 @@ from ledgerlab.encoding import (
     varbytes,
 )
 from ledgerlab.errors import FormatError
-from ledgerlab.scripts import Op, Opcode, compile_p2h, compile_p2pkh, push
+from ledgerlab.scripts import BARE_OPS, Op, Opcode, compile_p2h, compile_p2pkh, push
 from ledgerlab.utxo import (
+    Chainstate,
     TxInput,
     TxOutput,
     UtxoId,
     UtxoTx,
+    coinbase_issue,
     decode_utxo_tx,
     encode_utxo_tx,
+    lock_to_wallet,
+    make_coinbase,
+    make_spend,
     txid_of,
     utxo_signing_payload,
 )
@@ -221,3 +229,89 @@ def test_utxo_id_render_parse():
     assert UtxoId.parse(outpoint.render()) == outpoint
     with pytest.raises(FormatError):
         UtxoId.parse("nonsense")
+
+
+# Any transaction encode_utxo_tx accepts, whether or not it would validate.
+_ops = st.one_of(st.sampled_from(list(BARE_OPS.values())), st.binary(max_size=12).map(push))
+_scripts = st.lists(_ops, max_size=4).map(tuple)
+utxo_txs = st.builds(
+    UtxoTx,
+    kind=st.sampled_from(["normal", "coinbase"]),
+    inputs=st.lists(
+        st.builds(
+            TxInput,
+            outpoint=st.builds(
+                UtxoId, txid=st.binary(min_size=32, max_size=32), index=st.integers(0, 2**32 - 1)
+            ),
+            unlocking=_scripts,
+        ),
+        max_size=2,
+    ).map(tuple),
+    outputs=st.lists(
+        st.builds(TxOutput, value=st.integers(0, 2**64 - 1), locking=_scripts), max_size=2
+    ).map(tuple),
+    issuer_signature=st.binary(max_size=12),
+)
+
+
+def assert_memos_are_fresh(tx):
+    """txid_of and utxo_signing_payload equal a fresh encoding of a copy
+    that carries no memo."""
+    fresh = UtxoTx(tx.kind, tx.inputs, tx.outputs, tx.issuer_signature)
+    assert txid_of(tx) == digest(encode_utxo_tx(fresh))
+    assert utxo_signing_payload(tx) == encode_utxo_tx(fresh, for_signing=True)
+
+
+@given(tx=utxo_txs, data=st.data())
+def test_tx_memos_equal_a_fresh_encoding(toy, wallets, tx, data):
+    """Built, decoded and replace()d transactions, with memos filled by
+    the builders, the decoder or an earlier call before each replace()."""
+    issuer, payer = wallets[3], wallets[0]
+    preimage = b"memo-preimage"
+    state = coinbase_issue(
+        Chainstate.genesis(issuer.public_key),
+        [(5, lock_to_wallet(payer)), (7, compile_p2h(digest(preimage)))],
+        issuer.keypair,
+        toy,
+    )
+    owned = [UtxoId(txid_of(state.log[0]), 0), UtxoId(txid_of(state.log[0]), 1)]
+    outpoints = data.draw(st.lists(st.sampled_from(owned), min_size=1, max_size=2, unique=True))
+    spend = make_spend(
+        toy, state, outpoints, tx.outputs, signer=payer, preimages={owned[1]: preimage}
+    )
+    coinbase = make_coinbase(toy, issuer.keypair, [(o.value, o.locking) for o in tx.outputs])
+    candidates = [tx, spend, coinbase, state.log[0]]
+    candidates += [decode_utxo_tx(encode_utxo_tx(c)) for c in candidates]
+    for candidate in list(candidates):
+        if data.draw(st.booleans(), label="fill memos first"):
+            txid_of(candidate), utxo_signing_payload(candidate)
+        field = data.draw(st.sampled_from(["kind", "inputs", "outputs", "issuer_signature"]))
+        altered = {
+            "kind": "normal" if candidate.kind == "coinbase" else "coinbase",
+            "inputs": candidate.inputs[1:] + tx.inputs,
+            "outputs": candidate.outputs[:-1],
+            "issuer_signature": candidate.issuer_signature + b"!",
+        }[field]
+        candidates.append(dataclasses.replace(candidate, **{field: altered}))
+    for candidate in candidates:
+        assert_memos_are_fresh(candidate)
+
+
+@given(tx=utxo_txs, flip=st.integers(1, 255), extra=st.binary(min_size=1, max_size=3))
+def test_utxo_decode_is_exact_under_byte_mutations(tx, flip, extra):
+    """encode(decode(b)) == b, and every 1-byte change, truncation or
+    extension of a valid encoding is refused or decodes to a tx that
+    encodes back to exactly the changed bytes, with exact memos."""
+    raw = encode_utxo_tx(tx)
+    assert encode_utxo_tx(decode_utxo_tx(raw)) == raw
+    mutants = [raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :] for at in range(len(raw))]
+    mutants += [raw[:end] for end in range(len(raw))]
+    mutants += [raw + extra, extra + raw]
+    for mutant in mutants:
+        try:
+            decoded = decode_utxo_tx(mutant)
+        except FormatError:
+            continue
+        assert encode_utxo_tx(decoded) == mutant
+        assert txid_of(decoded) == digest(mutant)
+        assert_memos_are_fresh(decoded)

@@ -33,6 +33,8 @@ from ledgerlab.utxo import (
     coinbase_issue,
     consumed_outpoints,
     decode_log_entries,
+    decode_utxo_tx,
+    encode_utxo_tx,
     export_log,
     import_log,
     lock_to_wallet,
@@ -44,6 +46,7 @@ from ledgerlab.utxo import (
     split_payment,
     txid_of,
     utxo_apply,
+    utxo_signing_payload,
     utxo_validate,
 )
 
@@ -512,6 +515,21 @@ def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
     assert [f.name for f in dataclasses.fields(memoized)] == ["value", "locking"]
     for clone in (dataclasses.replace(memoized), copy.copy(memoized), copy.deepcopy(memoized)):
         assert clone == fresh and not hasattr(clone, "_snapshot")
+    # The transaction memos (txid, signing payload) likewise.
+    tx = state.log[0]
+    memoized_tx, fresh_tx = decode_utxo_tx(encode_utxo_tx(tx)), dataclasses.replace(tx)
+    assert not hasattr(fresh_tx, "_txid") and not hasattr(fresh_tx, "_payload")
+    assert (memoized_tx._txid, memoized_tx._payload) == (txid_of(tx), utxo_signing_payload(tx))
+    assert memoized_tx == fresh_tx and hash(memoized_tx) == hash(fresh_tx)
+    assert dataclasses.asdict(memoized_tx) == dataclasses.asdict(fresh_tx)
+    assert [f.name for f in dataclasses.fields(memoized_tx)] == [
+        "kind", "inputs", "outputs", "issuer_signature"
+    ]
+    for clone in (
+        dataclasses.replace(memoized_tx), copy.copy(memoized_tx), copy.deepcopy(memoized_tx)
+    ):
+        assert clone == fresh_tx
+        assert not hasattr(clone, "_txid") and not hasattr(clone, "_payload")
 
 
 def test_log_export_import_roundtrip(toy, issuer):
