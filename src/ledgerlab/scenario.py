@@ -405,6 +405,11 @@ class _Runner:
             self.spent = SpentList()
             self.transcript = WithdrawalTranscript()
             self.coins: dict[str, list[Coin]] = {n: [] for n in self.wallets}
+            # One serial stream per wallet for the whole run, so a second
+            # withdraw continues it instead of repeating earlier serials.
+            self.serial_streams = {
+                n: self.stream.fork(f"wallet-rng-{n}") for n in self.wallets
+            }
 
     # -- helpers -----------------------------------------------------------
 
@@ -713,7 +718,7 @@ class _Runner:
         self.wallet(wallet_name, index)
         denomination = action["denomination"]
         count = action.get("count", 1)
-        rng = self.stream.fork(f"wallet-rng-{wallet_name}")
+        rng = self.serial_streams[wallet_name]
         serials = []
         for _ in range(count):
             coin = withdraw(

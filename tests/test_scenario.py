@@ -5,6 +5,8 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import ScenarioError
@@ -271,6 +273,35 @@ def test_ecash_scenario_classifies_double_deposit():
     probe = [e for e in result.events if e["action"] == "double-spend"][0]
     assert probe["attempts"][0] == {"accepted": True, "reason": None}
     assert probe["attempts"][1] == {"accepted": False, "reason": "already-spent"}
+
+
+@given(
+    withdrawals=st.lists(
+        st.tuples(
+            st.sampled_from(["alice", "bob"]), st.sampled_from([1, 5]), st.integers(1, 3)
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_every_serial_withdrawn_in_a_run_is_distinct(withdrawals, seed):
+    doc = {
+        "schema_version": 1,
+        "name": "serials",
+        "kernel": "ecash",
+        "crypto": "toy",
+        "seed": seed,
+        "participants": [{"name": "alice"}, {"name": "bob"}],
+        "issuer": {"denominations": [1, 5]},
+        "actions": [
+            {"action": "withdraw", "wallet": wallet, "denomination": value, "count": count}
+            for wallet, value, count in withdrawals
+        ],
+    }
+    serials = [s for event in execute_scenario(doc).events for s in event["serials"]]
+    assert len(serials) == sum(count for _, _, count in withdrawals)
+    assert len(set(serials)) == len(serials)
 
 
 def test_seed_override_changes_the_run():
