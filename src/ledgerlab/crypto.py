@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -214,7 +215,7 @@ def _gen_prime(stream: SeededStream, bits: int) -> int:
 # this process, oldest first. A key missing here (evicted, or packed by
 # hand) is exponentiated with the plain pow(m, d, n), which gives the same
 # integer: RSA with CRT is PKCS #1 v2.2, section 5.1.2.
-_CRT: dict[bytes, tuple[int, int, int, int, int]] = {}
+_CRT: OrderedDict[bytes, tuple[int, int, int, int, int]] = OrderedDict()
 _CRT_LIMIT = 4096
 
 
@@ -235,7 +236,7 @@ def _rsa_keygen(seed: bytes, modulus_bits: int) -> KeyPair:
         public = _pack_ints(_TAG_RSA_PUB, (n, _RSA_EXPONENT))
         private = _pack_ints(_TAG_RSA_PRV, (n, d))
         if len(_CRT) >= _CRT_LIMIT:
-            del _CRT[next(iter(_CRT))]
+            _CRT.popitem(last=False)  # one call, so concurrent keygens cannot race
         _CRT[private] = (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
         return KeyPair(public_key=public, private_key=private)
 

@@ -1,6 +1,7 @@
 """Primitives: digests, deterministic keys, signatures, blinding."""
 
 import hashlib
+from collections import OrderedDict
 
 import pytest
 
@@ -259,7 +260,7 @@ def test_keygen_memo_survives_an_evicted_crt_entry(toy):
 
 
 def test_crt_table_is_bounded_and_evicts_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(crypto, "_CRT", {})
+    monkeypatch.setattr(crypto, "_CRT", OrderedDict())
     monkeypatch.setattr(crypto, "_CRT_LIMIT", 2)
     keys = [_rsa_keygen.__wrapped__(b"crt-bound-%d" % i, 256).private_key for i in range(3)]
     assert list(crypto._CRT) == keys[1:]
