@@ -2,7 +2,7 @@
 
 Run from anywhere inside the repository, standard library only:
 
-    python3 tools/record_bench.py --base f433c11 --change HEAD --label pr6 \\
+    python3 tools/record_bench.py --base HEAD~1 --change HEAD --label example \\
         --workloads utxo-ledger --seeds 301 302 303 --seconds 30 --traced
 
 Both revisions are exported with `git archive` into a temporary directory,
