@@ -212,9 +212,10 @@ def _gen_prime(stream: SeededStream, bits: int) -> int:
 
 
 # (p, q, d mod (p-1), d mod (q-1), q^-1 mod p) per private key generated in
-# this process, oldest first. A key missing here (evicted, or packed by
-# hand) is exponentiated with the plain pow(m, d, n), which gives the same
-# integer: RSA with CRT is PKCS #1 v2.2, section 5.1.2.
+# this process, least recently used first (the keygen that adds a key and
+# each signature made with it count as uses). A key missing here (evicted,
+# or packed by hand) is exponentiated with the plain pow(m, d, n), which
+# gives the same integer: RSA with CRT is PKCS #1 v2.2, section 5.1.2.
 _CRT: OrderedDict[bytes, tuple[int, int, int, int, int]] = OrderedDict()
 _CRT_LIMIT = 4096
 
@@ -256,6 +257,10 @@ def _rsa_private_op(private_key: bytes, value: int, n: int, d: int) -> int:
     crt = _CRT.get(private_key)
     if crt is None:
         return pow(value, d, n)
+    try:
+        _CRT.move_to_end(private_key)  # keys in use are evicted last
+    except KeyError:
+        pass  # evicted by a concurrent keygen since the lookup
     p, q, dp, dq, q_inv = crt
     m_q = pow(value, dq, q)
     return m_q + (q_inv * (pow(value, dp, p) - m_q) % p) * q

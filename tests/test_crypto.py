@@ -266,6 +266,19 @@ def test_crt_table_is_bounded_and_evicts_its_oldest_entry(monkeypatch):
     assert list(crypto._CRT) == keys[1:]
 
 
+def test_a_key_in_use_keeps_its_crt_entry_across_many_keygens(toy, monkeypatch):
+    """The CRT table evicts by use, so a key signed between keygens stays."""
+    monkeypatch.setattr(crypto, "_CRT", OrderedDict())
+    monkeypatch.setattr(crypto, "_CRT_LIMIT", 3)
+    hot = _rsa_keygen.__wrapped__(b"crt-hot", 256)
+    for i in range(4 * crypto._CRT_LIMIT):
+        cold = _rsa_keygen.__wrapped__(b"crt-cold-%d" % i, 256)
+        toy.sign(hot.private_key, b"message %d" % i)
+        assert hot.private_key in crypto._CRT
+    assert list(crypto._CRT)[-2:] == [cold.private_key, hot.private_key]
+    assert len(crypto._CRT) == crypto._CRT_LIMIT
+
+
 def test_get_scheme_cached_and_strict():
     assert get_scheme("toy") is get_scheme("toy")
     assert get_scheme("real") is get_scheme("real")
