@@ -116,13 +116,8 @@ class Reader:
 
     def script(self) -> Script:
         ops = []
-        data = self._data
         for _ in range(self.count()):
-            offset = self.offset
-            if offset >= len(data):
-                raise FormatError(f"truncated input: wanted 1 bytes at offset {offset}")
-            wire = data[offset]
-            self.offset = offset + 1
+            wire = self.u8()
             op = _WIRE_BARE_OP.get(wire)
             if op is None:
                 if wire != _PUSH_WIRE:
