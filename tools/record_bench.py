@@ -2,22 +2,25 @@
 
 Run from anywhere inside the repository, standard library only:
 
-    python3 tools/record_bench.py --base HEAD~1 --change HEAD --label example \\
-        --workloads utxo-ledger --seeds 301 302 303 --seconds 30 --traced
+    python3 tools/record_bench.py --base HEAD~1 --label example --seeds 301 302 303
 
-Both revisions are exported with `git archive` into a temporary directory,
-so the working tree is never used and nothing under `bench/` is touched.
-For every workload and seed, bench/run.py runs once in each export with
-`--trace 0`; the side that runs first alternates from one pair to the
-next, so drift on a shared machine does not favour either side. With
-`--traced`, one `--trace 1` run per side and workload follows, at the
-first seed, for the per-layer counters.
+Both revisions (`--change` defaults to HEAD) are exported with
+`git archive` into a temporary directory, so the working tree is never
+used and nothing under `bench/` is touched. The workloads, the run length
+and the metric directions come from the change's BENCHMARK.json. For every
+workload and seed, bench/run.py runs once in each export with `--trace 0`;
+the side that runs first alternates from one pair to the next, so drift on
+a shared machine does not favour either side. One `--trace 1` run per side
+and workload follows, at the first seed, for the per-layer counters.
 
 The file written at the repository root holds the commits (and the tree
 ids of their `src/`), the environment, every run's end-to-end metrics and
 output digest, and per workload and metric each side's median, quartiles
 and n, plus the number of pairs the change won (ties count for neither).
-Progress goes to stderr.
+A pair counts as digest-identical only when both runs printed a digest
+and the two agree. `all_runs_ok` is false, and the exit status 1, when any
+run exited non-zero, printed no summary, failed a correctness check or
+failed an operation. Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("utxo-ledger", "replica-conflict", "cli-commands")
 
 
 def git(*args: str) -> str:
@@ -95,6 +97,13 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
     return run
 
 
+def run_ok(run: dict) -> bool:
+    return (
+        run["exit"] == 0 and "error" not in run
+        and run["correct"] is True and run["failed"] == 0
+    )
+
+
 def spread(values: list[float]) -> dict:
     if len(values) < 2:
         q1 = q3 = values[0] if values else None
@@ -136,10 +145,7 @@ def parse_args(argv):
     parser.add_argument("--base", required=True, help="parent revision")
     parser.add_argument("--change", default="HEAD", help="revision under test")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--traced", action="store_true", help="add one --trace 1 run per side")
     return parser.parse_args(argv)
 
 
@@ -148,53 +154,59 @@ def main(argv=None) -> int:
     doc = {
         "label": args.label,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "settings": {
-            "seconds": args.seconds,
-            "seeds": args.seeds,
-            "trace": 0,
-            "order": "pair i runs base first when i is even, change first when odd",
-        },
     }
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
         sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         for side, checkout in sides.items():
             doc[side] = export(getattr(args, side), checkout)
         benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+        seconds = benchmark["run_seconds"]
         directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        doc["settings"] = {
+            "seconds": seconds,
+            "seeds": args.seeds,
+            "trace": 0,
+            "order": "pair i runs base first when i is even, change first when odd",
+        }
         doc["workloads"] = {}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(sides[side], workload, seed, args.seconds, 0)
+                    pair[side] = run_bench(sides[side], workload, seed, seconds, 0)
                     print(f"{workload} seed {seed} {side}: "
                           f"{pair[side].get('metrics', pair[side].get('error'))}",
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
-            entry = {
+            doc["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summarize(pairs, directions),
                 "digests_identical": all(
-                    p["base"].get("output_digest") == p["change"].get("output_digest")
+                    p["base"].get("output_digest") is not None
+                    and p["base"].get("output_digest") == p["change"].get("output_digest")
                     for p in pairs
                 ),
-            }
-            if args.traced:
-                entry["traced"] = {
-                    side: run_bench(sides[side], workload, args.seeds[0], args.seconds, 1)
+                "traced": {
+                    side: run_bench(sides[side], workload, args.seeds[0], seconds, 1)
                     for side in ("base", "change")
-                }
-            doc["workloads"][workload] = entry
-        envs = [
-            p[side]["env"] for w in doc["workloads"].values() for p in w["pairs"]
-            for side in ("base", "change") if "env" in p[side]
+                },
+            }
+        runs = [
+            run for w in doc["workloads"].values()
+            for run in [*(p[side] for p in w["pairs"] for side in ("base", "change")),
+                        *w["traced"].values()]
         ]
+        envs = [run["env"] for run in runs if "env" in run]
         doc["env"] = dict(envs[0] if envs else {}, platform=platform.platform(), cpu=cpu_model())
+    doc["all_runs_ok"] = all(run_ok(run) for run in runs)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
+    if not doc["all_runs_ok"]:
+        print("some runs failed; see exit, error, correct and failed per run", file=sys.stderr)
+        return 1
     return 0
 
 
