@@ -9,6 +9,10 @@ fails, canonical JSON of the error message and its action index. A
 change to the runner that alters any report byte or error string fails
 here.
 
+The same file pins, under ``fraud <scenario> <kernel>``, the report of
+every fraud probe the property matrix does not run (the matrix case
+already pins the rest), so no probe's evidence can drift unseen.
+
 To regenerate the fixture after a deliberate output change:
 
     PYTHONPATH=src python tests/test_scenario_digests.py > tests/fixtures/scenario_digests.txt
@@ -19,6 +23,8 @@ import pathlib
 
 import pytest
 
+from ledgerlab.analysis import matrix_report, run_fraud_scenario
+from ledgerlab.crypto import get_scheme
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import ScenarioError
 from ledgerlab.scenario import execute_scenario
@@ -257,6 +263,21 @@ CASES = {
 }
 
 
+# Every (scenario, kernel) fraud pair matrix_report leaves out.
+FRAUD_PAIRS = (("double-spend", "account-nonce-protected"),)
+FRAUD_SCENARIOS = ("double-spend", "replay")
+FRAUD_KERNELS = ("utxo", "token", "account-naive", "account-nonce-protected")
+
+
+def fraud_case(scenario, kernel):
+    return f"fraud {scenario} {kernel}"
+
+
+def fraud_outcome(scenario, kernel, seed):
+    report = run_fraud_scenario(scenario, kernel, seed, get_scheme("toy"))
+    return canonical_json(report.doc())
+
+
 def outcome(name, seed):
     """Canonical bytes of one case's outcome under one seed."""
     try:
@@ -279,17 +300,42 @@ def digest(name, seed):
     return hashlib.sha256(outcome(name, seed).encode("utf-8")).hexdigest()
 
 
+def fraud_digest(scenario, kernel, seed):
+    return hashlib.sha256(fraud_outcome(scenario, kernel, seed).encode("utf-8")).hexdigest()
+
+
 def pinned():
     table = {}
     for line in DIGESTS.read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
-            name, seed, value = line.split()
-            table[name, int(seed)] = value
+            *name, seed, value = line.split()
+            table[" ".join(name), int(seed)] = value
     return table
 
 
 def test_every_case_is_pinned():
-    assert set(pinned()) == {(name, seed) for name in CASES for seed in SEEDS}
+    names = [*CASES, *(fraud_case(*pair) for pair in FRAUD_PAIRS)]
+    assert set(pinned()) == {(name, seed) for name in names for seed in SEEDS}
+
+
+def test_fraud_pins_cover_the_pairs_the_matrix_skips():
+    evidence = matrix_report(SEEDS[0], get_scheme("toy"))["evidence"]
+    run = {
+        (scenario, report["kernel"])
+        for scenario in FRAUD_SCENARIOS
+        for report in evidence[scenario].values()
+    }
+    every = {(s, k) for s in FRAUD_SCENARIOS for k in FRAUD_KERNELS}
+    assert set(FRAUD_PAIRS) == every - run
+
+
+@pytest.mark.parametrize("scenario,kernel", FRAUD_PAIRS)
+def test_fraud_report_is_byte_identical(scenario, kernel):
+    table = pinned()
+    for seed in SEEDS:
+        assert fraud_digest(scenario, kernel, seed) == table[
+            fraud_case(scenario, kernel), seed
+        ], fraud_outcome(scenario, kernel, seed)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -304,3 +350,6 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         for run_seed in SEEDS:
             print(case, run_seed, digest(case, run_seed))
+    for pair in FRAUD_PAIRS:
+        for run_seed in SEEDS:
+            print(fraud_case(*pair), run_seed, fraud_digest(*pair, run_seed))
