@@ -67,7 +67,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 from .crypto import Amount, CryptoScheme, KeyPair, Wallet, check_amount, digest
 from .encoding import Reader, encode_script, u8, u32, u64, varbytes
@@ -183,8 +183,8 @@ class _Ledger:
 
     active: dict[UtxoId, TxOutput]
     log: list[UtxoTx]
-    # Every outpoint any logged tx names as an input: consumed_outpoints(log)
-    # as dict keys, since a copied set can take twice a dict's memory.
+    # Every outpoint any logged tx names as an input, as dict keys, since a
+    # copied set can take twice a dict's memory.
     spent: dict[UtxoId, None]
     base: int = 0
     journal: list[tuple] | None = field(default_factory=list)
@@ -413,8 +413,9 @@ class ValidationReport:
         return self.valid
 
 
-def consumed_outpoints(log: Iterable[UtxoTx]) -> set[UtxoId]:
-    return {tx_in.outpoint for tx in log for tx_in in tx.inputs}
+def _in_range(value: object) -> bool:
+    """Whether an output value fits the u64 field the encoder writes."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_VALUE
 
 
 def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> ValidationReport:
@@ -422,7 +423,9 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
 
     Total: structural defects, missing or spent inputs, failing scripts,
     broken conservation, and issuer-authorization failures all land in
-    the report's reasons rather than raising.
+    the report's reasons rather than raising. A transaction with an
+    out-of-range output value has no signing payload, so it gets no
+    issuer check and runs no script: its inputs report presence only.
     """
     reasons: list[str] = []
     input_status: list[InputStatus] = []
@@ -435,8 +438,10 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
         reasons.append(REASON_NO_INPUTS)
     if not tx.outputs:
         reasons.append(REASON_NO_OUTPUTS)
+    encodable = True
     for tx_out in tx.outputs:
-        if not isinstance(tx_out.value, int) or isinstance(tx_out.value, bool) or tx_out.value < 0 or tx_out.value > MAX_VALUE:
+        if not _in_range(tx_out.value):
+            encodable = False
             if REASON_VALUE_RANGE not in reasons:
                 reasons.append(REASON_VALUE_RANGE)
         elif tx_out.value == 0:
@@ -456,7 +461,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     if tx.kind == "coinbase":
         if not tx.issuer_signature:
             reasons.append(REASON_MISSING_ISSUER_SIGNATURE)
-        else:
+        elif encodable:
             try:
                 issuer_ok = scheme.verify(
                     state.issuer_public_key,
@@ -471,7 +476,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
         reasons.append(REASON_UNEXPECTED_ISSUER_SIGNATURE)
 
     # Per-input presence and script checks against the active set.
-    payload = utxo_signing_payload(tx) if tx.inputs else b""
+    payload = utxo_signing_payload(tx) if tx.inputs and encodable else b""
     ctx = ExecutionContext(signing_payload=payload, scheme=scheme)
     ledger = _own(state)
     all_present = True
@@ -490,6 +495,11 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
                 InputStatus(outpoint=tx_in.outpoint, present=False, script_ok=False)
             )
             continue
+        if not encodable:
+            input_status.append(
+                InputStatus(outpoint=tx_in.outpoint, present=True, script_ok=False)
+            )
+            continue
         result = execute(tx_in.unlocking, entry.locking, ctx)
         if not result.ok:
             if REASON_BAD_SCRIPT not in reasons:
@@ -506,10 +516,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     # Conservation, only meaningful when every input value is known.
     total_in: Amount | None = None
     total_out: Amount | None = None
-    if all(
-        isinstance(o.value, int) and not isinstance(o.value, bool) and 0 <= o.value <= MAX_VALUE
-        for o in tx.outputs
-    ):
+    if encodable:
         total_out = sum(o.value for o in tx.outputs)
     if tx.kind == "normal" and all_present and not any(
         r == REASON_DUPLICATE_INPUT for r in reasons

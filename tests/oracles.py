@@ -43,6 +43,11 @@ def reference_active_set(log):
     }
 
 
+def consumed_outpoints(log):
+    """Every outpoint any transaction in the log names as an input."""
+    return {tx_in.outpoint for tx in log for tx_in in tx.inputs}
+
+
 def reference_backward_chain(log, target):
     """Lineage of an output by brute-force rescans of the raw log.
 

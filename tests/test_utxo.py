@@ -6,10 +6,10 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import reference_active_set
+from oracles import consumed_outpoints, reference_active_set
 from ledgerlab.analysis import audit_replay
 from ledgerlab.crypto import derive_wallet, digest
 from ledgerlab.encoding import canonical_json
@@ -20,7 +20,7 @@ from ledgerlab.errors import (
     TxRejected,
 )
 from ledgerlab.rng import SeededStream
-from ledgerlab.scripts import compile_p2h, push
+from ledgerlab.scripts import BARE_OPS, compile_p2h, push
 from ledgerlab.utxo import (
     Chainstate,
     LogEntry,
@@ -31,7 +31,6 @@ from ledgerlab.utxo import (
     _advance,
     chainstate_snapshot,
     coinbase_issue,
-    consumed_outpoints,
     decode_log_entries,
     decode_utxo_tx,
     encode_utxo_tx,
@@ -235,6 +234,79 @@ def test_duplicate_outpoint_within_one_tx(toy, chain, wallets):
     report = utxo_validate(chain, doubled, toy)
     assert not report.valid
     assert any("duplicate" in reason for reason in report.reasons)
+
+
+@pytest.fixture(scope="module")
+def validate_world(toy, wallets):
+    """A chainstate with active, spent and p2h outputs, and its outpoints
+    in that order: (spent, active p2pkh, active p2pkh, active p2h)."""
+    issuer = toy.keygen(b"validate-world-issuer")
+    lock = lock_to_wallet(wallets[0])
+    state = coinbase_issue(
+        Chainstate.genesis(issuer.public_key),
+        [(9, lock), (4, lock), (2, compile_p2h(digest(b"x")))],
+        issuer,
+        toy,
+    )
+    minted = txid_of(state.log[-1])
+    spent = UtxoId(txid=minted, index=0)
+    tx = split_payment(toy, state, wallets[0], spent, 3, lock_to_wallet(wallets[1]))
+    state = utxo_apply(state, tx, toy)
+    outpoints = (spent, UtxoId(txid=txid_of(tx), index=0), *(UtxoId(minted, i) for i in (1, 2)))
+    return state, outpoints
+
+
+SCRIPTS = st.lists(
+    st.one_of(st.binary(max_size=40).map(push), st.sampled_from(list(BARE_OPS.values()))),
+    max_size=5,
+).map(tuple)
+# An outpoint of the world by position, or any 32-byte txid with a u32 index.
+OUTPOINTS = st.one_of(
+    st.integers(0, 3),
+    st.builds(UtxoId, txid=st.binary(min_size=32, max_size=32), index=st.integers(0, 2**32 - 1)),
+)
+VALUES = st.one_of(
+    st.integers(-3, 20),
+    st.sampled_from([2**64 - 1, 2**64]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@example(kind="normal", inputs=[(1, ())], values=[-1], signature=b"")
+@example(kind="coinbase", inputs=[], values=[2**64], signature=b"\x01")
+@given(
+    kind=st.sampled_from(["normal", "coinbase"]),
+    inputs=st.lists(st.tuples(OUTPOINTS, SCRIPTS), max_size=3),
+    values=st.lists(VALUES, max_size=3),
+    signature=st.binary(max_size=8),
+)
+def test_utxo_validate_never_raises_on_well_typed_transactions(
+    toy, wallets, validate_world, kind, inputs, values, signature
+):
+    """Validation is total over transactions whose fields have their wire
+    types; an out-of-range value is reported, never raised, and leaves
+    nothing to sign, so no issuer check or script runs."""
+    state, outpoints = validate_world
+    lock = lock_to_wallet(wallets[1])
+    tx = UtxoTx(
+        kind=kind,
+        inputs=tuple(
+            TxInput(outpoint=outpoints[op] if isinstance(op, int) else op, unlocking=script)
+            for op, script in inputs
+        ),
+        outputs=tuple(TxOutput(value=value, locking=lock) for value in values),
+        issuer_signature=signature,
+    )
+    report = utxo_validate(state, tx, toy)
+    assert report.valid == (not report.reasons)
+    out_of_range = any(not 0 <= value < 2**64 for value in values)
+    assert ("value-range" in report.reasons) == out_of_range
+    assert [status.outpoint for status in report.inputs] == [i.outpoint for i in tx.inputs]
+    if out_of_range:
+        assert "issuer-auth" not in report.reasons
+        assert "bad-script" not in report.reasons
+        assert not any(status.script_ok for status in report.inputs)
+        assert report.total_out is None
 
 
 def test_p2h_output_spendable_by_preimage(toy, chain, wallets):
