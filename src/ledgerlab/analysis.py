@@ -34,23 +34,15 @@ from .accounts import (
     account_snapshot,
     make_account_tx,
 )
-from .crypto import CryptoScheme, Wallet, derive_wallet
+from .crypto import CryptoScheme, derive_wallet
 from .encoding import canonical_json
-from .errors import (
-    ConfigError,
-    FormatError,
-    FundsError,
-    NotFoundError,
-    OwnershipError,
-    ReplayError,
-    TxRejected,
-)
+from .errors import ConfigError, FormatError, NotFoundError
+from .kernels import KERNEL_TABLE
 from .rng import SeededStream
-from .tokens import TokenRegistry, token_issue, token_snapshot, token_transfer
+from .tokens import TokenRegistry
 from .utxo import (
     Chainstate,
     LogEntry,
-    TxOutput,
     UtxoId,
     UtxoTx,
     ValidationReport,
@@ -58,8 +50,6 @@ from .utxo import (
     _unjournaled_genesis,
     coinbase_issue,
     lock_to_wallet,
-    make_spend,
-    snapshot_text,
     split_payment,
     txid_of,
     utxo_apply,
@@ -365,14 +355,10 @@ def measure_state(state: AccountState | TokenRegistry | Chainstate) -> StateMetr
     chainstates report both the active set and the log length, because
     "the state" is genuinely two different sizes there.
     """
-    if isinstance(state, AccountState):
-        return StateMetrics(kernel="account", entry_count=len(state.balances))
-    if isinstance(state, TokenRegistry):
-        return StateMetrics(kernel="token", entry_count=len(state.objects))
-    if isinstance(state, Chainstate):
-        return StateMetrics(
-            kernel="utxo", entry_count=len(state.active), log_length=len(state.log)
-        )
+    for name, kernel in KERNEL_TABLE.items():
+        if isinstance(state, kernel.state_type):
+            entry_count, log_length = kernel.size(state)
+            return StateMetrics(kernel=name, entry_count=entry_count, log_length=log_length)
     raise ConfigError(f"no metrics for {type(state).__name__}")
 
 
@@ -412,44 +398,35 @@ def pseudonym_growth_experiment(
         for i in range(participants - 1)
     ]
     fresh_stream = stream.fork("fresh-addresses")
-    curve: list[StateMetrics] = []
-
     if kernel == "account":
-        state = AccountState.empty()
-        state = account_mint(state, payer.address, n_payments)
+        state = account_mint(AccountState.empty(), payer.address, n_payments)
         for recipient in recipients:
             state = account_mint(state, recipient.address, 1)
-        for i in range(n_payments):
-            if policy == "reuse-address":
-                payee = recipients[i % len(recipients)].address
-            else:
-                payee = derive_wallet(scheme, fresh_stream.randbytes(16)).address
-            tx = make_account_tx(scheme, payer, payee, 1)
-            state = account_apply(state, tx, "naive", scheme)
-            curve.append(measure_state(state))
-        return curve
-
-    if kernel == "utxo":
+    elif kernel == "utxo":
         issuer = scheme.keygen(stream.fork("issuer").randbytes(16))
         state = Chainstate.genesis(issuer.public_key)
         state = coinbase_issue(
             state, [(n_payments + 1, lock_to_wallet(payer))], issuer, scheme
         )
         change = UtxoId(txid=txid_of(state.log[-1]), index=0)
-        for i in range(n_payments):
-            if policy == "reuse-address":
-                payee_lock = lock_to_wallet(recipients[i % len(recipients)])
-            else:
-                payee_lock = lock_to_wallet(
-                    derive_wallet(scheme, fresh_stream.randbytes(16))
-                )
-            tx = split_payment(scheme, state, payer, change, 1, payee_lock)
+    else:
+        raise ConfigError(f"no growth experiment for kernel {kernel!r}")
+
+    curve: list[StateMetrics] = []
+    for i in range(n_payments):
+        if policy == "reuse-address":
+            payee = recipients[i % len(recipients)]
+        else:
+            payee = derive_wallet(scheme, fresh_stream.randbytes(16))
+        if kernel == "account":
+            tx = make_account_tx(scheme, payer, payee.address, 1)
+            state = account_apply(state, tx, "naive", scheme)
+        else:
+            tx = split_payment(scheme, state, payer, change, 1, lock_to_wallet(payee))
             state = utxo_apply(state, tx, scheme)
             change = UtxoId(txid=txid_of(tx), index=1)
-            curve.append(measure_state(state))
-        return curve
-
-    raise ConfigError(f"no growth experiment for kernel {kernel!r}")
+        curve.append(measure_state(state))
+    return curve
 
 
 def growth_report(
@@ -512,164 +489,8 @@ class FraudReport:
         }
 
 
-def _fraud_wallets(seed: int, scheme: CryptoScheme) -> tuple[Wallet, Wallet, Wallet]:
-    stream = SeededStream(seed).fork("fraud")
-    return (
-        derive_wallet(scheme, stream.fork("payer").randbytes(16)),
-        derive_wallet(scheme, stream.fork("payee").randbytes(16)),
-        derive_wallet(scheme, stream.fork("other").randbytes(16)),
-    )
-
-
-def _utxo_fraud(scenario: FraudScenario, seed: int, scheme: CryptoScheme) -> FraudReport:
-    payer, payee, other = _fraud_wallets(seed, scheme)
-    issuer = scheme.keygen(SeededStream(seed).fork("fraud-issuer").randbytes(16))
-    state = Chainstate.genesis(issuer.public_key)
-    state = coinbase_issue(state, [(10, lock_to_wallet(payer))], issuer, scheme)
-    funding = UtxoId(txid=txid_of(state.log[-1]), index=0)
-
-    if scenario == "double-spend":
-        # Both spends built against the same funded state.
-        tx_first = make_spend(
-            scheme, state, [funding],
-            [TxOutput(value=10, locking=lock_to_wallet(payee))], signer=payer,
-        )
-        tx_second = make_spend(
-            scheme, state, [funding],
-            [TxOutput(value=10, locking=lock_to_wallet(other))], signer=payer,
-        )
-        state = utxo_apply(state, tx_first, scheme)
-        try:
-            utxo_apply(state, tx_second, scheme)
-            outcome = OUTCOME_SUCCEEDED
-            evidence = {"second_spend": "accepted"}
-        except TxRejected as exc:
-            outcome = OUTCOME_PREVENTED
-            evidence = {
-                "accepted_txid": txid_of(tx_first).hex(),
-                "rejected_txid": txid_of(tx_second).hex(),
-                "rejection_reasons": list(exc.report.reasons if exc.report is not None else ()),
-            }
-        return FraudReport("double-spend", "utxo", outcome, evidence, seed)
-
-    # Replay: resubmit the accepted transaction verbatim.
-    tx = make_spend(
-        scheme, state, [funding],
-        [TxOutput(value=10, locking=lock_to_wallet(payee))], signer=payer,
-    )
-    state_once = utxo_apply(state, tx, scheme)
-    snapshot_once = snapshot_text(state_once)
-    try:
-        utxo_apply(state_once, tx, scheme)
-        outcome = OUTCOME_SUCCEEDED
-        evidence = {"replay": "accepted"}
-    except TxRejected as exc:
-        snapshot_after = snapshot_text(state_once)
-        outcome = OUTCOME_PREVENTED
-        evidence = {
-            "replayed_txid": txid_of(tx).hex(),
-            "rejection_reasons": list(exc.report.reasons if exc.report is not None else ()),
-            "state_identical_to_single_application": snapshot_after == snapshot_once,
-        }
-    return FraudReport("replay", "utxo", outcome, evidence, seed)
-
-
-def _account_fraud(
-    scenario: FraudScenario,
-    kernel: FraudKernel,
-    seed: int,
-    scheme: CryptoScheme,
-    replays: int,
-) -> FraudReport:
-    payer, payee, other = _fraud_wallets(seed, scheme)
-    mode = "nonce-protected" if kernel == "account-nonce-protected" else "naive"
-    state = AccountState.empty()
-    state = account_mint(state, payer.address, 10)
-
-    if scenario == "double-spend":
-        # Two transfers that each individually fit the balance but cannot
-        # both: the second fails the funds check, whatever the mode.
-        nonce_first = 0 if mode == "nonce-protected" else None
-        nonce_second = 1 if mode == "nonce-protected" else None
-        tx_first = make_account_tx(scheme, payer, payee.address, 8, nonce=nonce_first)
-        tx_second = make_account_tx(scheme, payer, other.address, 8, nonce=nonce_second)
-        state = account_apply(state, tx_first, mode, scheme)
-        try:
-            account_apply(state, tx_second, mode, scheme)
-            outcome = OUTCOME_SUCCEEDED
-            evidence = {"second_spend": "accepted"}
-        except FundsError as exc:
-            outcome = OUTCOME_PREVENTED_BY_BALANCE
-            evidence = {
-                "failure": str(exc),
-                "final_balances": {
-                    "payer": state.balance(payer.address),
-                    "payee": state.balance(payee.address),
-                    "other": state.balance(other.address),
-                },
-            }
-        return FraudReport("double-spend", kernel, outcome, evidence, seed)
-
-    # Replay: the intermediary resubmits one accepted transfer.
-    nonce = 0 if mode == "nonce-protected" else None
-    tx = make_account_tx(scheme, payer, payee.address, 3, nonce=nonce)
-    state = account_apply(state, tx, mode, scheme)
-    balance_after_first = state.balance(payer.address)
-    applied = 1
-    rejection: str | None = None
-    for _ in range(replays):
-        try:
-            state = account_apply(state, tx, mode, scheme)
-            applied += 1
-        except ReplayError as exc:
-            rejection = str(exc)
-            break
-    evidence = {
-        "amount": 3,
-        "initial_balance": 10,
-        "balance_after_first": balance_after_first,
-        "final_payer_balance": state.balance(payer.address),
-        "final_payee_balance": state.balance(payee.address),
-        "times_applied": applied,
-        "replays_attempted": replays,
-    }
-    if rejection is not None:
-        evidence["rejection"] = rejection
-    outcome = OUTCOME_SUCCEEDED if applied > 1 else OUTCOME_PREVENTED
-    return FraudReport("replay", kernel, outcome, evidence, seed)
-
-
-def _token_fraud(scenario: FraudScenario, seed: int, scheme: CryptoScheme) -> FraudReport:
-    payer, payee, other = _fraud_wallets(seed, scheme)
-    state = TokenRegistry.empty()
-    state = token_issue(state, "token-0", 10, payer.address)
-
-    if scenario == "double-spend":
-        state = token_transfer(state, payer.address, payee.address, "token-0")
-        try:
-            token_transfer(state, payer.address, other.address, "token-0")
-            outcome = OUTCOME_SUCCEEDED
-            evidence = {"second_spend": "accepted"}
-        except OwnershipError as exc:
-            outcome = OUTCOME_PREVENTED
-            evidence = {"failure": str(exc), "owner": state.owner_of("token-0")}
-        return FraudReport("double-spend", "token", outcome, evidence, seed)
-
-    state_once = token_transfer(state, payer.address, payee.address, "token-0")
-    snapshot_once = canonical_json(token_snapshot(state_once))
-    try:
-        token_transfer(state_once, payer.address, payee.address, "token-0")
-        outcome = OUTCOME_SUCCEEDED
-        evidence = {"replay": "accepted"}
-    except OwnershipError as exc:
-        outcome = OUTCOME_PREVENTED
-        evidence = {
-            "failure": str(exc),
-            "state_identical_to_single_application": (
-                canonical_json(token_snapshot(state_once)) == snapshot_once
-            ),
-        }
-    return FraudReport("replay", "token", outcome, evidence, seed)
+# What each kernel's probes move: the double spend's stake, the replay's.
+_FRAUD_STAKES = {"account": (8, 3), "token": ("token-0", "token-0"), "utxo": (10, 10)}
 
 
 def run_fraud_scenario(
@@ -682,18 +503,91 @@ def run_fraud_scenario(
 ) -> FraudReport:
     """Stage the canonical attack against a kernel and report the outcome.
 
+    The attack runs through the kernel table's double-spend or replay
+    step (a replay resubmits `replays` times on the account kernels, once
+    elsewhere); the evidence is read from the step's attempts.
+
     Deterministic in (scenario, kernel, seed): identical inputs yield
     identical reports.
     """
     if scenario not in ("double-spend", "replay"):
         raise ConfigError(f"unknown fraud scenario {scenario!r}")
-    if kernel == "utxo":
-        return _utxo_fraud(scenario, seed, scheme)
-    if kernel in ("account-naive", "account-nonce-protected"):
-        return _account_fraud(scenario, kernel, seed, scheme, replays)
-    if kernel == "token":
-        return _token_fraud(scenario, seed, scheme)
-    raise ConfigError(f"no {scenario!r} scenario for kernel {kernel!r}")
+    if kernel not in ("utxo", "token", "account-naive", "account-nonce-protected"):
+        raise ConfigError(f"no {scenario!r} scenario for kernel {kernel!r}")
+    name, _, mode = kernel.partition("-")
+    ops = KERNEL_TABLE[name]
+    stream = SeededStream(seed)
+    payer, payee, other = (
+        derive_wallet(scheme, stream.fork("fraud").fork(role).randbytes(16))
+        for role in ("payer", "payee", "other")
+    )
+    state, issuer = ops.genesis(scheme, stream.fork("fraud-issuer").randbytes(16))
+    state = ops.mint(state, payer, 10, "token-0", issuer, scheme)
+    double_stake, replay_stake = _FRAUD_STAKES[name]
+
+    if scenario == "double-spend":
+        state, ((first, _), (second, refused)) = ops.double_spend(
+            state, payer, [payee, other], double_stake, mode, scheme
+        )
+        if refused["accepted"]:
+            outcome, evidence = OUTCOME_SUCCEEDED, {"second_spend": "accepted"}
+        elif name == "utxo":
+            outcome, evidence = OUTCOME_PREVENTED, {
+                "accepted_txid": txid_of(first).hex(),
+                "rejected_txid": txid_of(second).hex(),
+                "rejection_reasons": refused.get("reasons", []),
+            }
+        elif name == "token":
+            outcome, evidence = OUTCOME_PREVENTED, {
+                "failure": refused["error"],
+                "owner": state.owner_of(double_stake),
+            }
+        else:
+            # Each transfer fits the balance alone but not both: the
+            # second fails the funds check, whatever the mode.
+            outcome, evidence = OUTCOME_PREVENTED_BY_BALANCE, {
+                "failure": refused["error"],
+                "final_balances": {
+                    "payer": state.balance(payer.address),
+                    "payee": state.balance(payee.address),
+                    "other": state.balance(other.address),
+                },
+            }
+        return FraudReport(scenario, kernel, outcome, evidence, seed)
+
+    # Replay: the intermediary resubmits one accepted transfer verbatim.
+    tx = ops.transfer(state, payer, payee, replay_stake, mode, scheme)
+    once = ops.apply(state, tx, mode, scheme)
+    after, outcomes = ops.replay(once, tx, replays if name == "account" else 1, mode, scheme)
+    refusals = [attempt for attempt in outcomes if not attempt["accepted"]]
+    applied = 1 + len(outcomes) - len(refusals)
+    outcome = OUTCOME_SUCCEEDED if applied > 1 else OUTCOME_PREVENTED
+    if name == "account":
+        evidence = {
+            "amount": replay_stake,
+            "initial_balance": 10,
+            "balance_after_first": once.balance(payer.address),
+            "final_payer_balance": after.balance(payer.address),
+            "final_payee_balance": after.balance(payee.address),
+            "times_applied": applied,
+            "replays_attempted": replays,
+        }
+        if refusals:
+            evidence["rejection"] = refusals[0]["error"]
+    elif applied > 1:
+        evidence = {"replay": "accepted"}
+    else:
+        evidence = {
+            "state_identical_to_single_application": (
+                ops.snapshot_text(after) == ops.snapshot_text(once)
+            )
+        }
+        if name == "utxo":
+            evidence["replayed_txid"] = txid_of(tx).hex()
+            evidence["rejection_reasons"] = refusals[0].get("reasons", [])
+        else:
+            evidence["failure"] = refusals[0]["error"]
+    return FraudReport(scenario, kernel, outcome, evidence, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +677,7 @@ def _account_traceability(seed: int, scheme: CryptoScheme) -> TraceabilityReport
     )
 
 
-def _token_traceability() -> TraceabilityReport:
+def _token_traceability(seed: int, scheme: CryptoScheme) -> TraceabilityReport:
     registry = TokenRegistry.empty()
     return TraceabilityReport(
         kernel="token",
@@ -807,13 +701,14 @@ def traceability_report(
     witnessed by two histories ending in byte-identical snapshots.
     Token: no; the registry is not an authoritative record.
     """
-    if kernel == "utxo":
-        return _utxo_traceability(seed, scheme)
-    if kernel == "account":
-        return _account_traceability(seed, scheme)
-    if kernel == "token":
-        return _token_traceability()
-    raise ConfigError(f"no traceability report for kernel {kernel!r}")
+    reports = {
+        "utxo": _utxo_traceability,
+        "account": _account_traceability,
+        "token": _token_traceability,
+    }
+    if kernel not in reports:
+        raise ConfigError(f"no traceability report for kernel {kernel!r}")
+    return reports[kernel](seed, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +787,22 @@ def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
     }
 
 
+def render_rows(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, with a rule under the header."""
+    widths = [len(h) for h in header]
+    for row in rows:
+        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
+    lines = [
+        "  ".join(cell.ljust(width) for cell, width in zip(header, widths)).rstrip(),
+        "  ".join("-" * width for width in widths),
+    ]
+    for row in rows:
+        lines.append(
+            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        )
+    return "\n".join(lines) + "\n"
+
+
 def render_tables_text(doc: dict) -> str:
     """Plain-text table over the matrix document's rows."""
     rows = doc["rows"]
@@ -900,28 +811,21 @@ def render_tables_text(doc: dict) -> str:
         f"{replay['account-naive']} (naive) / "
         f"{replay['account-nonce-protected']} (nonce-protected)"
     )
-    table = [
+    return render_rows(
         ("property", "account", "token", "utxo"),
-        (
-            "double-spend",
-            rows["double-spend"]["account"],
-            rows["double-spend"]["token"],
-            rows["double-spend"]["utxo"],
-        ),
-        ("replay", account_replay, replay["token"], replay["utxo"]),
-        (
-            "traceability",
-            rows["traceability"]["account"],
-            rows["traceability"]["token"],
-            rows["traceability"]["utxo"],
-        ),
-    ]
-    widths = [max(len(row[col]) for row in table) for col in range(4)]
-    lines = []
-    for index, row in enumerate(table):
-        lines.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        )
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines) + "\n"
+        [
+            (
+                "double-spend",
+                rows["double-spend"]["account"],
+                rows["double-spend"]["token"],
+                rows["double-spend"]["utxo"],
+            ),
+            ("replay", account_replay, replay["token"], replay["utxo"]),
+            (
+                "traceability",
+                rows["traceability"]["account"],
+                rows["traceability"]["token"],
+                rows["traceability"]["utxo"],
+            ),
+        ],
+    )

@@ -28,15 +28,13 @@ import os
 import sys
 from pathlib import Path
 
-from .accounts import account_from_snapshot
-from .analysis import audit_trace, matrix_report, render_tables_text
+from .analysis import audit_trace, matrix_report, render_rows, render_tables_text
 from .crypto import get_scheme
 from .encoding import canonical_json, parse_json
 from .errors import FormatError, LedgerError, NotFoundError, ScenarioError
+from .kernels import KERNEL_TABLE
 from .scenario import REPORT_FILENAMES, execute_scenario
-from .scripts import script_to_text
-from .tokens import token_from_snapshot
-from .utxo import UtxoId, active_from_snapshot, decode_log_entries
+from .utxo import UtxoId, decode_log_entries
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -134,44 +132,12 @@ def _write_reports(out: str, reports: dict[str, object]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _render_rows(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(header, widths)).rstrip(),
-        "  ".join("-" * width for width in widths),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _inspect_table(doc: dict) -> str:
-    kernel = doc.get("kernel")
-    if kernel == "account":
-        state = account_from_snapshot(doc)
-        rows = [
-            (address, str(balance), str(state.nonces.get(address, 0)))
-            for address, balance in sorted(state.balances.items())
-        ]
-        return _render_rows(("address", "balance", "nonce"), rows)
-    if kernel == "token":
-        registry = token_from_snapshot(doc)
-        rows = [
-            (token, str(entry.value), entry.owner)
-            for token, entry in sorted(registry.objects.items())
-        ]
-        return _render_rows(("token", "value", "owner"), rows)
-    if kernel == "utxo":
-        rows = sorted(
-            (outpoint.render(), str(entry.value), script_to_text(entry.locking))
-            for outpoint, entry in active_from_snapshot(doc).items()
-        )
-        return _render_rows(("outpoint", "value", "locking"), rows)
-    raise FormatError(f"snapshot has unknown kernel {kernel!r}")
+    name = doc.get("kernel")
+    kernel = KERNEL_TABLE.get(name) if isinstance(name, str) else None
+    if kernel is None:
+        raise FormatError(f"snapshot has unknown kernel {name!r}")
+    return render_rows(kernel.columns, kernel.rows(kernel.decode(doc)))
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:

@@ -15,6 +15,10 @@ class FundsError(LedgerError):
     """A debit would take a balance below zero."""
 
 
+class UnfundedError(FundsError):
+    """A wallet's holdings cannot fund a payment it is asked to build."""
+
+
 class ReplayError(LedgerError):
     """A nonce-protected transaction was submitted with a stale nonce."""
 

@@ -30,15 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .accounts import (
-    AccountState,
-    AccountTx,
-    account_apply,
-    account_mint,
-    account_snapshot,
-    account_txid,
-    make_account_tx,
-)
 from .analysis import growth_report, matrix_report, measure_state, render_tables_text
 from .crypto import CryptoScheme, Wallet, derive_wallet, get_scheme
 from .ecash import (
@@ -52,24 +43,17 @@ from .ecash import (
     redeem,
     withdraw,
 )
-from .errors import LedgerError, ScenarioError, TxRejected
+from .errors import LedgerError, ScenarioError, UnfundedError
+from .kernels import KERNEL_TABLE
 from .replica import RoundReport, run_round
 from .rng import SeededStream
-from .tokens import TokenRegistry, token_issue, token_snapshot, token_transfer
 from .utxo import (
-    Chainstate,
-    TxOutput,
     UtxoId,
-    UtxoTx,
-    chainstate_snapshot,
-    coinbase_issue,
     export_log,
     lock_to_wallet,
-    make_spend,
     merge_payment,
     split_payment,
     txid_of,
-    utxo_apply,
 )
 
 SCHEMA_VERSION = 1
@@ -381,22 +365,18 @@ class _Runner:
             )
 
         self.account_mode = doc.get("account_mode", "naive")
-        # The kernel's state, and each entry _submit kept for a replay to
-        # name: an AccountTx, a (payer, payee, token) transfer or a UtxoTx.
-        self.state: AccountState | TokenRegistry | Chainstate | None = None
+        # The kernel's table entry and state, and each entry kept for a
+        # replay to name (see ledgerlab.kernels).
+        self.ops = KERNEL_TABLE.get(self.kernel)
+        self.state = None
         self.submitted: list = []
         self.rounds: list[RoundReport] = []
 
         issuer_cfg = doc.get("issuer") or {}
         issuer_seed = b"issuer:%d:" % seed + issuer_cfg.get("seed", "issuer").encode("utf-8")
-        if self.kernel == "account":
-            self.state = AccountState.empty()
-        elif self.kernel == "token":
-            self.state = TokenRegistry.empty()
-        elif self.kernel == "utxo":
-            self.utxo_issuer = scheme.keygen(issuer_seed)
-            self.state = Chainstate.genesis(
-                self.utxo_issuer.public_key, allow_p2h=doc.get("allow_p2h", True)
+        if self.ops is not None:
+            self.state, self.issuer = self.ops.genesis(
+                scheme, issuer_seed, doc.get("allow_p2h", True)
             )
         elif self.kernel == "ecash":
             self.bank: IssuerKeys = issuer_setup(
@@ -427,93 +407,21 @@ class _Runner:
             )
         return token
 
-    def _amount(self, index: int, action: dict) -> int:
-        amount = action.get("amount")
-        if amount is None:
+    def _stake(self, index: int, action: dict) -> str | int:
+        """What a transfer moves: a token id on the token kernel, else an amount."""
+        if self.kernel == "token":
+            return self._token(index, action)
+        if action.get("amount") is None:
             raise ScenarioError(
                 f"action {index}: {action['action']} requires an amount",
                 action_index=index,
             )
-        return amount
+        return action["amount"]
 
-    def _holdings(self, wallet: Wallet) -> list[tuple[UtxoId, int]]:
-        """The wallet's active outpoints, deterministically ordered."""
-        lock = lock_to_wallet(wallet)
-        found = [
-            (outpoint, entry.value)
-            for outpoint, entry in self.state.active.items()
-            if entry.locking == lock
-        ]
-        found.sort(key=lambda item: item[0].render())
-        return found
-
-    def _select_funding(
-        self, wallet: Wallet, amount: int, index: int
-    ) -> list[UtxoId]:
-        chosen: list[UtxoId] = []
-        total = 0
-        for outpoint, value in self._holdings(wallet):
-            chosen.append(outpoint)
-            total += value
-            if total >= amount:
-                return chosen
-        raise ScenarioError(
-            f"{wallet.address} holds {total}, cannot fund {amount}",
-            action_index=index,
-        )
-
-    def _spends(
-        self, payer: Wallet, targets: list[Wallet], amount: int, index: int
-    ) -> tuple[list[UtxoId], int, list[UtxoTx]]:
-        """Greedy funding, then one spend of it per target: the amount to
-        the target first, any change to the payer second."""
-        funding = self._select_funding(payer, amount, index)
-        total = sum(self.state.active[op].value for op in funding)
-        change = []
-        if total > amount:
-            change.append(TxOutput(value=total - amount, locking=lock_to_wallet(payer)))
-        txs = [
-            make_spend(
-                self.scheme,
-                self.state,
-                funding,
-                [TxOutput(value=amount, locking=lock_to_wallet(target)), *change],
-                signer=payer,
-            )
-            for target in targets
-        ]
-        return funding, total, txs
-
-    def _account_tx(
-        self, payer: Wallet, payee: Wallet, amount: int, nonce: int | None = None
-    ) -> AccountTx:
-        """Sign a transfer; under nonce protection it defaults to the nonce
-        the payer's account expects next."""
-        if nonce is None and self.account_mode == "nonce-protected":
-            nonce = self.state.nonce(payer.address)
-        return make_account_tx(self.scheme, payer, payee.address, amount, nonce=nonce)
-
-    def _submit(self, entry, keep: bool = True) -> None:
-        """Apply one entry to the kernel state; a kept entry can be replayed."""
-        if self.kernel == "account":
-            self.state = account_apply(self.state, entry, self.account_mode, self.scheme)
-        elif self.kernel == "token":
-            self.state = token_transfer(self.state, *entry)
-        else:
-            self.state = utxo_apply(self.state, entry, self.scheme)
-        if keep:
-            self.submitted.append(entry)
-
-    def _attempt(self, entry, keep: bool = False, **details: object) -> dict:
-        """Submit a probe entry and describe the outcome instead of raising."""
-        try:
-            self._submit(entry, keep)
-        except TxRejected as exc:
-            reasons = exc.report.reasons if exc.report is not None else ()
-            return {**details, "accepted": False, "reasons": list(reasons)}
-        except LedgerError as exc:
-            return {**details, "accepted": False, "error": str(exc)}
-        return {**details, "accepted": True}
+    def _submit(self, entry) -> None:
+        """Apply one entry to the kernel state and keep it for a replay."""
+        self.state = self.ops.apply(self.state, entry, self.account_mode, self.scheme)
+        self.submitted.append(entry)
 
     def _event(self, index: int, action: dict, **details: object) -> None:
         self.events.append({"index": index, "action": action["action"], **details})
@@ -526,6 +434,8 @@ class _Runner:
             handler(index, action)
         except ScenarioError:
             raise
+        except UnfundedError as exc:
+            raise ScenarioError(str(exc), action_index=index) from exc
         except LedgerError as exc:
             raise ScenarioError(
                 f"action {index} ({action['action']}) failed: {exc}",
@@ -535,46 +445,31 @@ class _Runner:
     def _do_issue(self, index: int, action: dict) -> None:
         to = self.wallet(action["to"], index)
         amount = action["amount"]
-        if self.kernel == "account":
-            self.state = account_mint(self.state, to.address, amount)
-            self._event(index, action, to=to.address, amount=amount)
-        elif self.kernel == "token":
-            token = self._token(index, action)
-            self.state = token_issue(self.state, token, amount, to.address)
+        token = self._token(index, action) if self.kernel == "token" else None
+        self.state = self.ops.mint(self.state, to, amount, token, self.issuer, self.scheme)
+        if token is not None:
             self._event(index, action, token=token, to=to.address, value=amount)
-        else:
-            self.state = coinbase_issue(
-                self.state, [(amount, lock_to_wallet(to))], self.utxo_issuer, self.scheme
-            )
-            tx = self.state.log[-1]
-            self.submitted.append(tx)
-            self._event(
-                index, action, to=to.address, amount=amount, txid=txid_of(tx).hex()
-            )
+            return
+        details = {"to": to.address, "amount": amount}
+        if self.kernel == "utxo":
+            # A coinbase is a submission a replay can name.
+            self.submitted.append(self.state.log[-1])
+            details.update(self.ops.describe(self.state.log[-1]))
+        self._event(index, action, **details)
 
     def _do_pay(self, index: int, action: dict) -> None:
         payer = self.wallet(action["from"], index)
         payee = self.wallet(action["to"], index)
-        if self.kernel == "token":
-            token = self._token(index, action)
-            self._submit((payer.address, payee.address, token))
-            self._event(index, action, token=token)
-            return
-        amount = self._amount(index, action)
-        if self.kernel == "account":
-            tx = self._account_tx(payer, payee, amount, action.get("nonce"))
-            self._submit(tx)
-            self._event(index, action, txid=account_txid(tx).hex())
-            return
-        funding, total, (tx,) = self._spends(payer, [payee], amount, index)
-        self._submit(tx)
-        self._event(
-            index,
-            action,
-            txid=txid_of(tx).hex(),
-            inputs=[op.render() for op in funding],
-            change=total - amount,
+        entry = self.ops.transfer(
+            self.state, payer, payee, self._stake(index, action),
+            self.account_mode, self.scheme, action.get("nonce"),
         )
+        self._submit(entry)
+        details = self.ops.describe(entry)
+        if self.kernel == "utxo":
+            details["inputs"] = [tx_in.outpoint.render() for tx_in in entry.inputs]
+            details["change"] = sum(out.value for out in entry.outputs[1:])
+        self._event(index, action, **details)
 
     def _do_split(self, index: int, action: dict) -> None:
         payer = self.wallet(action["from"], index)
@@ -584,7 +479,9 @@ class _Runner:
             outpoint = UtxoId.parse(action["outpoint"])
         else:
             holdings = [
-                (op, value) for op, value in self._holdings(payer) if value >= amount
+                (op, value)
+                for op, value in self.ops.holdings(self.state, payer)
+                if value >= amount
             ]
             if not holdings:
                 raise ScenarioError(
@@ -607,7 +504,7 @@ class _Runner:
         if "outpoints" in action:
             outpoints = [UtxoId.parse(text) for text in action["outpoints"]]
         else:
-            outpoints = [op for op, _ in self._holdings(payer)]
+            outpoints = [op for op, _ in self.ops.holdings(self.state, payer)]
         if len(outpoints) < 2:
             raise ScenarioError(
                 f"action {index}: merge needs at least two outpoints",
@@ -635,19 +532,13 @@ class _Runner:
                 action_index=index,
             )
         entry = self.submitted[position]
-        attempts = [self._attempt(entry) for _ in range(action.get("times", 1))]
-        if self.kernel == "utxo":
-            self._event(index, action, txid=txid_of(entry).hex(), attempts=attempts)
-        elif self.kernel == "account":
-            self._event(
-                index,
-                action,
-                txid=account_txid(entry).hex(),
-                attempts=attempts,
-                payer_balance=self.state.balance(entry.payer),
-            )
-        else:
-            self._event(index, action, token=entry[2], attempts=attempts)
+        self.state, attempts = self.ops.replay(
+            self.state, entry, action.get("times", 1), self.account_mode, self.scheme
+        )
+        details = self.ops.describe(entry)
+        if self.kernel == "account":
+            details["payer_balance"] = self.state.balance(entry.payer)
+        self._event(index, action, **details, attempts=attempts)
 
     def _do_double_spend(self, index: int, action: dict) -> None:
         if self.kernel == "ecash":
@@ -667,35 +558,30 @@ class _Runner:
             )
         payer = self.wallet(payer_name, index)
         targets = [self.wallet(name, index) for name in pair]
-        if self.kernel == "token":
-            token = self._token(index, action)
-            attempts = [
-                self._attempt((payer.address, target.address, token), to=target.address)
-                for target in targets
-            ]
-            self._event(index, action, token=token, attempts=attempts)
-            return
-        amount = self._amount(index, action)
-        if self.kernel == "utxo":
-            _, _, txs = self._spends(payer, targets, amount, index)
-            attempts = [self._attempt(tx, keep=True, txid=txid_of(tx).hex()) for tx in txs]
-            self._event(index, action, attempts=attempts)
-            return
-        attempts = []
-        for target in targets:
-            # Built after the first attempt, so a protected second spend
-            # carries the nonce the payer's account expects next.
-            tx = self._account_tx(payer, target, amount)
-            attempts.append(self._attempt(tx, keep=True, to=target.address))
-        self._event(
-            index, action, attempts=attempts,
-            payer_balance=self.state.balance(payer.address),
+        stake = self._stake(index, action)
+        self.state, tried = self.ops.double_spend(
+            self.state, payer, targets, stake, self.account_mode, self.scheme
         )
+        attempts, details = [], {}
+        for target, (entry, outcome) in zip(targets, tried):
+            # An accepted spend can be replayed later; a token transfer
+            # made here is not kept for that.
+            if outcome["accepted"] and self.kernel != "token":
+                self.submitted.append(entry)
+            if self.kernel == "utxo":
+                attempts.append({**self.ops.describe(entry), **outcome})
+            else:
+                attempts.append({"to": target.address, **outcome})
+        if self.kernel == "token":
+            details["token"] = stake
+        elif self.kernel == "account":
+            details["payer_balance"] = self.state.balance(payer.address)
+        self._event(index, action, **details, attempts=attempts)
 
     def _do_broadcast_round(self, index: int, action: dict) -> None:
         payer = self.wallet(action["from"], index)
         targets = [self.wallet(name, index) for name in action["to"]]
-        _, _, txs = self._spends(payer, targets, action["amount"], index)
+        txs = self.ops.spends(self.state, payer, targets, action["amount"], self.scheme)
         rule = action.get("rule", "canonical-txid-order")
         round_seed = action.get("round_seed", self.seed)
         # Observational: replicas get a copy of the chainstate; the
@@ -767,12 +653,7 @@ class _Runner:
         matrix: dict | None = None
         for report in wanted:
             if report == "state":
-                snapshot = {
-                    "account": account_snapshot,
-                    "token": token_snapshot,
-                    "utxo": chainstate_snapshot,
-                }[self.kernel]
-                reports[report] = snapshot(self.state)
+                reports[report] = self.ops.snapshot(self.state)
             elif report == "metrics":
                 reports[report] = measure_state(self.state).doc()
             elif report == "log":

@@ -496,9 +496,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             )
             continue
         if not encodable:
-            input_status.append(
-                InputStatus(outpoint=tx_in.outpoint, present=True, script_ok=False)
-            )
+            input_status.append(InputStatus(tx_in.outpoint, present=True, script_ok=False))
             continue
         result = execute(tx_in.unlocking, entry.locking, ctx)
         if not result.ok:

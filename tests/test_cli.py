@@ -339,8 +339,9 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
     [
         {"kernel": "account", "balances": [1, 2]},
         {"kernel": "utxo", "active": {"x": 5}},
+        {"kernel": ["utxo"]},
     ],
-    ids=["account-balances-list", "utxo-entry-not-object"],
+    ids=["account-balances-list", "utxo-entry-not-object", "kernel-not-a-string"],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):
     path = tmp_path / "malformed.json"
