@@ -205,6 +205,16 @@ def test_fraud_replay_outcomes(toy):
     assert run_fraud_scenario("replay", "token", 1, toy).outcome == "prevented"
 
 
+def test_naive_replays_past_the_balance_are_refused_not_raised(toy):
+    """10 units pay 3 three times (the original and two replays); the
+    last two replays fail the funds check, the first refusal reported."""
+    naive = run_fraud_scenario("replay", "account-naive", 1, toy, replays=4)
+    assert naive.outcome == "succeeded"
+    assert naive.evidence["times_applied"] == 3
+    assert naive.evidence["final_payer_balance"] == 1
+    assert naive.evidence["rejection"] == "payer holds 1, cannot send 3"
+
+
 def test_fraud_rejects_unknown_pairs(toy):
     with pytest.raises(ConfigError):
         run_fraud_scenario("forgery", "utxo", 1, toy)
