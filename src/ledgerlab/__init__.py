@@ -6,199 +6,73 @@ e-cash protocol, a deterministic replica simulation, and analysis tools
 that turn the kernels' qualitative differences (double-spend handling,
 replay handling, traceability, state growth) into machine-checkable
 reports.
+
+The exported names are resolved on first use (PEP 562): importing the
+package loads no submodule, so a command imports only what it runs. A
+resolved name is not stored on the package; each lookup reads the
+submodule's current binding.
 """
 
-from .accounts import (
-    AccountState,
-    AccountTx,
-    account_apply,
-    account_mint,
-    account_snapshot,
-    account_txid,
-    make_account_tx,
-)
-from .analysis import (
-    FraudReport,
-    LineageChain,
-    StateMetrics,
-    TraceabilityReport,
-    audit_trace,
-    lineage_dag,
-    matrix_report,
-    measure_state,
-    pseudonym_growth_experiment,
-    render_tables_text,
-    run_fraud_scenario,
-    trace_lineage,
-    traceability_report,
-)
-from .crypto import (
-    CryptoScheme,
-    KeyPair,
-    Wallet,
-    address_of,
-    derive_wallet,
-    digest,
-    get_scheme,
-)
-from .ecash import (
-    Coin,
-    IssuerKeys,
-    RedeemResult,
-    SpentList,
-    WithdrawalTranscript,
-    issuer_setup,
-    redeem,
-    withdraw,
-)
-from .errors import (
-    AuthError,
-    ConfigError,
-    DomainError,
-    FormatError,
-    FundsError,
-    LedgerError,
-    NotFoundError,
-    OwnershipError,
-    ReplayError,
-    ScenarioError,
-    TxRejected,
-)
-from .replica import (
-    OrderingRule,
-    Replica,
-    RoundReport,
-    broadcast,
-    confirmation_depth_check,
-    make_replicas,
-    run_round,
-    settle_round,
-    state_digest,
-)
-from .rng import SeededStream
-from .scenario import ScenarioResult, execute_scenario, validate_scenario
-from .scripts import (
-    ExecutionContext,
-    Op,
-    Opcode,
-    Script,
-    compile_p2h,
-    compile_p2pkh,
-    execute,
-    script_from_text,
-    script_to_text,
-)
-from .tokens import TokenRegistry, token_issue, token_snapshot, token_transfer
-from .utxo import (
-    Chainstate,
-    TxInput,
-    TxOutput,
-    UtxoId,
-    UtxoTx,
-    ValidationReport,
-    coinbase_issue,
-    export_log,
-    import_log,
-    lock_to_wallet,
-    make_coinbase,
-    make_spend,
-    merge_payment,
-    split_payment,
-    txid_of,
-    utxo_apply,
-    utxo_validate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccountState",
-    "AccountTx",
-    "AuthError",
-    "Chainstate",
-    "Coin",
-    "ConfigError",
-    "CryptoScheme",
-    "DomainError",
-    "ExecutionContext",
-    "FormatError",
-    "FraudReport",
-    "FundsError",
-    "IssuerKeys",
-    "KeyPair",
-    "LedgerError",
-    "LineageChain",
-    "NotFoundError",
-    "Op",
-    "Opcode",
-    "OrderingRule",
-    "OwnershipError",
-    "RedeemResult",
-    "Replica",
-    "ReplayError",
-    "RoundReport",
-    "ScenarioError",
-    "ScenarioResult",
-    "Script",
-    "SeededStream",
-    "SpentList",
-    "StateMetrics",
-    "TokenRegistry",
-    "TraceabilityReport",
-    "TxInput",
-    "TxOutput",
-    "TxRejected",
-    "UtxoId",
-    "UtxoTx",
-    "ValidationReport",
-    "Wallet",
-    "WithdrawalTranscript",
-    "account_apply",
-    "account_mint",
-    "account_snapshot",
-    "account_txid",
-    "address_of",
-    "audit_trace",
-    "broadcast",
-    "coinbase_issue",
-    "compile_p2h",
-    "compile_p2pkh",
-    "confirmation_depth_check",
-    "derive_wallet",
-    "digest",
-    "execute",
-    "execute_scenario",
-    "export_log",
-    "get_scheme",
-    "import_log",
-    "issuer_setup",
-    "lineage_dag",
-    "lock_to_wallet",
-    "make_account_tx",
-    "make_coinbase",
-    "make_replicas",
-    "make_spend",
-    "matrix_report",
-    "measure_state",
-    "merge_payment",
-    "pseudonym_growth_experiment",
-    "redeem",
-    "render_tables_text",
-    "run_fraud_scenario",
-    "run_round",
-    "script_from_text",
-    "script_to_text",
-    "settle_round",
-    "split_payment",
-    "state_digest",
-    "token_issue",
-    "token_snapshot",
-    "token_transfer",
-    "trace_lineage",
-    "traceability_report",
-    "txid_of",
-    "utxo_apply",
-    "utxo_validate",
-    "validate_scenario",
-    "withdraw",
-]
+# Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "accounts": (
+        "AccountState", "AccountTx", "account_apply", "account_mint",
+        "account_snapshot", "account_txid", "make_account_tx",
+    ),
+    "analysis": (
+        "FraudReport", "LineageChain", "StateMetrics", "TraceabilityReport",
+        "audit_trace", "lineage_dag", "matrix_report", "measure_state",
+        "pseudonym_growth_experiment", "render_tables_text", "run_fraud_scenario",
+        "trace_lineage", "traceability_report",
+    ),
+    "crypto": (
+        "CryptoScheme", "KeyPair", "Wallet", "address_of", "derive_wallet",
+        "digest", "get_scheme",
+    ),
+    "ecash": (
+        "Coin", "IssuerKeys", "RedeemResult", "SpentList", "WithdrawalTranscript",
+        "issuer_setup", "redeem", "withdraw",
+    ),
+    "errors": (
+        "AuthError", "ConfigError", "DomainError", "FormatError", "FundsError",
+        "LedgerError", "NotFoundError", "OwnershipError", "ReplayError",
+        "ScenarioError", "TxRejected",
+    ),
+    "replica": (
+        "OrderingRule", "Replica", "RoundReport", "broadcast",
+        "confirmation_depth_check", "make_replicas", "run_round", "settle_round",
+        "state_digest",
+    ),
+    "rng": ("SeededStream",),
+    "scenario": ("ScenarioResult", "execute_scenario", "validate_scenario"),
+    "scripts": (
+        "ExecutionContext", "Op", "Opcode", "Script", "compile_p2h",
+        "compile_p2pkh", "execute", "script_from_text", "script_to_text",
+    ),
+    "tokens": ("TokenRegistry", "token_issue", "token_snapshot", "token_transfer"),
+    "utxo": (
+        "Chainstate", "TxInput", "TxOutput", "UtxoId", "UtxoTx", "ValidationReport",
+        "coinbase_issue", "export_log", "import_log", "lock_to_wallet",
+        "make_coinbase", "make_spend", "merge_payment", "split_payment", "txid_of",
+        "utxo_apply", "utxo_validate",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SOURCE.keys())

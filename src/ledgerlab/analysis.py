@@ -37,7 +37,7 @@ from .accounts import (
 from .crypto import CryptoScheme, derive_wallet
 from .encoding import canonical_json
 from .errors import ConfigError, FormatError, NotFoundError
-from .kernels import KERNEL_TABLE
+from .kernels import KERNEL_TABLE, render_rows
 from .rng import SeededStream
 from .tokens import TokenRegistry
 from .utxo import (
@@ -785,22 +785,6 @@ def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
             ),
         },
     }
-
-
-def render_rows(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
-    """Left-aligned columns two spaces apart, with a rule under the header."""
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(header, widths)).rstrip(),
-        "  ".join("-" * width for width in widths),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
 
 
 def render_tables_text(doc: dict) -> str:

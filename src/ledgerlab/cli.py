@@ -28,13 +28,12 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import audit_trace, matrix_report, render_rows, render_tables_text
-from .crypto import get_scheme
-from .encoding import canonical_json, parse_json
 from .errors import FormatError, LedgerError, NotFoundError, ScenarioError
-from .kernels import KERNEL_TABLE
-from .scenario import REPORT_FILENAMES, execute_scenario
-from .utxo import UtxoId, decode_log_entries
+
+# Each command imports what it runs when it runs, so `inspect` never loads
+# the scenario runner and no command pays for modules it does not call.
+# Names are read from their modules at call time, so a wrapper installed
+# over a module's name (as bench/tracer.py does) sees every call.
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -48,6 +47,8 @@ def _diag(message: str) -> None:
 
 
 def _read_document(path: str, context: str) -> object:
+    from .encoding import parse_json
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -73,6 +74,9 @@ def _resolve_seed(explicit: int | None) -> int | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .encoding import canonical_json
+    from .scenario import execute_scenario
+
     try:
         doc = _read_document(args.scenario, "scenario file")
         seed = _resolve_seed(args.seed)
@@ -111,6 +115,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _write_reports(out: str, reports: dict[str, object]) -> int:
     """Write each report to its REPORT_FILENAMES file under `out`."""
+    from .encoding import canonical_json
+    from .scenario import REPORT_FILENAMES
+
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -133,6 +140,8 @@ def _write_reports(out: str, reports: dict[str, object]) -> int:
 
 
 def _inspect_table(doc: dict) -> str:
+    from .kernels import KERNEL_TABLE, render_rows
+
     name = doc.get("kernel")
     kernel = KERNEL_TABLE.get(name) if isinstance(name, str) else None
     if kernel is None:
@@ -141,6 +150,8 @@ def _inspect_table(doc: dict) -> str:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from .encoding import canonical_json
+
     try:
         doc = _read_document(args.snapshot, "snapshot file")
         if not isinstance(doc, dict):
@@ -160,6 +171,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .analysis import audit_trace
+    from .crypto import get_scheme
+    from .utxo import UtxoId, decode_log_entries
+
     try:
         doc = _read_document(args.log, "log file")
         if not isinstance(doc, dict):
@@ -198,6 +213,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .analysis import matrix_report, render_tables_text
+    from .crypto import get_scheme
+    from .encoding import canonical_json
+
     try:
         seed = _resolve_seed(args.seed)
     except FormatError as exc:

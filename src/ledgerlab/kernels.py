@@ -15,12 +15,17 @@ UtxoTx. A transfer's stake is a token id on the token kernel and an
 amount elsewhere. A kernel ignores the arguments it has no use for: the
 account mode, the token id, the issuer.
 
+``render_rows`` lays out an entry's ``columns`` over its ``rows`` as the
+plain-text table ``inspect`` prints; the property matrix reuses it.
+
 Kernel functions are called through their modules at call time, so a
 wrapper installed over a module's name (as bench/tracer.py does) sees
 every call made through the table.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from . import accounts, tokens, utxo
 from .encoding import canonical_json
@@ -233,3 +238,19 @@ KERNEL_TABLE: dict[str, Kernel] = {
     "token": TokenKernel(),
     "utxo": UtxoKernel(),
 }
+
+
+def render_rows(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, with a rule under the header."""
+    widths = [len(h) for h in header]
+    for row in rows:
+        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
+    lines = [
+        "  ".join(cell.ljust(width) for cell, width in zip(header, widths)).rstrip(),
+        "  ".join("-" * width for width in widths),
+    ]
+    for row in rows:
+        lines.append(
+            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        )
+    return "\n".join(lines) + "\n"

@@ -418,14 +418,21 @@ def _in_range(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_VALUE
 
 
+def _on_wire(outpoint: UtxoId) -> bool:
+    """Whether an outpoint fits the 32-byte txid and u32 index fields."""
+    return len(outpoint.txid) == TXID_BYTES and 0 <= outpoint.index < 1 << 32
+
+
 def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> ValidationReport:
     """Check a transaction against the chainstate without mutating anything.
 
     Total: structural defects, missing or spent inputs, failing scripts,
     broken conservation, and issuer-authorization failures all land in
     the report's reasons rather than raising. A transaction with an
-    out-of-range output value has no signing payload, so it gets no
-    issuer check and runs no script: its inputs report presence only.
+    out-of-range output value, or an input outpoint too wide for the wire
+    (which names no output, so it is an unknown input), has no signing
+    payload, so it gets no issuer check and runs no script: its inputs
+    report presence only.
     """
     reasons: list[str] = []
     input_status: list[InputStatus] = []
@@ -438,10 +445,10 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
         reasons.append(REASON_NO_INPUTS)
     if not tx.outputs:
         reasons.append(REASON_NO_OUTPUTS)
-    encodable = True
+    in_range = True
     for tx_out in tx.outputs:
         if not _in_range(tx_out.value):
-            encodable = False
+            in_range = False
             if REASON_VALUE_RANGE not in reasons:
                 reasons.append(REASON_VALUE_RANGE)
         elif tx_out.value == 0:
@@ -456,6 +463,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             if REASON_DUPLICATE_INPUT not in reasons:
                 reasons.append(REASON_DUPLICATE_INPUT)
         seen.add(tx_in.outpoint)
+    encodable = in_range and all(_on_wire(tx_in.outpoint) for tx_in in tx.inputs)
 
     # Issuer gate for minting; ordinary transfers must not carry the field.
     if tx.kind == "coinbase":
@@ -514,7 +522,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     # Conservation, only meaningful when every input value is known.
     total_in: Amount | None = None
     total_out: Amount | None = None
-    if encodable:
+    if in_range:
         total_out = sum(o.value for o in tx.outputs)
     if tx.kind == "normal" and all_present and not any(
         r == REASON_DUPLICATE_INPUT for r in reasons
@@ -772,12 +780,17 @@ def snapshot_text(state: Chainstate) -> str:
     # ("...:10" before "...:2"): keys are distinct, and the quote closing
     # each sorts below every character a rendered key can hold.
     rows.sort()
-    return (
-        '{\n  "active": ' + ("{\n" + ",\n".join(rows) + "\n  }" if rows else "{}")
-        + ',\n  "allow_p2h": ' + json.dumps(state.allow_p2h)
+    tail = (
+        ',\n  "allow_p2h": ' + json.dumps(state.allow_p2h)
         + ',\n  "issuer_public_key": ' + json.dumps(state.issuer_public_key.hex())
         + ',\n  "kernel": "utxo",\n  "log_length": ' + str(state._length) + "\n}\n"
     )
+    if not rows:
+        return '{\n  "active": {}' + tail
+    # One join copies the text once: the head and tail ride on the end rows.
+    rows[0] = '{\n  "active": {\n' + rows[0]
+    rows[-1] += "\n  }" + tail
+    return ",\n".join(rows)
 
 
 def active_from_snapshot(doc: dict) -> dict[UtxoId, TxOutput]:

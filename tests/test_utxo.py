@@ -260,10 +260,12 @@ SCRIPTS = st.lists(
     st.one_of(st.binary(max_size=40).map(push), st.sampled_from(list(BARE_OPS.values()))),
     max_size=5,
 ).map(tuple)
-# An outpoint of the world by position, or any 32-byte txid with a u32 index.
+# An outpoint of the world by position, any 32-byte txid with a u32 index,
+# or one too wide for the wire: a txid of another length, an index past u32.
 OUTPOINTS = st.one_of(
     st.integers(0, 3),
     st.builds(UtxoId, txid=st.binary(min_size=32, max_size=32), index=st.integers(0, 2**32 - 1)),
+    st.builds(UtxoId, txid=st.binary(max_size=40), index=st.integers(-2, 2**33)),
 )
 VALUES = st.one_of(
     st.integers(-3, 20),
@@ -274,6 +276,8 @@ VALUES = st.one_of(
 
 @example(kind="normal", inputs=[(1, ())], values=[-1], signature=b"")
 @example(kind="coinbase", inputs=[], values=[2**64], signature=b"\x01")
+@example(kind="normal", inputs=[(UtxoId(b"x" * 5, 0), ())], values=[1], signature=b"")
+@example(kind="normal", inputs=[(UtxoId(bytes(32), 2**32), ())], values=[1], signature=b"")
 @given(
     kind=st.sampled_from(["normal", "coinbase"]),
     inputs=st.lists(st.tuples(OUTPOINTS, SCRIPTS), max_size=3),
@@ -284,8 +288,9 @@ def test_utxo_validate_never_raises_on_well_typed_transactions(
     toy, wallets, validate_world, kind, inputs, values, signature
 ):
     """Validation is total over transactions whose fields have their wire
-    types; an out-of-range value is reported, never raised, and leaves
-    nothing to sign, so no issuer check or script runs."""
+    types; an out-of-range value or an outpoint too wide for the wire is
+    reported, never raised, and leaves nothing to sign, so no issuer check
+    or script runs."""
     state, outpoints = validate_world
     lock = lock_to_wallet(wallets[1])
     tx = UtxoTx(
@@ -302,10 +307,17 @@ def test_utxo_validate_never_raises_on_well_typed_transactions(
     out_of_range = any(not 0 <= value < 2**64 for value in values)
     assert ("value-range" in report.reasons) == out_of_range
     assert [status.outpoint for status in report.inputs] == [i.outpoint for i in tx.inputs]
-    if out_of_range:
+    off_wire = any(
+        not isinstance(op, int) and (len(op.txid) != 32 or not 0 <= op.index < 2**32)
+        for op, _ in inputs
+    )
+    if off_wire:
+        assert "unknown-input" in report.reasons
+    if out_of_range or off_wire:
         assert "issuer-auth" not in report.reasons
         assert "bad-script" not in report.reasons
         assert not any(status.script_ok for status in report.inputs)
+    if out_of_range:
         assert report.total_out is None
 
 
