@@ -24,10 +24,14 @@ clear message.
 
 All operations are pure functions of their inputs; instances hold no
 mutable state and are safe for unrestricted concurrent use. The
-module-level caches (generated keys, decoded RSA keys, and the CRT
-parameters of the RSA keys this process generated) hold only results of
-pure functions, so a hit returns exactly what a recomputation would, and
-each cache is bounded.
+module-level caches (generated keys, decoded RSA keys, the CRT
+parameters of the RSA keys this process generated, and the digests of
+at most 2^16 signatures that verified) hold only results of pure
+functions, so a hit returns exactly what a recomputation would, and
+each cache is bounded. The verification cache keeps only valid results,
+so each valid signature is checked once per process whichever replica,
+replay or audit presents it; whether a spend is allowed is still decided
+by each caller's own state.
 """
 
 from __future__ import annotations
@@ -272,14 +276,50 @@ def _rsa_sign(private_key: bytes, message: bytes) -> bytes:
     return sigma.to_bytes(_sig_width(n), "big")
 
 
+# Digests of the (public key, signature, message) triples that verified in
+# this process, under either scheme. Validity is a pure function of the
+# triple, so a hit returns what the check would; whether a spend is allowed
+# is never decided here. Only True is kept, and the set is cleared when
+# full (each set operation is one call, so concurrent callers cannot
+# corrupt it).
+_VALID: set[bytes] = set()
+_VALID_LIMIT = 1 << 16
+
+
+def _triple_digest(public_key: bytes, message: bytes, signature: bytes) -> bytes:
+    """Injective: the 4-byte lengths fix where the key and signature end."""
+    return digest(
+        len(public_key).to_bytes(4, "big") + public_key
+        + len(signature).to_bytes(4, "big") + signature + message
+    )
+
+
+def _verify_once(check, public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """check() unless the triple verified before. A key check() cannot
+    decode is never stored, so its FormatError repeats on every call;
+    callers dispatch on the key's tag first, so an entry stored by one
+    algorithm never answers for a key the other would refuse."""
+    key = _triple_digest(public_key, message, signature)
+    if key in _VALID:
+        return True
+    if not check():
+        return False
+    if len(_VALID) >= _VALID_LIMIT:
+        _VALID.clear()
+    _VALID.add(key)
+    return True
+
+
 def _rsa_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     n, e = _decode_rsa_public(public_key)
-    if len(signature) != _sig_width(n):
-        return False
-    sigma = int.from_bytes(signature, "big")
-    if sigma >= n:
-        return False
-    return pow(sigma, e, n) == _fdh(message, n)
+
+    def check() -> bool:
+        if len(signature) != _sig_width(n):
+            return False
+        sigma = int.from_bytes(signature, "big")
+        return sigma < n and pow(sigma, e, n) == _fdh(message, n)
+
+    return _verify_once(check, public_key, message, signature)
 
 
 def _decode_factor(factor: bytes, n: int) -> int:
@@ -405,15 +445,18 @@ class RealScheme(CryptoScheme):
         if public_key[:4] == _TAG_ED_PUB:
             if len(public_key) != 4 + 32:
                 raise FormatError("bad Ed25519 public key length")
-            try:
-                Ed25519PublicKey.from_public_bytes(public_key[4:]).verify(
-                    signature, message
-                )
-                return True
-            except InvalidSignature:
-                return False
-            except ValueError as exc:
-                raise FormatError(f"bad Ed25519 public key: {exc}") from exc
+
+            def check() -> bool:
+                try:
+                    Ed25519PublicKey.from_public_bytes(public_key[4:]).verify(
+                        signature, message
+                    )
+                    return True
+                except InvalidSignature:
+                    return False
+                except ValueError as exc:
+                    raise FormatError(f"bad Ed25519 public key: {exc}") from exc
+            return _verify_once(check, public_key, message, signature)
         if public_key[:4] == _TAG_RSA_PUB:
             return _rsa_verify(public_key, message, signature)
         raise FormatError("unknown public key tag")
