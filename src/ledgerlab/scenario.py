@@ -564,9 +564,7 @@ class _Runner:
         )
         attempts, details = [], {}
         for target, (entry, outcome) in zip(targets, tried):
-            # An accepted spend can be replayed later; a token transfer
-            # made here is not kept for that.
-            if outcome["accepted"] and self.kernel != "token":
+            if outcome["accepted"]:  # kept for a later replay
                 self.submitted.append(entry)
             if self.kernel == "utxo":
                 attempts.append({**self.ops.describe(entry), **outcome})
