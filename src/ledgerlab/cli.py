@@ -113,10 +113,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _write_reports(args.out, result.reports)
 
 
+REPORT_FILENAMES = {
+    "state": "state.json",
+    "metrics": "metrics.json",
+    "log": "log.json",
+    "growth": "growth.json",
+    "rounds": "rounds.json",
+    "coins": "coins.json",
+    "matrix": "matrix.json",
+    "tables": "tables.txt",
+    "events": "events.json",
+}
+
+
 def _write_reports(out: str, reports: dict[str, object]) -> int:
     """Write each report to its REPORT_FILENAMES file under `out`."""
     from .encoding import canonical_json
-    from .scenario import REPORT_FILENAMES
 
     out_dir = Path(out)
     try:

@@ -102,18 +102,6 @@ _DEFAULT_REPORTS = {
     "matrix": ["matrix", "tables"],
 }
 
-REPORT_FILENAMES = {
-    "state": "state.json",
-    "metrics": "metrics.json",
-    "log": "log.json",
-    "growth": "growth.json",
-    "rounds": "rounds.json",
-    "coins": "coins.json",
-    "matrix": "matrix.json",
-    "tables": "tables.txt",
-    "events": "events.json",
-}
-
 # Per-action field schema: name -> {field: (required, checker description)}.
 _is_name = lambda v: isinstance(v, str) and bool(v)
 _is_amount = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0

@@ -4,30 +4,47 @@ import hashlib
 from collections import OrderedDict
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import read_vector_file
 from ledgerlab import crypto
 from ledgerlab.crypto import (
     _CRT,
     _RSA_EXPONENT,
+    _TAG_ED_PUB,
     _TAG_RSA_PRV,
     _TAG_RSA_PUB,
     _TRIAL_PRIMES,
     DIGEST_SIZE,
     _decode_rsa_private,
+    _decode_rsa_public,
     _fdh,
     _gen_prime,
     _is_probable_prime,
     _pack_ints,
     _rsa_keygen,
+    _triple_digest,
     address_of,
     check_amount,
     derive_wallet,
     digest,
     get_scheme,
 )
+from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import ConfigError, DomainError, FormatError
+from ledgerlab.replica import run_round
 from ledgerlab.rng import SeededStream
+from ledgerlab.utxo import (
+    Chainstate,
+    UtxoId,
+    coinbase_issue,
+    lock_to_wallet,
+    split_payment,
+    txid_of,
+)
 
 
 def test_digest_golden_vectors():
@@ -292,3 +309,125 @@ def test_derive_wallet(toy):
     assert wallet == again
     assert wallet.address == address_of(wallet.public_key)
     assert derive_wallet(toy, "bob").address != wallet.address
+
+
+# ---------------------------------------------------------------------------
+# The cache of valid signatures
+# ---------------------------------------------------------------------------
+
+
+def uncached_verify(public_key, message, signature):
+    """The textbook check for each key type, with no cache in the way."""
+    if public_key[:4] == _TAG_ED_PUB:
+        try:
+            Ed25519PublicKey.from_public_bytes(public_key[4:]).verify(signature, message)
+            return True
+        except InvalidSignature:
+            return False
+    n, e = _decode_rsa_public(public_key)
+    sigma = int.from_bytes(signature, "big")
+    width = (n.bit_length() + 7) // 8
+    return len(signature) == width and sigma < n and pow(sigma, e, n) == _fdh(message, n)
+
+
+def flip_bit(data, bit):
+    bit %= 8 * len(data)
+    return data[: bit // 8] + bytes([data[bit // 8] ^ (1 << bit % 8)]) + data[bit // 8 + 1 :]
+
+
+@pytest.mark.parametrize("name", ["toy", "real"])
+@given(
+    message=st.binary(min_size=1, max_size=80),
+    bit=st.integers(min_value=0, max_value=2**16),
+    valid_first=st.booleans(),
+)
+def test_cached_verify_equals_the_uncached_check(name, message, bit, valid_first):
+    scheme = get_scheme(name)
+    pair, other = scheme.keygen(b"cache-signer"), scheme.keygen(b"cache-other")
+    signature = scheme.sign(pair.private_key, message)
+    valid = (pair.public_key, message, signature)
+    tampered = [
+        (pair.public_key, message, flip_bit(signature, bit)),
+        (pair.public_key, flip_bit(message, bit), signature),
+        (other.public_key, message, signature),
+    ]
+    crypto._VALID.clear()
+    calls = [valid, *tampered] if valid_first else [*tampered, valid]
+    for triple in calls + calls:  # the second pass meets a warm cache
+        assert scheme.verify(*triple) == uncached_verify(*triple)
+    assert scheme.verify(*valid) and not any(scheme.verify(*t) for t in tampered)
+
+
+def test_a_false_result_is_not_stored(toy, real, monkeypatch):
+    monkeypatch.setattr(crypto, "_VALID", set())
+    for scheme in (toy, real):
+        pair = scheme.keygen(b"cache-false")
+        signature = scheme.sign(pair.private_key, b"m")
+        assert scheme.verify(pair.public_key, b"m", signature)
+        size = len(crypto._VALID)
+        for _ in range(2):
+            assert not scheme.verify(pair.public_key, b"n", signature)
+            assert len(crypto._VALID) == size
+
+
+def test_a_malformed_key_raises_on_every_call(toy, real, monkeypatch):
+    monkeypatch.setattr(crypto, "_VALID", set())
+    ed = real.keygen(b"cache-ed")
+    signature = real.sign(ed.private_key, b"m")
+    assert real.verify(ed.public_key, b"m", signature)  # now cached
+    cases = [
+        (toy, ed.public_key),  # valid under the other scheme's dispatch
+        (toy, _TAG_RSA_PUB + b"\x00\x00"),
+        (real, ed.public_key[:-1]),
+        (real, b"XPUB" + ed.public_key[4:]),
+    ]
+    for scheme, key in cases:
+        for _ in range(3):
+            with pytest.raises(FormatError):
+                scheme.verify(key, b"m", signature)
+
+
+def test_the_cache_never_exceeds_its_limit(toy, monkeypatch):
+    monkeypatch.setattr(crypto, "_VALID", set())
+    monkeypatch.setattr(crypto, "_VALID_LIMIT", 3)
+    pair = toy.keygen(b"cache-limit")
+    for i in range(10):
+        message = b"message %d" % i
+        assert toy.verify(pair.public_key, message, toy.sign(pair.private_key, message))
+        assert 1 <= len(crypto._VALID) <= 3
+
+
+def test_cache_keys_fix_the_field_boundaries():
+    """Every split of one byte string into (key, signature, message) gets
+    its own digest, so moving bytes across a boundary changes the key."""
+    data = bytes(range(7))
+    splits = [
+        (data[:i], data[j:], data[i:j])
+        for i in range(len(data) + 1)
+        for j in range(i, len(data) + 1)
+    ]
+    assert len({_triple_digest(*split) for split in splits}) == len(splits)
+
+
+@pytest.mark.parametrize("name", ["toy", "real"])
+def test_a_round_report_is_the_same_from_a_cold_and_a_warm_cache(name):
+    scheme = get_scheme(name)
+    issuer = scheme.keygen(b"cache-round-issuer")
+    alice, bob, carol = (derive_wallet(scheme, f"cache-round-{who}") for who in "abc")
+    state = coinbase_issue(
+        Chainstate.genesis(issuer.public_key),
+        [(10, lock_to_wallet(alice)), (4, lock_to_wallet(alice))],
+        issuer,
+        scheme,
+    )
+    first, second = (UtxoId(txid=txid_of(state.log[-1]), index=i) for i in (0, 1))
+    txs = [
+        split_payment(scheme, state, alice, first, 6, lock_to_wallet(bob)),
+        split_payment(scheme, state, alice, first, 7, lock_to_wallet(carol)),
+        split_payment(scheme, state, alice, second, 4, lock_to_wallet(carol)),
+    ]
+    crypto._VALID.clear()
+    cold = canonical_json(run_round(state, txs, 4, 5, "arrival-order", scheme)[1].doc())
+    assert crypto._VALID
+    warm = canonical_json(run_round(state, txs, 4, 5, "arrival-order", scheme)[1].doc())
+    assert cold == warm

@@ -75,10 +75,14 @@ def test_inspect_loads_no_analysis_or_runner(utxo_run):
         assert f"ledgerlab.{name}" not in loaded
 
 
-@pytest.mark.parametrize("command", ["trace", "tables"])
-def test_trace_and_tables_load_no_runner(command, utxo_run):
+@pytest.mark.parametrize("command", ["trace", "tables", "tables --out"])
+def test_trace_and_tables_load_no_runner(command, utxo_run, tmp_path):
     out, target = utxo_run
-    argv = ["trace", str(out / "log.json"), target] if command == "trace" else ["tables"]
+    argv = {
+        "trace": ["trace", str(out / "log.json"), target],
+        "tables": ["tables"],
+        "tables --out": ["tables", "--out", str(tmp_path)],
+    }[command]
     result = child_modules(CHILD, *argv)
     assert result["code"] == 0
     loaded = ledgerlab_modules(result["modules"])

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import ScenarioError
-from ledgerlab.scenario import (
-    REPORT_FILENAMES,
-    execute_scenario,
-    validate_scenario,
-)
+from ledgerlab.cli import REPORT_FILENAMES
+from ledgerlab.scenario import execute_scenario, validate_scenario
 
 BUNDLED = [
     "account_naive_replay.json",
