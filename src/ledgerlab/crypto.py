@@ -40,6 +40,7 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -294,7 +295,9 @@ def _triple_digest(public_key: bytes, message: bytes, signature: bytes) -> bytes
     )
 
 
-def _verify_once(check, public_key: bytes, message: bytes, signature: bytes) -> bool:
+def _verify_once(
+    check: Callable[[], bool], public_key: bytes, message: bytes, signature: bytes
+) -> bool:
     """check() unless the triple verified before. A key check() cannot
     decode is never stored, so its FormatError repeats on every call;
     callers dispatch on the key's tag first, so an entry stored by one

@@ -11,7 +11,9 @@ and the metric directions come from the change's BENCHMARK.json. For every
 workload and seed, bench/run.py runs once in each export with `--trace 0`;
 the side that runs first alternates from one pair to the next, so drift on
 a shared machine does not favour either side. One `--trace 1` run per side
-and workload follows, at the first seed, for the per-layer counters.
+and workload follows, at the first seed, for the per-layer counters. Last
+comes the `tier1_s` leg: each side's tier-1 suite runs three times, the
+sides again alternating, and its wall time is summarized like a metric.
 
 The file written at the repository root holds the commits (and the tree
 ids of their `src/`), the environment, every run's end-to-end metrics and
@@ -20,13 +22,15 @@ and n, plus the number of pairs the change won (ties count for neither).
 A pair counts as digest-identical only when both runs printed a digest
 and the two agree. `all_runs_ok` is false, and the exit status 1, when any
 run exited non-zero, printed no summary, failed a correctness check or
-failed an operation. Progress goes to stderr.
+failed an operation, or when a tier-1 run exited non-zero. Progress goes
+to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -36,6 +40,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -95,6 +101,21 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
         metrics={name: m["value"] for name, m in summary["metrics"].items()},
     )
     return run
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run of `checkout`'s own tests against its own src/."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return {
+        "exit": proc.returncode,
+        "metrics": {"tier1_s": time.perf_counter() - start},
+        "result": (proc.stdout.strip().splitlines() or ["no output"])[-1],
+    }
 
 
 def run_ok(run: dict) -> bool:
@@ -193,6 +214,18 @@ def main(argv=None) -> int:
                     for side in ("base", "change")
                 },
             }
+        tier1 = []
+        for i in range(TIER1_RUNS):
+            pair = {}
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                pair[side] = run_tier1(sides[side])
+                print(f"tier1 {side}: {pair[side]['result']}", file=sys.stderr, flush=True)
+            tier1.append(pair)
+        doc["tier1_s"] = {
+            "command": " ".join(["PYTHONPATH=src python", *TIER1]),
+            "runs": tier1,
+            "summary": summarize(tier1, {"tier1_s": "lower"})["tier1_s"],
+        }
         runs = [
             run for w in doc["workloads"].values()
             for run in [*(p[side] for p in w["pairs"] for side in ("base", "change")),
@@ -200,7 +233,9 @@ def main(argv=None) -> int:
         ]
         envs = [run["env"] for run in runs if "env" in run]
         doc["env"] = dict(envs[0] if envs else {}, platform=platform.platform(), cpu=cpu_model())
-    doc["all_runs_ok"] = all(run_ok(run) for run in runs)
+    doc["all_runs_ok"] = all(run_ok(run) for run in runs) and all(
+        pair[side]["exit"] == 0 for pair in tier1 for side in pair
+    )
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
