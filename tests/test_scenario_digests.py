@@ -178,6 +178,7 @@ CASES = {
     "ecash-probes": ecash_probes(),
     "ecash-default-reports": scenario("ecash", [WITHDRAW], **ECASH),
     "matrix": scenario("matrix", [], ["matrix", "tables", "events"]),
+    "matrix-real": scenario("matrix", [], ["matrix", "tables", "events"], crypto="real"),
     # Runner failures: each run stops at one action with a ScenarioError.
     "fail-account-pay-no-amount": scenario(
         "account", [ISSUE_A, act("pay", "alice", "bob")]
