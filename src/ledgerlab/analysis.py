@@ -31,11 +31,9 @@ from .accounts import (
     AccountState,
     account_apply,
     account_mint,
-    account_snapshot,
     make_account_tx,
 )
 from .crypto import CryptoScheme, derive_wallet
-from .encoding import canonical_json
 from .errors import ConfigError, FormatError, NotFoundError
 from .kernels import KERNEL_TABLE, render_rows
 from .rng import SeededStream
@@ -611,85 +609,6 @@ class TraceabilityReport:
         }
 
 
-def _utxo_traceability(seed: int, scheme: CryptoScheme) -> TraceabilityReport:
-    stream = SeededStream(seed).fork("traceability")
-    a = derive_wallet(scheme, stream.fork("a").randbytes(16))
-    b = derive_wallet(scheme, stream.fork("b").randbytes(16))
-    c = derive_wallet(scheme, stream.fork("c").randbytes(16))
-    issuer = scheme.keygen(stream.fork("issuer").randbytes(16))
-
-    state = Chainstate.genesis(issuer.public_key)
-    state = coinbase_issue(state, [(10, lock_to_wallet(a))], issuer, scheme)
-    coinbase_out = UtxoId(txid=txid_of(state.log[-1]), index=0)
-    first = split_payment(scheme, state, a, coinbase_out, 4, lock_to_wallet(b))
-    state = utxo_apply(state, first, scheme)
-    b_out = UtxoId(txid=txid_of(first), index=0)
-    second = split_payment(scheme, state, b, b_out, 1, lock_to_wallet(c))
-    state = utxo_apply(state, second, scheme)
-    leaf = UtxoId(txid=txid_of(second), index=0)
-
-    chain = trace_lineage(state.log, leaf)
-    return TraceabilityReport(
-        kernel="utxo",
-        traceable="yes",
-        justification=(
-            "every active output links input-to-output back to a coinbase; "
-            "the sample chain below was recovered from the log alone"
-        ),
-        evidence={"chain": chain.doc(), "log_length": len(state.log)},
-    )
-
-
-def _account_traceability(seed: int, scheme: CryptoScheme) -> TraceabilityReport:
-    stream = SeededStream(seed).fork("traceability")
-    a = derive_wallet(scheme, stream.fork("a").randbytes(16))
-    b = derive_wallet(scheme, stream.fork("b").randbytes(16))
-
-    def fresh() -> AccountState:
-        state = AccountState.empty()
-        state = account_mint(state, a.address, 10)
-        return account_mint(state, b.address, 5)
-
-    # History one: a single transfer of 3.
-    one = fresh()
-    one = account_apply(one, make_account_tx(scheme, a, b.address, 3), "naive", scheme)
-
-    # History two: three transfers of 1.
-    two = fresh()
-    for _ in range(3):
-        two = account_apply(two, make_account_tx(scheme, a, b.address, 1), "naive", scheme)
-
-    snapshot_one = canonical_json(account_snapshot(one))
-    snapshot_two = canonical_json(account_snapshot(two))
-    return TraceabilityReport(
-        kernel="account",
-        traceable="no",
-        justification=(
-            "a balance does not determine its history: the two histories "
-            "below end in byte-identical states"
-        ),
-        evidence={
-            "history_one": ["transfer 3"],
-            "history_two": ["transfer 1", "transfer 1", "transfer 1"],
-            "snapshots_byte_equal": snapshot_one == snapshot_two,
-            "snapshot": account_snapshot(one),
-        },
-    )
-
-
-def _token_traceability(seed: int, scheme: CryptoScheme) -> TraceabilityReport:
-    registry = TokenRegistry.empty()
-    return TraceabilityReport(
-        kernel="token",
-        traceable="no",
-        justification=(
-            "the registry is an observer's oracle, not a record any party "
-            "maintains; its transfer history exists nowhere authoritative"
-        ),
-        evidence={"authoritative": registry.authoritative},
-    )
-
-
 def traceability_report(
     kernel: Literal["utxo", "account", "token"],
     seed: int,
@@ -700,20 +619,83 @@ def traceability_report(
     UTXO: yes, witnessed by an actual recovered chain. Account: no,
     witnessed by two histories ending in byte-identical snapshots.
     Token: no; the registry is not an authoritative record.
+
+    Every state is built through the kernel table (account mode naive);
+    only the evidence read from it is per kernel.
     """
-    reports = {
-        "utxo": _utxo_traceability,
-        "account": _account_traceability,
-        "token": _token_traceability,
-    }
-    if kernel not in reports:
+    if kernel not in KERNEL_TABLE:
         raise ConfigError(f"no traceability report for kernel {kernel!r}")
-    return reports[kernel](seed, scheme)
+    ops = KERNEL_TABLE[kernel]
+    stream = SeededStream(seed).fork("traceability")
+    a, b, c = (derive_wallet(scheme, stream.fork(role).randbytes(16)) for role in "abc")
+    genesis, issuer = ops.genesis(scheme, stream.fork("issuer").randbytes(16))
+
+    def pay(state, payer, payee, amount):
+        tx = ops.transfer(state, payer, payee, amount, "naive", scheme)
+        return ops.apply(state, tx, "naive", scheme)
+
+    if kernel == "utxo":
+        state = ops.mint(genesis, a, 10, None, issuer, scheme)
+        state = pay(pay(state, a, b, 4), b, c, 1)
+        leaf = UtxoId(txid=txid_of(state.log[-1]), index=0)
+        return TraceabilityReport(
+            kernel="utxo",
+            traceable="yes",
+            justification=(
+                "every active output links input-to-output back to a coinbase; "
+                "the sample chain below was recovered from the log alone"
+            ),
+            evidence={
+                "chain": trace_lineage(state.log, leaf).doc(),
+                "log_length": len(state.log),
+            },
+        )
+    if kernel == "account":
+        funded = ops.mint(genesis, a, 10, None, issuer, scheme)
+        funded = ops.mint(funded, b, 5, None, issuer, scheme)
+        one = pay(funded, a, b, 3)
+        two = funded
+        for _ in range(3):
+            two = pay(two, a, b, 1)
+        return TraceabilityReport(
+            kernel="account",
+            traceable="no",
+            justification=(
+                "a balance does not determine its history: the two histories "
+                "below end in byte-identical states"
+            ),
+            evidence={
+                "history_one": ["transfer 3"],
+                "history_two": ["transfer 1", "transfer 1", "transfer 1"],
+                "snapshots_byte_equal": ops.snapshot_text(one) == ops.snapshot_text(two),
+                "snapshot": ops.snapshot(one),
+            },
+        )
+    return TraceabilityReport(
+        kernel="token",
+        traceable="no",
+        justification=(
+            "the registry is an observer's oracle, not a record any party "
+            "maintains; its transfer history exists nowhere authoritative"
+        ),
+        evidence={"authoritative": genesis.authoritative},
+    )
 
 
 # ---------------------------------------------------------------------------
 # The property matrix
 # ---------------------------------------------------------------------------
+
+# The matrix's fraud rows: each column's label and the fraud kernel it runs.
+_FRAUD_ROWS: dict[FraudScenario, list[tuple[str, FraudKernel]]] = {
+    "double-spend": [("utxo", "utxo"), ("account", "account-naive"), ("token", "token")],
+    "replay": [
+        ("utxo", "utxo"),
+        ("account-naive", "account-naive"),
+        ("account-nonce-protected", "account-nonce-protected"),
+        ("token", "token"),
+    ],
+}
 
 
 def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
@@ -722,33 +704,21 @@ def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
     The document's `rows` are the machine-checkable claims; `evidence`
     holds the full per-scenario reports they were reduced from.
     """
-    double_spend = {
-        "utxo": run_fraud_scenario("double-spend", "utxo", seed, scheme),
-        "account": run_fraud_scenario("double-spend", "account-naive", seed, scheme),
-        "token": run_fraud_scenario("double-spend", "token", seed, scheme),
+    fraud = {
+        scenario: {
+            label: run_fraud_scenario(scenario, kernel, seed, scheme, replays=replays)
+            for label, kernel in columns
+        }
+        for scenario, columns in _FRAUD_ROWS.items()
     }
-    replay = {
-        "utxo": run_fraud_scenario("replay", "utxo", seed, scheme),
-        "account-naive": run_fraud_scenario(
-            "replay", "account-naive", seed, scheme, replays=replays
-        ),
-        "account-nonce-protected": run_fraud_scenario(
-            "replay", "account-nonce-protected", seed, scheme, replays=replays
-        ),
-        "token": run_fraud_scenario("replay", "token", seed, scheme),
-    }
-    traceability = {
-        "utxo": traceability_report("utxo", seed, scheme),
-        "account": traceability_report("account", seed, scheme),
-        "token": traceability_report("token", seed, scheme),
-    }
+    traceability = {name: traceability_report(name, seed, scheme) for name in KERNEL_TABLE}
+    replay = fraud["replay"]
     return {
         "report": "property-matrix",
         "crypto": scheme.name,
         "seed": seed,
         "rows": {
-            "double-spend": {k: r.outcome for k, r in double_spend.items()},
-            "replay": {k: r.outcome for k, r in replay.items()},
+            **{row: {k: r.outcome for k, r in reports.items()} for row, reports in fraud.items()},
             "traceability": {k: r.traceable for k, r in traceability.items()},
         },
         "detail": {
@@ -766,9 +736,8 @@ def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
             ].evidence.get("snapshots_byte_equal", False),
         },
         "evidence": {
-            "double-spend": {k: r.doc() for k, r in double_spend.items()},
-            "replay": {k: r.doc() for k, r in replay.items()},
-            "traceability": {k: r.doc() for k, r in traceability.items()},
+            row: {k: r.doc() for k, r in reports.items()}
+            for row, reports in {**fraud, "traceability": traceability}.items()
         },
         "narrative": {
             "intermediary": (
@@ -788,28 +757,15 @@ def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
 
 
 def render_tables_text(doc: dict) -> str:
-    """Plain-text table over the matrix document's rows."""
-    rows = doc["rows"]
-    replay = rows["replay"]
+    """Plain-text table over the matrix document's rows, one column per
+    kernel; the two account replay modes share one cell."""
+    replay = doc["rows"]["replay"]
     account_replay = (
         f"{replay['account-naive']} (naive) / "
         f"{replay['account-nonce-protected']} (nonce-protected)"
     )
+    rows = {**doc["rows"], "replay": {**replay, "account": account_replay}}
+    header = ("property", *KERNEL_TABLE)
     return render_rows(
-        ("property", "account", "token", "utxo"),
-        [
-            (
-                "double-spend",
-                rows["double-spend"]["account"],
-                rows["double-spend"]["token"],
-                rows["double-spend"]["utxo"],
-            ),
-            ("replay", account_replay, replay["token"], replay["utxo"]),
-            (
-                "traceability",
-                rows["traceability"]["account"],
-                rows["traceability"]["token"],
-                rows["traceability"]["utxo"],
-            ),
-        ],
+        header, [(name, *(cells[k] for k in header[1:])) for name, cells in rows.items()]
     )
