@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .crypto import Address, Amount, CryptoScheme, Wallet, address_of, check_amount, digest
-from .encoding import Reader, u8, u64, varbytes
+from .encoding import u8, u64, varbytes
 from .errors import AuthError, FormatError, FundsError, ReplayError
 
 AccountMode = Literal["naive", "nonce-protected"]
@@ -109,32 +109,6 @@ def encode_account_tx(tx: AccountTx, *, for_signing: bool = False) -> bytes:
             varbytes(tx.payer_public_key),
             varbytes(signature),
         ]
-    )
-
-
-def decode_account_tx(data: bytes) -> AccountTx:
-    reader = Reader(data)
-    reader.expect(_MAGIC)
-    payer = reader.read(_ADDRESS_BYTES).hex()
-    payee = reader.read(_ADDRESS_BYTES).hex()
-    amount = reader.u64()
-    has_nonce = reader.u8()
-    if has_nonce not in (0, 1):
-        raise FormatError(f"bad nonce flag {has_nonce}")
-    nonce_value = reader.u64()
-    nonce = nonce_value if has_nonce else None
-    if has_nonce == 0 and nonce_value != 0:
-        raise FormatError("absent nonce must encode as zero")
-    public_key = reader.varbytes()
-    signature = reader.varbytes()
-    reader.finish()
-    return AccountTx(
-        payer=payer,
-        payee=payee,
-        amount=amount,
-        nonce=nonce,
-        payer_public_key=public_key,
-        payer_signature=signature,
     )
 
 
