@@ -98,8 +98,11 @@ def token_from_snapshot(doc: dict) -> TokenRegistry:
     if doc.get("kernel") != "token":
         raise FormatError("not a token snapshot")
     raw = doc.get("objects")
+    authoritative = doc.get("authoritative", False)
     if not isinstance(raw, dict):
         raise FormatError("malformed token snapshot")
+    if not isinstance(authoritative, bool):
+        raise FormatError("authoritative must be a boolean")
     objects = {}
     for tid, entry in raw.items():
         if (
@@ -111,4 +114,4 @@ def token_from_snapshot(doc: dict) -> TokenRegistry:
         ):
             raise FormatError(f"malformed token entry {tid!r}")
         objects[tid] = TokenObject(value=entry["value"], owner=entry["owner"])
-    return TokenRegistry(objects=objects, authoritative=bool(doc.get("authoritative", False)))
+    return TokenRegistry(objects=objects, authoritative=authoritative)

@@ -851,8 +851,11 @@ def decode_log_entries(doc: dict) -> tuple[bytes, bool, list[LogEntry]]:
         raise FormatError("not a transaction log document")
     issuer_hex = doc.get("issuer_public_key")
     rows = doc.get("txs")
+    allow_p2h = doc.get("allow_p2h", True)
     if not isinstance(issuer_hex, str) or not isinstance(rows, list):
         raise FormatError("malformed transaction log document")
+    if not isinstance(allow_p2h, bool):
+        raise FormatError("allow_p2h must be a boolean")
     try:
         issuer_public_key = bytes.fromhex(issuer_hex)
     except ValueError as exc:
@@ -869,7 +872,7 @@ def decode_log_entries(doc: dict) -> tuple[bytes, bool, list[LogEntry]]:
         if len(recorded) != TXID_BYTES:
             raise FormatError(f"malformed log row {position}: bad txid length")
         entries.append(LogEntry(recorded_txid=recorded, tx=decode_utxo_tx(raw)))
-    return issuer_public_key, bool(doc.get("allow_p2h", True)), entries
+    return issuer_public_key, allow_p2h, entries
 
 
 def import_log(doc: dict, scheme: CryptoScheme) -> Chainstate:

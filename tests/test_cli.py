@@ -427,6 +427,19 @@ def test_trace_malformed_log_exits_2_without_traceback(
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["no", 0, None])
+def test_trace_non_boolean_allow_p2h_exits_2(traced_log, tmp_path, capsys, flag):
+    path, _, leaf, _ = traced_log
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["allow_p2h"] = flag
+    bad_path = tmp_path / "p2h-flag.json"
+    bad_path.write_text(canonical_json(doc), encoding="utf-8")
+    assert main(["trace", str(bad_path), leaf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["allow_p2h must be a boolean"]
+
+
 # -- tables ------------------------------------------------------------------
 
 
