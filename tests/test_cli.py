@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ledgerlab
-from ledgerlab.accounts import AccountState, account_mint, account_snapshot
+from ledgerlab.accounts import (
+    AccountState,
+    account_apply,
+    account_mint,
+    account_snapshot,
+    make_account_tx,
+)
 from ledgerlab.cli import main
 from ledgerlab.crypto import derive_wallet
 from ledgerlab.encoding import canonical_json
@@ -31,6 +37,7 @@ from ledgerlab.utxo import (
     coinbase_issue,
     encode_utxo_tx,
     export_log,
+    import_log,
     lock_to_wallet,
     split_payment,
     txid_of,
@@ -438,6 +445,84 @@ def test_trace_non_boolean_allow_p2h_exits_2(traced_log, tmp_path, capsys, flag)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["allow_p2h must be a boolean"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | WIDE_INTS | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["", "00", "zz", "ff" * 32 + ":0", "PUSH:00 CHECKSIG"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=4,
+)
+
+
+def json_slots(node, found):
+    """Every (container, key) pair under a JSON document, depth first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, value in items:
+        found.append((node, key))
+        json_slots(value, found)
+    return found
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(toy, traced_log):
+    """A valid snapshot of each kernel, and the traced log, to mutate."""
+    _, log, leaf, coinbase_leaf = traced_log
+    payer, payee = (derive_wallet(toy, f"fuzz-{i}") for i in range(2))
+    accounts = account_mint(AccountState.empty(), payer.address, 9)
+    accounts = account_mint(accounts, payee.address, 2)
+    transfer = make_account_tx(toy, payer, payee.address, 4, nonce=0)
+    accounts = account_apply(accounts, transfer, "nonce-protected", toy)
+    tokens = token_issue(TokenRegistry.empty(), "tok-1", 9, payer.address)
+    tokens = token_issue(tokens, "tok-2", 3, payee.address)
+    return {
+        "account": account_snapshot(accounts),
+        "token": token_snapshot(tokens),
+        "utxo": chainstate_snapshot(import_log(log, toy)),
+        "log": log,
+    }, (leaf, coinbase_leaf)
+
+
+@given(data=st.data())
+def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
+    data, fuzz_documents, tmp_path_factory
+):
+    documents, targets = fuzz_documents
+    kind = data.draw(st.sampled_from(sorted(documents)))
+    doc = copy.deepcopy(documents[kind])
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutation = data.draw(st.sampled_from(["set", "drop", "truncate"]))
+        slots = json_slots(doc, [])
+        if mutation == "truncate":
+            slots = [(c, k) for c, k in slots if isinstance(c[k], str) and c[k]]
+        if not slots:
+            continue
+        container, key = slots[data.draw(st.integers(0, len(slots) - 1))]
+        if mutation == "set":
+            container[key] = data.draw(JSON_VALUES)
+        elif mutation == "drop":
+            del container[key]
+        else:
+            text = container[key]
+            container[key] = text[: data.draw(st.integers(0, len(text) - 1))]
+    path = tmp_path_factory.mktemp("fuzz") / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if kind == "log":
+        argv = ["trace", str(path), data.draw(st.sampled_from(targets))]
+    else:
+        fmt = data.draw(st.sampled_from(["table", "json"]))
+        argv = ["inspect", str(path), "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # -- tables ------------------------------------------------------------------
