@@ -718,7 +718,10 @@ def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
         "crypto": scheme.name,
         "seed": seed,
         "rows": {
-            **{row: {k: r.outcome for k, r in reports.items()} for row, reports in fraud.items()},
+            **{
+                row: {k: r.outcome for k, r in reports.items()}
+                for row, reports in fraud.items()
+            },
             "traceability": {k: r.traceable for k, r in traceability.items()},
         },
         "detail": {
