@@ -347,8 +347,14 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         {"kernel": "account", "balances": [1, 2]},
         {"kernel": "utxo", "active": {"x": 5}},
         {"kernel": ["utxo"]},
+        {"kernel": "token", "objects": {}, "authoritative": "no"},
     ],
-    ids=["account-balances-list", "utxo-entry-not-object", "kernel-not-a-string"],
+    ids=[
+        "account-balances-list",
+        "utxo-entry-not-object",
+        "kernel-not-a-string",
+        "token-authoritative-string",
+    ],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):
     path = tmp_path / "malformed.json"
@@ -408,7 +414,7 @@ def test_trace_malformed_target_exits_2(traced_log, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("defect", ["cyclic-links", "input-less-row"])
+@pytest.mark.parametrize("defect", ["cyclic-links", "input-less-row", "allow-p2h-string"])
 def test_trace_malformed_log_exits_2_without_traceback(
     traced_log, wallets, tmp_path, capsys, defect
 ):
@@ -418,6 +424,9 @@ def test_trace_malformed_log_exits_2_without_traceback(
         # Row 1 spends the coinbase's output and now claims the coinbase's
         # id, so its recorded link points back at itself.
         doc["txs"][1]["txid"] = doc["txs"][0]["txid"]
+        target = coinbase_leaf
+    elif defect == "allow-p2h-string":
+        doc["allow_p2h"] = "no"
         target = coinbase_leaf
     else:
         orphan = UtxoTx("normal", (), (TxOutput(1, lock_to_wallet(wallets[0])),))
@@ -432,19 +441,6 @@ def test_trace_malformed_log_exits_2_without_traceback(
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("flag", ["no", 0, None])
-def test_trace_non_boolean_allow_p2h_exits_2(traced_log, tmp_path, capsys, flag):
-    path, _, leaf, _ = traced_log
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["allow_p2h"] = flag
-    bad_path = tmp_path / "p2h-flag.json"
-    bad_path.write_text(canonical_json(doc), encoding="utf-8")
-    assert main(["trace", str(bad_path), leaf]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["allow_p2h must be a boolean"]
 
 
 JSON_VALUES = st.recursive(
