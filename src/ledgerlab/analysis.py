@@ -627,8 +627,18 @@ def traceability_report(
         raise ConfigError(f"no traceability report for kernel {kernel!r}")
     ops = KERNEL_TABLE[kernel]
     stream = SeededStream(seed).fork("traceability")
-    a, b, c = (derive_wallet(scheme, stream.fork(role).randbytes(16)) for role in "abc")
     genesis, issuer = ops.genesis(scheme, stream.fork("issuer").randbytes(16))
+    if kernel == "token":
+        return TraceabilityReport(
+            kernel="token",
+            traceable="no",
+            justification=(
+                "the registry is an observer's oracle, not a record any party "
+                "maintains; its transfer history exists nowhere authoritative"
+            ),
+            evidence={"authoritative": genesis.authoritative},
+        )
+    a, b, c = (derive_wallet(scheme, stream.fork(role).randbytes(16)) for role in "abc")
 
     def pay(state, payer, payee, amount):
         tx = ops.transfer(state, payer, payee, amount, "naive", scheme)
@@ -650,37 +660,26 @@ def traceability_report(
                 "log_length": len(state.log),
             },
         )
-    if kernel == "account":
-        funded = ops.mint(genesis, a, 10, None, issuer, scheme)
-        funded = ops.mint(funded, b, 5, None, issuer, scheme)
-        one = pay(funded, a, b, 3)
-        two = funded
-        for _ in range(3):
-            two = pay(two, a, b, 1)
-        return TraceabilityReport(
-            kernel="account",
-            traceable="no",
-            justification=(
-                "a balance does not determine its history: the two histories "
-                "below end in byte-identical states"
-            ),
-            evidence={
-                "history_one": ["transfer 3"],
-                "history_two": ["transfer 1", "transfer 1", "transfer 1"],
-                "snapshots_byte_equal": ops.snapshot_text(one) == ops.snapshot_text(two),
-                "snapshot": ops.snapshot(one),
-            },
-        )
+    funded = ops.mint(genesis, a, 10, None, issuer, scheme)
+    funded = ops.mint(funded, b, 5, None, issuer, scheme)
+    one = pay(funded, a, b, 3)
+    two = funded
+    for _ in range(3):
+        two = pay(two, a, b, 1)
     return TraceabilityReport(
-        kernel="token",
+        kernel="account",
         traceable="no",
         justification=(
-            "the registry is an observer's oracle, not a record any party "
-            "maintains; its transfer history exists nowhere authoritative"
+            "a balance does not determine its history: the two histories "
+            "below end in byte-identical states"
         ),
-        evidence={"authoritative": genesis.authoritative},
+        evidence={
+            "history_one": ["transfer 3"],
+            "history_two": ["transfer 1", "transfer 1", "transfer 1"],
+            "snapshots_byte_equal": ops.snapshot_text(one) == ops.snapshot_text(two),
+            "snapshot": ops.snapshot(one),
+        },
     )
-
 
 # ---------------------------------------------------------------------------
 # The property matrix
