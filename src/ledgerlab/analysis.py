@@ -767,7 +767,7 @@ def render_tables_text(doc: dict) -> str:
         f"{replay['account-nonce-protected']} (nonce-protected)"
     )
     rows = {**doc["rows"], "replay": {**replay, "account": account_replay}}
-    header = ("property", *KERNEL_TABLE)
     return render_rows(
-        header, [(name, *(cells[k] for k in header[1:])) for name, cells in rows.items()]
+        ("property", *KERNEL_TABLE),
+        [(name, *(cells[k] for k in KERNEL_TABLE)) for name, cells in rows.items()],
     )

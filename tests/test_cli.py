@@ -469,7 +469,7 @@ def json_slots(node, found):
 @pytest.fixture(scope="module")
 def fuzz_documents(toy, traced_log):
     """A valid snapshot of each kernel, and the traced log, to mutate."""
-    _, log, leaf, coinbase_leaf = traced_log
+    log = traced_log[1]
     payer, payee = (derive_wallet(toy, f"fuzz-{i}") for i in range(2))
     accounts = account_mint(AccountState.empty(), payer.address, 9)
     accounts = account_mint(accounts, payee.address, 2)
@@ -482,16 +482,15 @@ def fuzz_documents(toy, traced_log):
         "token": token_snapshot(tokens),
         "utxo": chainstate_snapshot(import_log(log, toy)),
         "log": log,
-    }, (leaf, coinbase_leaf)
+    }
 
 
 @given(data=st.data())
 def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
-    data, fuzz_documents, tmp_path_factory
+    data, fuzz_documents, traced_log, tmp_path_factory
 ):
-    documents, targets = fuzz_documents
-    kind = data.draw(st.sampled_from(sorted(documents)))
-    doc = copy.deepcopy(documents[kind])
+    kind = data.draw(st.sampled_from(sorted(fuzz_documents)))
+    doc = copy.deepcopy(fuzz_documents[kind])
     for _ in range(data.draw(st.integers(1, 3))):
         mutation = data.draw(st.sampled_from(["set", "drop", "truncate"]))
         slots = json_slots(doc, [])
@@ -510,7 +509,7 @@ def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
     path = tmp_path_factory.mktemp("fuzz") / f"{kind}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     if kind == "log":
-        argv = ["trace", str(path), data.draw(st.sampled_from(targets))]
+        argv = ["trace", str(path), data.draw(st.sampled_from(traced_log[2:]))]
     else:
         fmt = data.draw(st.sampled_from(["table", "json"]))
         argv = ["inspect", str(path), "--format", fmt]
