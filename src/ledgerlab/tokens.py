@@ -103,6 +103,8 @@ def token_from_snapshot(doc: dict) -> TokenRegistry:
         raise FormatError("malformed token snapshot")
     if not isinstance(authoritative, bool):
         raise FormatError("authoritative must be a boolean")
+    if authoritative:
+        raise FormatError("a token registry is never authoritative")
     objects = {}
     for tid, entry in raw.items():
         if (

@@ -56,7 +56,8 @@ hashing, replace(), asdict(), copies and pickles never see them:
   payload blanks (the unlocking scripts and the issuer signature).
   `decode_utxo_tx` stores both from the bytes it has just checked, since
   `encode_utxo_tx(decode_utxo_tx(b)) == b` for every `b` it accepts.
-* `_snapshot_entry` stores an output's rendered snapshot text.
+* `_row` stores an output's rendered snapshot row with the outpoint it
+  was rendered at.
 
 replace() builds a new object with empty memos, so a memo never passes
 from a transaction to an altered copy.
@@ -65,6 +66,7 @@ from a transaction to an altered copy.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
@@ -105,6 +107,7 @@ REASON_MISSING_ISSUER_SIGNATURE = "missing-issuer-signature"
 REASON_ISSUER_AUTH = "issuer-auth"
 REASON_UNEXPECTED_ISSUER_SIGNATURE = "unexpected-issuer-signature"
 REASON_P2H_DISABLED = "p2h-disabled"
+REASON_DUPLICATE_TXID = "duplicate-txid"
 
 
 @dataclass(frozen=True, order=True)
@@ -137,7 +140,7 @@ class TxInput:
 
 
 class _SnapshotMemo:
-    """A slot for `_snapshot_entry`'s memo, outside the dataclass fields."""
+    """A slot for `_row`'s memo, outside the dataclass fields."""
 
     __slots__ = ("_snapshot",)
 
@@ -178,7 +181,9 @@ class _Ledger:
     added it to `spent`. A fork starts its journal at its own length, and
     no ledger refers to any chainstate, so a dead family is freed at once.
     The journal is None while only the head may be used (see
-    `_unjournaled_genesis`).
+    `_unjournaled_genesis`). `rows` caches the sorted snapshot rows of the
+    active set at `base` for `snapshot_text`; forks made at `base` share
+    it, and whatever rebases a ledger clears it.
     """
 
     active: dict[UtxoId, TxOutput]
@@ -188,6 +193,7 @@ class _Ledger:
     spent: dict[UtxoId, None]
     base: int = 0
     journal: list[tuple] | None = field(default_factory=list)
+    rows: list[str] | None = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -246,7 +252,8 @@ def _own(state: Chainstate) -> _Ledger:
                 del active[outpoint]
             else:
                 active[outpoint] = prior
-    fork = _Ledger(active, ledger.log[:length], spent, base=length)
+    rows = ledger.rows if length == ledger.base else None
+    fork = _Ledger(active, ledger.log[:length], spent, base=length, rows=rows)
     object.__setattr__(state, "_ledger", fork)
     return fork
 
@@ -483,10 +490,18 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     elif tx.issuer_signature:
         reasons.append(REASON_UNEXPECTED_ISSUER_SIGNATURE)
 
+    # An input-free transaction has nothing a spend check could refuse, so
+    # one already logged would re-create its outputs (BIP 30). Every logged
+    # transaction created an output 0, active or spent since.
+    ledger = _own(state)
+    if not tx.inputs and encodable and tx.kind in ("normal", "coinbase"):
+        first = UtxoId(txid=txid_of(tx), index=0)
+        if first in ledger.active or first in ledger.spent:
+            reasons.append(REASON_DUPLICATE_TXID)
+
     # Per-input presence and script checks against the active set.
     payload = utxo_signing_payload(tx) if tx.inputs and encodable else b""
     ctx = ExecutionContext(signing_payload=payload, scheme=scheme)
-    ledger = _own(state)
     all_present = True
     for tx_in in tx.inputs:
         entry = ledger.active.get(tx_in.outpoint)
@@ -572,7 +587,8 @@ def replay_log(
     for tx in txs:
         state = utxo_apply(state, tx, scheme)
     # Only the head escapes: journal the applies made to it from here on.
-    state._ledger.base, state._ledger.journal = state._length, []
+    ledger = state._ledger
+    ledger.base, ledger.journal, ledger.rows = state._length, [], None
     return state
 
 
@@ -750,36 +766,78 @@ def chainstate_snapshot(state: Chainstate) -> dict:
     }
 
 
-def _snapshot_entry(entry: TxOutput) -> str:
-    """`entry` as canonical_json renders it inside a snapshot's active set,
-    memoized on the frozen output like txid_of's txid. The memo is no
-    field, so equality, hashing, replace(), asdict() and copies never see
-    it."""
+def _row(outpoint: UtxoId, entry: TxOutput) -> str:
+    """The line canonical_json renders for `entry` at `outpoint` inside a
+    snapshot's active set, memoized on the frozen output like txid_of's
+    txid. The memo is no field, so equality, hashing, replace(), asdict()
+    and copies never see it. It keeps the outpoint it was rendered at: a
+    caller can place one output object at two outpoints, and an audit can
+    carry a tampered row's outputs under another txid."""
     try:
-        return entry._snapshot
+        at, row = entry._snapshot
+        if at is outpoint or at == outpoint:
+            return row
     except AttributeError:
-        # json.dumps adds nothing to either: script text holds only opcode
-        # names, spaces, "PUSH:" and lowercase hex, and values are ints.
-        text = (
-            '{\n      "locking": "' + script_to_text(entry.locking)
-            + '",\n      "value": ' + str(entry.value) + "\n    }"
+        pass
+    # json.dumps adds nothing to either: script text holds only opcode
+    # names, spaces, "PUSH:" and lowercase hex, and values are ints.
+    row = (
+        '    "' + outpoint.render() + '": {\n      "locking": "'
+        + script_to_text(entry.locking) + '",\n      "value": ' + str(entry.value)
+        + "\n    }"
+    )
+    object.__setattr__(entry, "_snapshot", (outpoint, row))
+    return row
+
+
+def _base_entries(ledger: _Ledger) -> dict[UtxoId, TxOutput | None]:
+    """The entry at `base` (None if absent) of each outpoint whose active
+    entry the journal changed: the first prior recorded for it."""
+    first: dict[UtxoId, TxOutput | None] = {}
+    for undo in ledger.journal:
+        for at in range(0, len(undo), 2):
+            if undo[at + 1] is not _SPENT and undo[at] not in first:
+                first[undo[at]] = undo[at + 1]
+    return first
+
+
+def _sorted_rows(ledger: _Ledger) -> list[str]:
+    """The active set's rows, sorted by rendered outpoint: the order
+    sort_keys gives ("...:10" before "...:2"), since keys are distinct and
+    the quote closing each sorts below every character a rendered key can
+    hold.
+
+    A ledger that has applied fewer transactions since its base than it
+    holds before it (every replica forked from one history) edits a copy
+    of the base's sorted rows, which its family computes once; any other
+    sorts them all."""
+    active = ledger.active
+    if ledger.journal is None or len(ledger.journal) >= ledger.base:
+        rows = [_row(outpoint, entry) for outpoint, entry in active.items()]
+        rows.sort()
+        return rows
+    changed = _base_entries(ledger)
+    if ledger.rows is None:
+        at_base = {**active, **changed}.items()
+        ledger.rows = sorted(
+            _row(outpoint, entry) for outpoint, entry in at_base if entry is not None
         )
-        object.__setattr__(entry, "_snapshot", text)
-        return text
+    rows = ledger.rows.copy()
+    for outpoint, entry in changed.items():
+        if entry is not None:
+            del rows[bisect_left(rows, _row(outpoint, entry))]
+    rows += [_row(outpoint, active[outpoint]) for outpoint in changed if outpoint in active]
+    # Timsort finds the sorted base as one run and merges the new rows in.
+    rows.sort()
+    return rows
 
 
 def snapshot_text(state: Chainstate) -> str:
     """Exactly canonical_json(chainstate_snapshot(state)), joined from each
-    active output's memoized text. Forked states share their outputs, so
-    replicas digesting one history render each output once."""
-    rows = [
-        f'    "{outpoint.render()}": {_snapshot_entry(entry)}'
-        for outpoint, entry in _own(state).active.items()
-    ]
-    # Sorting whole rows sorts by rendered key, the order sort_keys gives
-    # ("...:10" before "...:2"): keys are distinct, and the quote closing
-    # each sorts below every character a rendered key can hold.
-    rows.sort()
+    active output's memoized row. Forked states share their outputs and
+    their base's sorted rows, so replicas digesting one history render
+    and sort its outputs once."""
+    rows = _sorted_rows(_own(state))
     tail = (
         ',\n  "allow_p2h": ' + json.dumps(state.allow_p2h)
         + ',\n  "issuer_public_key": ' + json.dumps(state.issuer_public_key.hex())

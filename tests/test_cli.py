@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import ledgerlab
 from ledgerlab.accounts import (
@@ -144,6 +144,22 @@ def test_run_execution_failure_exits_3_with_action_index(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(path)]) == 3
     assert "execution failed at action 1" in capsys.readouterr().err
+
+
+def test_run_second_identical_issue_exits_3_naming_duplicate_txid(tmp_path, capsys):
+    issue = {"action": "issue", "to": "a", "amount": 5}
+    doc = {
+        "schema_version": 1,
+        "kernel": "utxo",
+        "participants": [{"name": "a"}],
+        "actions": [issue, issue],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "execution failed at action 1" in err
+    assert "duplicate-txid" in err
 
 
 TWO_TO_THE_64 = 1 << 64
@@ -348,12 +364,14 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         {"kernel": "utxo", "active": {"x": 5}},
         {"kernel": ["utxo"]},
         {"kernel": "token", "objects": {}, "authoritative": "no"},
+        {"kernel": "token", "objects": {}, "authoritative": True},
     ],
     ids=[
         "account-balances-list",
         "utxo-entry-not-object",
         "kernel-not-a-string",
         "token-authoritative-string",
+        "token-authoritative-true",
     ],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):
@@ -485,6 +503,17 @@ def fuzz_documents(toy, traced_log):
     }
 
 
+HEX_DIGITS = "0123456789abcdef"
+# Mutations that keep a slot's type reach past the decoders: "int" puts an
+# int where one was, "hex" overwrites part of a hex string in place.
+KEEPS_TYPE = {
+    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "hex": lambda value: isinstance(value, str) and value and set(value) <= set(HEX_DIGITS),
+    "truncate": lambda value: isinstance(value, str) and value,
+}
+
+
+@settings(max_examples=200)
 @given(data=st.data())
 def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
     data, fuzz_documents, traced_log, tmp_path_factory
@@ -492,10 +521,10 @@ def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
     kind = data.draw(st.sampled_from(sorted(fuzz_documents)))
     doc = copy.deepcopy(fuzz_documents[kind])
     for _ in range(data.draw(st.integers(1, 3))):
-        mutation = data.draw(st.sampled_from(["set", "drop", "truncate"]))
+        mutation = data.draw(st.sampled_from(["set", "drop", "truncate", "int", "hex"]))
         slots = json_slots(doc, [])
-        if mutation == "truncate":
-            slots = [(c, k) for c, k in slots if isinstance(c[k], str) and c[k]]
+        if mutation in KEEPS_TYPE:
+            slots = [(c, k) for c, k in slots if KEEPS_TYPE[mutation](c[k])]
         if not slots:
             continue
         container, key = slots[data.draw(st.integers(0, len(slots) - 1))]
@@ -503,6 +532,13 @@ def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
             container[key] = data.draw(JSON_VALUES)
         elif mutation == "drop":
             del container[key]
+        elif mutation == "int":
+            container[key] = data.draw(WIDE_INTS)
+        elif mutation == "hex":
+            text = container[key]
+            at = data.draw(st.integers(0, len(text) - 1))
+            patch = data.draw(st.text(HEX_DIGITS, min_size=1, max_size=min(8, len(text) - at)))
+            container[key] = text[:at] + patch + text[at + len(patch) :]
         else:
             text = container[key]
             container[key] = text[: data.draw(st.integers(0, len(text) - 1))]
@@ -516,6 +552,7 @@ def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    event(f"{argv[0]} exit {code}")
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
 

@@ -222,8 +222,10 @@ CASES = {
     "fail-utxo-pay-unfunded": scenario(
         "utxo", [ISSUE_A, act("pay", "alice", "bob", amount=11)]
     ),
+    "fail-utxo-issue-duplicate": scenario("utxo", [ISSUE_A, ISSUE_A]),
     "fail-utxo-split-uncovered": scenario(
-        "utxo", [ISSUE_A, ISSUE_A, act("split", "alice", "bob", amount=15)]
+        "utxo",
+        [ISSUE_A, act("issue", to="alice", amount=9), act("split", "alice", "bob", amount=15)],
     ),
     "fail-utxo-split-unknown-outpoint": scenario(
         "utxo",

@@ -155,6 +155,22 @@ def test_replaying_an_applied_tx_is_refused(toy, chain, wallets):
     assert chainstate_snapshot(state) == before
 
 
+def test_replaying_a_coinbase_is_refused_whether_spent_or_not(toy, chain, wallets):
+    """An input-free transaction has no input a spend check could refuse,
+    so a logged one would re-create its outputs (BIP 30): replaying the
+    coinbase is refused while its output is active and after it is spent."""
+    coinbase = chain.log[0]
+    assert utxo_validate(chain, coinbase, toy).reasons == ("duplicate-txid",)
+    tx = split_payment(toy, chain, wallets[0], tip(chain), 4, lock_to_wallet(wallets[1]))
+    state = utxo_apply(chain, tx, toy)
+    before = chainstate_snapshot(state)
+    with pytest.raises(TxRejected) as excinfo:
+        utxo_apply(state, coinbase, toy)
+    assert excinfo.value.report.reasons == ("duplicate-txid",)
+    assert chainstate_snapshot(state) == before
+    assert state.total_active_value() == 12
+
+
 def test_rejection_leaves_state_untouched(toy, chain, wallets):
     """Failed application is atomic: no partial debits survive."""
     alice, bob = wallets[0], wallets[1]
@@ -539,53 +555,142 @@ def test_snapshot_text_of_empty_genesis(issuer, allow_p2h):
 
 @pytest.fixture(scope="module")
 def snapshot_root(toy, wallets):
-    """Eleven p2pkh outputs and a p2h one: with 12 outputs, rendered-key
-    order ("...:10" before "...:2") and (txid, index) order differ."""
+    """Eleven p2pkh outputs and a p2h one, split 20 times and replayed from
+    the log. With over ten outputs per txid, rendered-key order ("...:10"
+    before "...:2") and (txid, index) order differ. The replayed ledger's
+    base is 21, so a branch applying fewer transactions than that digests
+    by editing the sorted rows its family shares."""
     issuer = toy.keygen(b"snapshot-issuer")
+    signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
     outputs = [(value, lock_to_wallet(wallets[value % 2])) for value in range(1, 12)]
     outputs.append((5, compile_p2h(digest(b"snapshot-preimage"))))
-    return coinbase_issue(Chainstate.genesis(issuer.public_key), outputs, issuer, toy)
+    state = coinbase_issue(Chainstate.genesis(issuer.public_key), outputs, issuer, toy)
+    for step in range(20):
+        outpoint, held = max(
+            ((op, out) for op, out in state.active.items() if out.locking in signers),
+            key=lambda item: (item[1].value, item[0]),
+        )
+        payee = lock_to_wallet(wallets[step % 2])
+        tx = split_payment(toy, state, signers[held.locking], outpoint, 1, payee)
+        state = utxo_apply(state, tx, toy)
+    return replay_log(state.log, issuer.public_key, toy)
+
+
+def digests_through_shared_rows(state, filled):
+    """Whether rendering `state` edits sorted base rows that another ledger
+    also holds; `filled` collects (rows, ledger) pairs across calls."""
+    ledger = state._ledger
+    if ledger.rows is None or len(ledger.journal) >= ledger.base:
+        return False
+    shared = any(rows is ledger.rows and other is not ledger for rows, other in filled)
+    filled.append((ledger.rows, ledger))
+    return shared
+
+
+def test_snapshot_text_matches_canonical_snapshot(toy, wallets, snapshot_root):
+    """snapshot_text is canonical_json(chainstate_snapshot) for branching
+    states rendered before and after they fork, including states carried
+    past an invalid row by _advance, as audit_replay carries them; some of
+    them render through a base their family shares."""
+    signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
+    payees = [lock_to_wallet(wallets[2]), compile_p2h(digest(b"snapshot-payee"))]
+    filled, shared = [], []
+
+    def render(state):
+        assert snapshot_text(state) == canonical_json(chainstate_snapshot(state))
+        shared.append(digests_through_shared_rows(state, filled))
+
+    @given(data=st.data())
+    def check(data):
+        states, built = [snapshot_root], []
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            state = data.draw(st.sampled_from(states), label="base")
+            action = data.draw(st.sampled_from(["split", "invalid", "render"]), label="action")
+            if action == "render":
+                render(state)
+            elif action == "split":
+                spendable = sorted(
+                    (op for op, out in state.active.items() if out.locking in signers),
+                    key=lambda o: (o.txid, o.index),
+                )
+                outpoint = data.draw(st.sampled_from(spendable))
+                held = state.active[outpoint]
+                amount = data.draw(st.integers(1, held.value))
+                payee = data.draw(st.sampled_from(payees))
+                tx = split_payment(toy, state, signers[held.locking], outpoint, amount, payee)
+                built.append(tx)
+                states.append(utxo_apply(state, tx, toy))
+            elif built:
+                # A tampered row under its honest recorded id, as in an audit.
+                tx = data.draw(st.sampled_from(built))
+                first = tx.outputs[0]
+                forged = dataclasses.replace(
+                    tx, outputs=(TxOutput(first.value + 1, first.locking),) + tx.outputs[1:]
+                )
+                assert not utxo_validate(state, forged, toy).valid
+                states.append(_advance(state, forged, txid_of(tx)))
+        for index in data.draw(st.permutations(range(len(states))), label="read order"):
+            render(states[index])
+
+    check()
+    assert any(shared)
 
 
 @given(data=st.data())
-def test_snapshot_text_matches_canonical_snapshot(toy, wallets, snapshot_root, data):
-    """snapshot_text is canonical_json(chainstate_snapshot) for branching
-    states rendered before and after they fork, including states carried
-    past an invalid row by _advance, as audit_replay carries them."""
+def test_forks_digest_through_the_shared_base_in_any_order(toy, wallets, snapshot_root, data):
+    """Once the base is filled, forks of one state digest in any order as
+    canonical_json renders them, and the state's own digest is unchanged."""
+    before = snapshot_text(snapshot_root)
     signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
-    payees = [lock_to_wallet(wallets[2]), compile_p2h(digest(b"snapshot-payee"))]
-    states, built = [snapshot_root], []
-    for _ in range(data.draw(st.integers(1, 12), label="steps")):
-        state = data.draw(st.sampled_from(states), label="base")
-        action = data.draw(st.sampled_from(["split", "invalid", "render"]), label="action")
-        if action == "render":
-            assert snapshot_text(state) == canonical_json(chainstate_snapshot(state))
-        elif action == "split":
-            spendable = sorted(
-                (op for op, out in state.active.items() if out.locking in signers),
-                key=lambda o: (o.txid, o.index),
-            )
-            if not spendable:
-                continue
-            outpoint = data.draw(st.sampled_from(spendable))
-            held = state.active[outpoint]
-            amount = data.draw(st.integers(1, held.value))
-            payee = data.draw(st.sampled_from(payees))
-            tx = split_payment(toy, state, signers[held.locking], outpoint, amount, payee)
-            built.append(tx)
-            states.append(utxo_apply(state, tx, toy))
-        elif built:
-            # A tampered row under its honest recorded id, as in an audit.
-            tx = data.draw(st.sampled_from(built))
-            first = tx.outputs[0]
-            forged = dataclasses.replace(
-                tx, outputs=(TxOutput(first.value + 1, first.locking),) + tx.outputs[1:]
-            )
-            assert not utxo_validate(state, forged, toy).valid
-            states.append(_advance(state, forged, txid_of(tx)))
-    for index in data.draw(st.permutations(range(len(states))), label="read order"):
-        state = states[index]
-        assert snapshot_text(state) == canonical_json(chainstate_snapshot(state))
+    spendable = sorted(
+        (op for op, out in snapshot_root.active.items() if out.locking in signers),
+        key=lambda o: (o.txid, o.index),
+    )
+    forks = []
+    for outpoint in data.draw(st.lists(st.sampled_from(spendable), min_size=2, max_size=6)):
+        held = snapshot_root.active[outpoint]
+        payee = data.draw(st.sampled_from(list(signers)))
+        tx = split_payment(toy, snapshot_root, signers[held.locking], outpoint, 1, payee)
+        fork = utxo_apply(snapshot_root, tx, toy)
+        if data.draw(st.booleans(), label="extend"):
+            change = UtxoId(txid=txid_of(tx), index=1)
+            if change in fork.active:
+                extra = split_payment(toy, fork, signers[held.locking], change, 1, payee)
+                fork = utxo_apply(fork, extra, toy)
+        forks.append(fork)
+    snapshot_text(forks[0])
+    assert forks[0]._ledger.rows is not None
+    for index in data.draw(st.permutations(range(len(forks))), label="read order"):
+        fork = forks[index]
+        assert snapshot_text(fork) == canonical_json(chainstate_snapshot(fork))
+        assert fork._ledger.rows is forks[0]._ledger.rows
+    assert snapshot_text(snapshot_root) == before
+    assert before == canonical_json(chainstate_snapshot(snapshot_root))
+
+
+@pytest.mark.parametrize("root", ["genesis-family", "shared-base"])
+def test_snapshot_text_with_one_output_object_at_two_outpoints(
+    toy, chain, wallets, snapshot_root, root
+):
+    """A caller may reuse one output object; its row memo keeps the
+    outpoint it was rendered at, so each outpoint gets its own row."""
+    state = chain if root == "genesis-family" else snapshot_root
+    payer = wallets[0]
+    outpoint, held = max(
+        ((op, out) for op, out in state.active.items() if out.locking == lock_to_wallet(payer)),
+        key=lambda item: (item[1].value, item[0]),
+    )
+    reused = TxOutput(1, lock_to_wallet(payer))
+    rest = TxOutput(held.value - 2, lock_to_wallet(payer))
+    tx = make_spend(toy, state, [outpoint], [reused, reused, rest], signer=payer)
+    once = utxo_apply(state, tx, toy)
+    again = make_spend(
+        toy, once, [UtxoId(txid_of(tx), 2)], [reused, TxOutput(rest.value - 1, rest.locking)],
+        signer=payer,
+    )
+    twice = utxo_apply(once, again, toy)
+    for branch in (state, once, twice, once):
+        assert snapshot_text(branch) == canonical_json(chainstate_snapshot(branch))
 
 
 def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
@@ -593,7 +698,8 @@ def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
     state = coinbase_issue(Chainstate.genesis(issuer.public_key), [(7, lock)], issuer, toy)
     snapshot_text(state)
     memoized, fresh = state.active[tip(state)], TxOutput(value=7, locking=lock)
-    assert memoized._snapshot in snapshot_text(state)
+    rendered_at, row = memoized._snapshot
+    assert rendered_at == tip(state) and row in snapshot_text(state)
     assert memoized == fresh and hash(memoized) == hash(fresh)
     assert dataclasses.asdict(memoized) == dataclasses.asdict(fresh)
     assert [f.name for f in dataclasses.fields(memoized)] == ["value", "locking"]
