@@ -222,7 +222,6 @@ CASES = {
     "fail-utxo-pay-unfunded": scenario(
         "utxo", [ISSUE_A, act("pay", "alice", "bob", amount=11)]
     ),
-    "fail-utxo-issue-duplicate": scenario("utxo", [ISSUE_A, ISSUE_A]),
     "fail-utxo-split-uncovered": scenario(
         "utxo",
         [ISSUE_A, act("issue", to="alice", amount=9), act("split", "alice", "bob", amount=15)],
