@@ -176,19 +176,35 @@ _RSA_EXPONENT = 65537
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with bases derived from the candidate itself, so the
+    answer is a pure function of n.
+
+    Below 1 024 bits (the toy keys) every candidate gets 24 rounds. From
+    1 024 bits on (the primes of a 2048-bit blind key) it gets the first 5
+    rounds of the same base stream: FIPS 186-4 Appendix C.3, Table C.3,
+    asks for 5 rounds for the 1024-bit p and q of a 2048-bit modulus, a
+    count that rests on the Damgard-Landrock-Pomerance bounds for random
+    candidates. Before them, a base-2 Fermat test, whose exponentiation
+    costs less than one with a random base, rejects nearly every composite
+    that trial division let through. A prime passes that test and every
+    round, so a key differs from the 24-round one only where the two
+    disagree on a composite: the 5 rounds pass one that a later round
+    catches, or the Fermat test catches one that all 24 rounds pass.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    # Miller-Rabin with bases derived from the candidate itself, so the
-    # answer is a pure function of n.
+    large = n.bit_length() >= 1024
+    if large and pow(2, n - 1, n) != 1:
+        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
     base_stream = SeededStream(b"miller-rabin:" + n.to_bytes((n.bit_length() + 7) // 8, "big"))
-    for _ in range(24):
+    for _ in range(5 if large else 24):
         a = base_stream.randbelow(n - 3) + 2
         x = pow(a, d, n)
         if x in (1, n - 1):

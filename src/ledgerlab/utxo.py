@@ -108,6 +108,7 @@ REASON_ISSUER_AUTH = "issuer-auth"
 REASON_UNEXPECTED_ISSUER_SIGNATURE = "unexpected-issuer-signature"
 REASON_P2H_DISABLED = "p2h-disabled"
 REASON_DUPLICATE_TXID = "duplicate-txid"
+REASON_UNKNOWN_KIND = "unknown-kind"
 
 
 @dataclass(frozen=True, order=True)
@@ -436,10 +437,10 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     Total: structural defects, missing or spent inputs, failing scripts,
     broken conservation, and issuer-authorization failures all land in
     the report's reasons rather than raising. A transaction with an
-    out-of-range output value, or an input outpoint too wide for the wire
-    (which names no output, so it is an unknown input), has no signing
-    payload, so it gets no issuer check and runs no script: its inputs
-    report presence only.
+    out-of-range output value, an input outpoint too wide for the wire
+    (which names no output, so it is an unknown input), or a kind other
+    than normal or coinbase has no signing payload, so it gets no issuer
+    check and runs no script: its inputs report presence only.
     """
     reasons: list[str] = []
     input_status: list[InputStatus] = []
@@ -450,6 +451,9 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             reasons.append(REASON_COINBASE_HAS_INPUTS)
     elif not tx.inputs:
         reasons.append(REASON_NO_INPUTS)
+    known_kind = tx.kind in ("normal", "coinbase")
+    if not known_kind:
+        reasons.append(REASON_UNKNOWN_KIND)
     if not tx.outputs:
         reasons.append(REASON_NO_OUTPUTS)
     in_range = True
@@ -470,7 +474,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             if REASON_DUPLICATE_INPUT not in reasons:
                 reasons.append(REASON_DUPLICATE_INPUT)
         seen.add(tx_in.outpoint)
-    encodable = in_range and all(_on_wire(tx_in.outpoint) for tx_in in tx.inputs)
+    encodable = known_kind and in_range and all(_on_wire(tx_in.outpoint) for tx_in in tx.inputs)
 
     # Issuer gate for minting; ordinary transfers must not carry the field.
     if tx.kind == "coinbase":
@@ -494,7 +498,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     # one already logged would re-create its outputs (BIP 30). Every logged
     # transaction created an output 0, active or spent since.
     ledger = _own(state)
-    if not tx.inputs and encodable and tx.kind in ("normal", "coinbase"):
+    if not tx.inputs and encodable:
         first = UtxoId(txid=txid_of(tx), index=0)
         if first in ledger.active or first in ledger.spent:
             reasons.append(REASON_DUPLICATE_TXID)

@@ -321,6 +321,34 @@ def test_audit_replay_keeps_an_invalid_rows_inputs_spent(toy):
     assert audits[2].report.reasons == ("spent-input",)
 
 
+@pytest.mark.parametrize("repeat", ["other-tx", "same-coinbase", "same-spend"])
+def test_audit_replay_flags_a_row_repeating_a_recorded_txid(toy, repeat):
+    """A row recorded under an earlier row's txid is flagged whether it
+    holds another transaction, the same coinbase or the same spend."""
+    issuer = toy.keygen(b"audit-repeat-issuer")
+    alice, bob = (derive_wallet(toy, f"audit-repeat-{who}") for who in ("alice", "bob"))
+    minted = coinbase_issue(
+        Chainstate.genesis(issuer.public_key), [(7, lock_to_wallet(alice))], issuer, toy
+    )
+    spend = split_payment(toy, minted, alice, tip(minted), 3, lock_to_wallet(bob))
+    coinbase = minted.log[0]
+    other = coinbase_issue(minted, [(2, lock_to_wallet(bob))], issuer, toy).log[-1]
+    rows = [(txid_of(coinbase), coinbase), (txid_of(spend), spend)] + {
+        "other-tx": [(txid_of(coinbase), other)],
+        "same-coinbase": [(txid_of(coinbase), coinbase)],
+        "same-spend": [(txid_of(spend), spend)],
+    }[repeat]
+    entries = [LogEntry(recorded_txid=txid, tx=tx) for txid, tx in rows]
+    audits = audit_replay(entries, issuer.public_key, toy)
+    assert [step.ok for step in audits] == [True, True, False]
+    assert audits[2].txid_matches == (repeat != "other-tx")
+    assert audits[2].report.reasons == {
+        "other-tx": (),
+        "same-coinbase": ("duplicate-txid",),
+        "same-spend": ("spent-input",),
+    }[repeat]
+
+
 def test_audit_trace_ok_and_failure(toy, three_step_chain):
     state, leaf, _ = three_step_chain
     doc = export_log(state)

@@ -84,6 +84,59 @@ def test_gen_prime_matches_trial_division_by_each_prime():
             assert _gen_prime(SeededStream(label), bits) == reference(SeededStream(label), bits)
 
 
+def reference_is_probable_prime(n):
+    """Miller-Rabin at 24 rounds for every size and with no pre-test, on
+    the base stream _is_probable_prime draws from."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    bases = SeededStream(b"miller-rabin:" + n.to_bytes((n.bit_length() + 7) // 8, "big"))
+    for _ in range(24):
+        x = pow(bases.randbelow(n - 3) + 2, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# Every 2048-bit blind key a bundled scenario or a test makes: the issuer
+# keys of ecash_basic.json under --crypto real, and the key of the real
+# blinding and CRT tests.
+REAL_BLIND_SEEDS = [b"denomination:%d:issuer:15:bank" % d for d in (1, 5, 10)] + [b"blind-real"]
+
+
+@pytest.mark.parametrize("seed", REAL_BLIND_SEEDS)
+def test_real_blind_key_primes_pass_all_24_rounds(real, seed):
+    """A 1024-bit candidate gets a base-2 pre-test and 5 of the 24 rounds,
+    which no prime fails, so the key can differ from the 24-round one only
+    if those passed a composite a later round rejects. Its p and q pass
+    all 24 rounds, so these keys did not."""
+    pair = real.blind_keygen(seed)
+    p, q = _CRT[pair.private_key][:2]
+    n, _ = _decode_rsa_private(pair.private_key)
+    assert p * q == n and p.bit_length() == q.bit_length() == 1024
+    assert reference_is_probable_prime(p) and reference_is_probable_prime(q)
+
+
+def test_real_blind_key_equals_the_24_round_keygen(real, monkeypatch):
+    seed = REAL_BLIND_SEEDS[0]
+    pair = real.blind_keygen(seed)
+    monkeypatch.setattr(crypto, "_CRT", OrderedDict())
+    monkeypatch.setattr(crypto, "_is_probable_prime", reference_is_probable_prime)
+    assert _rsa_keygen.__wrapped__(seed, 2048) == pair
+    assert crypto._CRT[pair.private_key] == _CRT[pair.private_key]
+
+
 def test_address_is_hex_digest_of_public_key(toy):
     pair = toy.keygen(b"addr")
     assert address_of(pair.public_key) == hashlib.sha256(pair.public_key).hexdigest()

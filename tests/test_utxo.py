@@ -294,8 +294,9 @@ VALUES = st.one_of(
 @example(kind="coinbase", inputs=[], values=[2**64], signature=b"\x01")
 @example(kind="normal", inputs=[(UtxoId(b"x" * 5, 0), ())], values=[1], signature=b"")
 @example(kind="normal", inputs=[(UtxoId(bytes(32), 2**32), ())], values=[1], signature=b"")
+@example(kind="weird", inputs=[(1, ())], values=[5], signature=b"")
 @given(
-    kind=st.sampled_from(["normal", "coinbase"]),
+    kind=st.one_of(st.sampled_from(["normal", "coinbase"]), st.text(max_size=10)),
     inputs=st.lists(st.tuples(OUTPOINTS, SCRIPTS), max_size=3),
     values=st.lists(VALUES, max_size=3),
     signature=st.binary(max_size=8),
@@ -304,9 +305,9 @@ def test_utxo_validate_never_raises_on_well_typed_transactions(
     toy, wallets, validate_world, kind, inputs, values, signature
 ):
     """Validation is total over transactions whose fields have their wire
-    types; an out-of-range value or an outpoint too wide for the wire is
-    reported, never raised, and leaves nothing to sign, so no issuer check
-    or script runs."""
+    types, and over any kind string; an out-of-range value, an outpoint
+    too wide for the wire or an unknown kind is reported, never raised,
+    and leaves nothing to sign, so no issuer check or script runs."""
     state, outpoints = validate_world
     lock = lock_to_wallet(wallets[1])
     tx = UtxoTx(
@@ -329,7 +330,9 @@ def test_utxo_validate_never_raises_on_well_typed_transactions(
     )
     if off_wire:
         assert "unknown-input" in report.reasons
-    if out_of_range or off_wire:
+    unknown_kind = kind not in ("normal", "coinbase")
+    assert ("unknown-kind" in report.reasons) == unknown_kind
+    if out_of_range or off_wire or unknown_kind:
         assert "issuer-auth" not in report.reasons
         assert "bad-script" not in report.reasons
         assert not any(status.script_ok for status in report.inputs)
@@ -484,6 +487,50 @@ def test_branching_states_match_replay_and_reference(toy, wallets, fork_root, da
             assert chainstate_snapshot(state) == before
     for index in data.draw(st.permutations(range(len(states))), label="read order"):
         check(states[index])
+
+
+@given(data=st.data())
+def test_apply_trees_with_replays_mint_once_and_log_distinct_txids(toy, wallets, data):
+    """Branches of issues, splits and replays of transactions logged in any
+    branch. In every state the active value is the sum of the coinbases it
+    accepted, the logged txids are distinct, and each logged transaction
+    validates to a rejection, never an exception: an input-free one as
+    `duplicate-txid`, a spend as `spent-input`."""
+    issuer = toy.keygen(b"replay-tree-issuer")
+    payer, lock = wallets[0], lock_to_wallet(wallets[0])
+    states = [Chainstate.genesis(issuer.public_key)]
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        state = data.draw(st.sampled_from(states), label="base")
+        action = data.draw(st.sampled_from(["issue", "split", "replay"]), label="action")
+        logged = [tx for other in states for tx in other.log]
+        if action == "issue":
+            # Few values, so identical coinbases recur within and across branches.
+            tx = make_coinbase(toy, issuer, [(data.draw(st.integers(1, 3)), lock)])
+        elif action == "split" and state.active:
+            outpoint = data.draw(
+                st.sampled_from(sorted(state.active, key=lambda o: (o.txid, o.index)))
+            )
+            amount = data.draw(st.integers(1, state.active[outpoint].value))
+            tx = split_payment(toy, state, payer, outpoint, amount, lock)
+        elif action == "replay" and logged:
+            tx = data.draw(st.sampled_from(logged), label="replayed")
+        else:
+            continue
+        if utxo_validate(state, tx, toy).valid:
+            states.append(utxo_apply(state, tx, toy))
+        else:
+            with pytest.raises(TxRejected):
+                utxo_apply(state, tx, toy)
+    logged = [tx for state in states for tx in state.log]
+    for state in states:
+        txids = {txid_of(tx) for tx in state.log}
+        assert len(txids) == len(state.log)
+        minted = sum(o.value for tx in state.log if tx.kind == "coinbase" for o in tx.outputs)
+        assert state.total_active_value() == minted
+        for tx in logged:
+            if txid_of(tx) in txids:
+                expected = ("duplicate-txid",) if not tx.inputs else ("spent-input",)
+                assert utxo_validate(state, tx, toy).reasons == expected
 
 
 def test_apply_allocates_per_transaction_not_per_state(toy, issuer, wallets):

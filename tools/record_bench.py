@@ -12,8 +12,10 @@ workload and seed, bench/run.py runs once in each export with `--trace 0`;
 the side that runs first alternates from one pair to the next, so drift on
 a shared machine does not favour either side. One `--trace 1` run per side
 and workload follows, at the first seed, for the per-layer counters. Last
-comes the `tier1_s` leg: each side's tier-1 suite runs three times, the
-sides again alternating, and its wall time is summarized like a metric.
+comes the `tier1_s` leg: each side's tier-1 suite runs five times, the
+sides again alternating, and its wall time and the CPU time (user plus
+system) of the child process are each summarized like a metric. CPU time
+is less exposed than wall time to other load on a shared machine.
 
 The file written at the repository root holds the commits (and the tree
 ids of their `src/`), the environment, every run's end-to-end metrics and
@@ -32,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -41,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-TIER1_RUNS = 3
+TIER1_RUNS = 5
 
 
 def git(*args: str) -> str:
@@ -103,17 +106,25 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
     return run
 
 
+def children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_tier1(checkout: Path) -> dict:
     """One tier-1 run of `checkout`'s own tests against its own src/."""
     path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), children_cpu_s()
     proc = subprocess.run(
         [sys.executable, *TIER1], cwd=checkout, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     return {
         "exit": proc.returncode,
-        "metrics": {"tier1_s": time.perf_counter() - start},
+        "metrics": {
+            "tier1_s": time.perf_counter() - start,
+            "tier1_cpu_s": children_cpu_s() - cpu_start,
+        },
         "result": (proc.stdout.strip().splitlines() or ["no output"])[-1],
     }
 
@@ -225,6 +236,7 @@ def main(argv=None) -> int:
             "command": " ".join(["PYTHONPATH=src python", *TIER1]),
             "runs": tier1,
             "summary": summarize(tier1, {"tier1_s": "lower"})["tier1_s"],
+            "cpu_summary": summarize(tier1, {"tier1_cpu_s": "lower"})["tier1_cpu_s"],
         }
         runs = [
             run for w in doc["workloads"].values()
