@@ -118,9 +118,10 @@ REAL_BLIND_SEEDS = [b"denomination:%d:issuer:15:bank" % d for d in (1, 5, 10)] +
 @pytest.mark.parametrize("seed", REAL_BLIND_SEEDS)
 def test_real_blind_key_primes_pass_all_24_rounds(real, seed):
     """A 1024-bit candidate gets a base-2 pre-test and 5 of the 24 rounds,
-    which no prime fails, so the key can differ from the 24-round one only
-    if those passed a composite a later round rejects. Its p and q pass
-    all 24 rounds, so these keys did not."""
+    which no prime fails. The key is the 24-round one unless they pass a
+    composite that a later round rejects, or reject one that all 24 rounds
+    pass. This key's p and q pass all 24 rounds, which rules out the
+    first; the next test compares one whole key."""
     pair = real.blind_keygen(seed)
     p, q = _CRT[pair.private_key][:2]
     n, _ = _decode_rsa_private(pair.private_key)
