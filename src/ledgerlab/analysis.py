@@ -24,7 +24,7 @@ seed; safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 from .accounts import (
@@ -39,6 +39,7 @@ from .kernels import KERNEL_TABLE, render_rows
 from .rng import SeededStream
 from .tokens import TokenRegistry
 from .utxo import (
+    REASON_DUPLICATE_TXID,
     Chainstate,
     LogEntry,
     UtxoId,
@@ -220,12 +221,17 @@ def audit_replay(
     Each row is validated against the state the honest prefix implies,
     then applied under its recorded id even if invalid, so later rows
     remain auditable and exactly the tampered or invalid rows are the
-    ones flagged.
+    ones flagged. A row recorded under an id an earlier row recorded is
+    flagged `duplicate-txid`, whichever of the two rows was tampered with.
     """
     audits: list[StepAudit] = []
     shadow = _unjournaled_genesis(issuer_public_key, allow_p2h)
+    seen: set[bytes] = set()
     for position, entry in enumerate(entries):
         report = utxo_validate(shadow, entry.tx, scheme)
+        if entry.recorded_txid in seen and REASON_DUPLICATE_TXID not in report.reasons:
+            report = replace(report, valid=False, reasons=(*report.reasons, REASON_DUPLICATE_TXID))
+        seen.add(entry.recorded_txid)
         audits.append(
             StepAudit(
                 position=position,

@@ -16,6 +16,11 @@ convention: a 4-byte ASCII tag followed by the key material, so ``sign``
 and ``verify`` dispatch on the key itself and callers never branch on the
 active scheme.
 
+An RSA private key is its two primes (``RPRV || p || q``), the CRT form
+of PKCS #1 v2.2, section 3.2; the exponent is always 65537. Every private
+operation, a signature or a blind signature, recombines its two half-size
+exponentiations by Garner's formula (section 5.1.2).
+
 The blind-signature suite is the classic multiplicative construction over
 the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
 ``r^e``, the issuer exponentiates with ``d``, and ``unblind`` divides by
@@ -23,15 +28,15 @@ the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
 clear message.
 
 All operations are pure functions of their inputs; instances hold no
-mutable state and are safe for unrestricted concurrent use. The
-module-level caches (generated keys, decoded RSA keys, the CRT
-parameters of the RSA keys this process generated, and the digests of
-at most 2^16 signatures that verified) hold only results of pure
-functions, so a hit returns exactly what a recomputation would, and
-each cache is bounded. The verification cache keeps only valid results,
-so each valid signature is checked once per process whichever replica,
-replay or audit presents it; whether a spend is allowed is still decided
-by each caller's own state.
+mutable state and are safe for unrestricted concurrent use. The four
+module-level caches (generated keys, decoded RSA public keys, decoded
+RSA private keys with their CRT exponents, and the digests of at most
+2^16 signatures that verified) hold only results of pure functions, so
+a hit returns exactly what a recomputation would, and each cache is
+bounded. The verification cache keeps only valid results, so each valid
+signature is checked once per process whichever replica, replay or audit
+presents it; whether a spend is allowed is still decided by each caller's
+own state.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -150,11 +154,20 @@ def _decode_rsa_public(public_key: bytes) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def _decode_rsa_private(private_key: bytes) -> tuple[int, int]:
+def _decode_rsa_private(private_key: bytes) -> tuple[int, int, int, int, int, int]:
+    """(n, p, q, d mod (p-1), d mod (q-1), q^-1 mod p) of RPRV || p || q.
+
+    d mod (p-1) is e^-1 mod (p-1), since p - 1 divides (p-1)(q-1).
+    """
     if private_key[:4] != _TAG_RSA_PRV:
         raise FormatError("not an RSA private key")
-    n, d = _unpack_ints(private_key[4:], 2)
-    return n, d
+    p, q = _unpack_ints(private_key[4:], 2)
+    if min(p, q) < 3 or math.gcd(p, q) != 1 or math.gcd(_RSA_EXPONENT, (p - 1) * (q - 1)) != 1:
+        raise FormatError("degenerate RSA private key")
+    return (
+        p * q, p, q,
+        pow(_RSA_EXPONENT, -1, p - 1), pow(_RSA_EXPONENT, -1, q - 1), pow(q, -1, p),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +245,6 @@ def _gen_prime(stream: SeededStream, bits: int) -> int:
             return candidate
 
 
-# (p, q, d mod (p-1), d mod (q-1), q^-1 mod p) per private key generated in
-# this process, least recently used first (the keygen that adds a key and
-# each signature made with it count as uses). A key missing here (evicted,
-# or packed by hand) is exponentiated with the plain pow(m, d, n), which
-# gives the same integer: RSA with CRT is PKCS #1 v2.2, section 5.1.2.
-_CRT: OrderedDict[bytes, tuple[int, int, int, int, int]] = OrderedDict()
-_CRT_LIMIT = 4096
-
-
 @lru_cache(maxsize=4096)
 def _rsa_keygen(seed: bytes, modulus_bits: int) -> KeyPair:
     stream = SeededStream(b"rsa-keygen:%d:" % modulus_bits + seed)
@@ -253,14 +257,10 @@ def _rsa_keygen(seed: bytes, modulus_bits: int) -> KeyPair:
         phi = (p - 1) * (q - 1)
         if math.gcd(_RSA_EXPONENT, phi) != 1:
             continue
-        n = p * q
-        d = pow(_RSA_EXPONENT, -1, phi)
-        public = _pack_ints(_TAG_RSA_PUB, (n, _RSA_EXPONENT))
-        private = _pack_ints(_TAG_RSA_PRV, (n, d))
-        if len(_CRT) >= _CRT_LIMIT:
-            _CRT.popitem(last=False)  # one call, so concurrent keygens cannot race
-        _CRT[private] = (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
-        return KeyPair(public_key=public, private_key=private)
+        return KeyPair(
+            public_key=_pack_ints(_TAG_RSA_PUB, (p * q, _RSA_EXPONENT)),
+            private_key=_pack_ints(_TAG_RSA_PRV, (p, q)),
+        )
 
 
 def _fdh(message: bytes, n: int) -> int:
@@ -272,25 +272,15 @@ def _sig_width(n: int) -> int:
     return (n.bit_length() + 7) // 8
 
 
-def _rsa_private_op(private_key: bytes, value: int, n: int, d: int) -> int:
-    """pow(value, d, n) for 0 <= value < n, through CRT when the key's
-    factors are known (Garner's recombination)."""
-    crt = _CRT.get(private_key)
-    if crt is None:
-        return pow(value, d, n)
-    try:
-        _CRT.move_to_end(private_key)  # keys in use are evicted last
-    except KeyError:
-        pass  # evicted by a concurrent keygen since the lookup
-    p, q, dp, dq, q_inv = crt
+def _rsa_private_op(value: int, p: int, q: int, dp: int, dq: int, q_inv: int) -> int:
+    """value^d mod pq for 0 <= value < pq, by Garner's recombination."""
     m_q = pow(value, dq, q)
     return m_q + (q_inv * (pow(value, dp, p) - m_q) % p) * q
 
 
 def _rsa_sign(private_key: bytes, message: bytes) -> bytes:
-    n, d = _decode_rsa_private(private_key)
-    sigma = _rsa_private_op(private_key, _fdh(message, n), n, d)
-    return sigma.to_bytes(_sig_width(n), "big")
+    n, *crt = _decode_rsa_private(private_key)
+    return _rsa_private_op(_fdh(message, n), *crt).to_bytes(_sig_width(n), "big")
 
 
 # Digests of the (public key, signature, message) triples that verified in
@@ -401,11 +391,11 @@ class CryptoScheme(ABC):
         return blinded.to_bytes(_sig_width(n), "big")
 
     def blind_sign(self, private_key: bytes, blinded: bytes) -> bytes:
-        n, d = _decode_rsa_private(private_key)
+        n, *crt = _decode_rsa_private(private_key)
         value = int.from_bytes(blinded, "big")
         if value >= n:
             raise DomainError("blinded message outside the key's modulus")
-        return _rsa_private_op(private_key, value, n, d).to_bytes(_sig_width(n), "big")
+        return _rsa_private_op(value, *crt).to_bytes(_sig_width(n), "big")
 
     def unblind(self, blinded_signature: bytes, factor: bytes, public_key: bytes) -> bytes:
         n, _ = _decode_rsa_public(public_key)

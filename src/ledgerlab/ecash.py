@@ -239,18 +239,6 @@ def coin_record(coin: Coin) -> dict:
     }
 
 
-def coin_from_record(doc: dict) -> Coin:
-    try:
-        serial = bytes.fromhex(doc["serial"])
-        signature = bytes.fromhex(doc["signature"])
-        denomination = doc["denomination"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed coin record: {exc}") from exc
-    if isinstance(denomination, bool) or not isinstance(denomination, int) or denomination <= 0:
-        raise FormatError("malformed coin record: bad denomination")
-    return Coin(serial=serial, denomination=denomination, signature=signature)
-
-
 def issuer_public_record(issuer: IssuerKeys) -> dict:
     return {
         str(denomination): public.hex()

@@ -19,8 +19,7 @@ bounded by the instruction count. Truthiness is defined here once: a
 result is FALSE iff the stack is empty, or the top item is empty, or the
 top item is all zero bytes; anything else is TRUE.
 
-In validation mode (the default) the unlocking script must be push-only,
-which precludes preparing the stack with computed values a later locking
+The unlocking script must be push-only, which precludes preparing the stack with computed values a later locking
 script was never meant to see.
 
 Everything in this module is pure and immutable; it is safe for
@@ -200,24 +199,17 @@ def _run(ops: Script, stack: list[bytes], ctx: ExecutionContext) -> str | None:
     return None
 
 
-def execute(
-    unlocking: Script,
-    locking: Script,
-    ctx: ExecutionContext,
-    *,
-    push_only_unlocking: bool = True,
-) -> ExecResult:
+def execute(unlocking: Script, locking: Script, ctx: ExecutionContext) -> ExecResult:
     """Run unlocking then locking on one shared stack.
 
     TRUE iff execution completes without fault and the top of stack is
     truthy. Faults (underflow, failed EQUALVERIFY, undecodable CHECKSIG
-    key material, non-push unlocking op in validation mode) yield FALSE
-    with the fault named. Pure function of its inputs.
+    key material, non-push unlocking op) yield FALSE with the fault named.
+    Pure function of its inputs.
     """
-    if push_only_unlocking:
-        for op in unlocking:
-            if op.opcode is not Opcode.PUSH:
-                return ExecResult(ok=False, fault=FAULT_NON_PUSH_UNLOCKING)
+    for op in unlocking:
+        if op.opcode is not Opcode.PUSH:
+            return ExecResult(ok=False, fault=FAULT_NON_PUSH_UNLOCKING)
     stack: list[bytes] = []
     fault = _run(unlocking, stack, ctx)
     if fault is None:

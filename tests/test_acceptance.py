@@ -278,12 +278,11 @@ def test_criterion_4_script_soundness(toy):
             return tuple(ops)
 
         ctx = ExecutionContext(signing_payload=fork.randbytes(8), scheme=toy)
-        result = execute(
-            random_script(6),
-            random_script(8),
-            ctx,
-            push_only_unlocking=bool(fork.randbelow(2)),
-        )
+        unlocking, locking = random_script(6), random_script(8)
+        if fork.randbelow(2):
+            result = execute(unlocking, locking, ctx)
+        else:  # the same ops on one stack, with no push-only gate
+            result = execute((), unlocking + locking, ctx)
         assert isinstance(result, ExecResult)
         assert isinstance(result.ok, bool)
         assert result.ok is False or result.fault is None

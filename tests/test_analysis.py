@@ -343,10 +343,37 @@ def test_audit_replay_flags_a_row_repeating_a_recorded_txid(toy, repeat):
     assert [step.ok for step in audits] == [True, True, False]
     assert audits[2].txid_matches == (repeat != "other-tx")
     assert audits[2].report.reasons == {
-        "other-tx": (),
+        "other-tx": ("duplicate-txid",),
         "same-coinbase": ("duplicate-txid",),
-        "same-spend": ("spent-input",),
+        "same-spend": ("spent-input", "duplicate-txid"),
     }[repeat]
+
+
+def test_audit_replay_flags_an_honest_row_whose_txid_an_earlier_row_claimed(toy):
+    """Rows [coinbase, another transaction recorded under the spend's txid,
+    the honest spend]: the second row fails its txid check, and the third
+    repeats a recorded id, so the spend's output does not trace clean."""
+    issuer = toy.keygen(b"audit-claimed-issuer")
+    alice, bob = (derive_wallet(toy, f"audit-claimed-{who}") for who in ("alice", "bob"))
+    minted = coinbase_issue(
+        Chainstate.genesis(issuer.public_key), [(7, lock_to_wallet(alice))], issuer, toy
+    )
+    spend = split_payment(toy, minted, alice, tip(minted), 3, lock_to_wallet(bob))
+    coinbase = minted.log[0]
+    other = coinbase_issue(minted, [(2, lock_to_wallet(bob))], issuer, toy).log[-1]
+    entries = [
+        LogEntry(recorded_txid=txid_of(coinbase), tx=coinbase),
+        LogEntry(recorded_txid=txid_of(spend), tx=other),
+        LogEntry(recorded_txid=txid_of(spend), tx=spend),
+    ]
+    audits = audit_replay(entries, issuer.public_key, toy)
+    assert [step.ok for step in audits] == [True, False, False]
+    assert [step.txid_matches for step in audits] == [True, False, True]
+    assert audits[2].report.reasons == ("duplicate-txid",)
+    trace = audit_trace(entries, issuer.public_key, toy, UtxoId(txid_of(spend), 0))
+    assert [step.position for step in trace.steps] == [2, 0]
+    assert not trace.ok and trace.first_failure == 0
+    assert trace.steps[0].problems == ("duplicate-txid",)
 
 
 def test_audit_trace_ok_and_failure(toy, three_step_chain):

@@ -1,7 +1,7 @@
 """Primitives: digests, deterministic keys, signatures, blinding."""
 
 import hashlib
-from collections import OrderedDict
+import itertools
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import read_vector_file
 from ledgerlab import crypto
 from ledgerlab.crypto import (
-    _CRT,
     _RSA_EXPONENT,
     _TAG_ED_PUB,
     _TAG_RSA_PRV,
@@ -27,6 +26,7 @@ from ledgerlab.crypto import (
     _pack_ints,
     _rsa_keygen,
     _triple_digest,
+    _unpack_ints,
     address_of,
     check_amount,
     derive_wallet,
@@ -109,6 +109,11 @@ def reference_is_probable_prime(n):
     return True
 
 
+def primes_of(private_key):
+    """The (p, q) a private key packs after its tag."""
+    return _unpack_ints(private_key[4:], 2)
+
+
 # Every 2048-bit blind key a bundled scenario or a test makes: the issuer
 # keys of ecash_basic.json under --crypto real, and the key of the real
 # blinding and CRT tests.
@@ -123,8 +128,8 @@ def test_real_blind_key_primes_pass_all_24_rounds(real, seed):
     pass. This key's p and q pass all 24 rounds, which rules out the
     first; the next test compares one whole key."""
     pair = real.blind_keygen(seed)
-    p, q = _CRT[pair.private_key][:2]
-    n, _ = _decode_rsa_private(pair.private_key)
+    p, q = primes_of(pair.private_key)
+    n, _ = _decode_rsa_public(pair.public_key)
     assert p * q == n and p.bit_length() == q.bit_length() == 1024
     assert reference_is_probable_prime(p) and reference_is_probable_prime(q)
 
@@ -132,10 +137,8 @@ def test_real_blind_key_primes_pass_all_24_rounds(real, seed):
 def test_real_blind_key_equals_the_24_round_keygen(real, monkeypatch):
     seed = REAL_BLIND_SEEDS[0]
     pair = real.blind_keygen(seed)
-    monkeypatch.setattr(crypto, "_CRT", OrderedDict())
     monkeypatch.setattr(crypto, "_is_probable_prime", reference_is_probable_prime)
-    assert _rsa_keygen.__wrapped__(seed, 2048) == pair
-    assert crypto._CRT[pair.private_key] == _CRT[pair.private_key]
+    assert _rsa_keygen.__wrapped__(seed, 2048) == pair  # the private key is p and q
 
 
 def test_address_is_hex_digest_of_public_key(toy):
@@ -260,7 +263,8 @@ def test_blind_sign_rejects_oversized_value(toy):
 
 def _plain_signatures(private_key, messages, blinded):
     """Signatures and blind signatures by the textbook pow(m, d, n)."""
-    n, d = _decode_rsa_private(private_key)
+    p, q = primes_of(private_key)
+    n, d = p * q, pow(_RSA_EXPONENT, -1, (p - 1) * (q - 1))
     width = (n.bit_length() + 7) // 8
     return (
         [pow(_fdh(m, n), d, n).to_bytes(width, "big") for m in messages],
@@ -269,7 +273,7 @@ def _plain_signatures(private_key, messages, blinded):
 
 
 def _signing_inputs(stream, private_key, count):
-    n, _ = _decode_rsa_private(private_key)
+    n = _decode_rsa_private(private_key)[0]
     width = (n.bit_length() + 7) // 8
     messages = [stream.randbytes(stream.randbelow(200)) for _ in range(count)]
     # Both ends of the blinded domain, plus random values below n.
@@ -282,7 +286,6 @@ def _signing_inputs(stream, private_key, count):
 @pytest.mark.parametrize("seed", [b"crt-0", b"crt-1", b"crt-2", b"golden-signer"])
 def test_crt_signing_matches_plain_pow_on_toy_keys(toy, seed):
     pair = toy.keygen(seed)
-    assert pair.private_key in _CRT
     messages, blinded = _signing_inputs(SeededStream(b"crt:" + seed), pair.private_key, 200)
     signatures, blind_signatures = _plain_signatures(pair.private_key, messages, blinded)
     assert [toy.sign(pair.private_key, m) for m in messages] == signatures
@@ -292,7 +295,6 @@ def test_crt_signing_matches_plain_pow_on_toy_keys(toy, seed):
 
 def test_crt_signing_matches_plain_pow_on_a_2048_bit_key(real):
     pair = real.blind_keygen(b"blind-real")  # the key test_blinding_roundtrip_real uses
-    assert pair.private_key in _CRT
     messages, blinded = _signing_inputs(SeededStream("crt-2048"), pair.private_key, 12)
     signatures, blind_signatures = _plain_signatures(pair.private_key, messages, blinded)
     assert [real.sign(pair.private_key, m) for m in messages] == signatures
@@ -300,54 +302,48 @@ def test_crt_signing_matches_plain_pow_on_a_2048_bit_key(real):
 
 
 def test_hand_packed_key_signs_by_plain_pow(toy):
-    """A key _rsa_keygen never produced has no CRT entry and still signs."""
+    """Two primes packed by hand, not by _rsa_keygen, sign as the textbook
+    pow(m, d, n) does."""
     stream = SeededStream("hand-packed-key")
     p, q = _gen_prime(stream, 128), _gen_prime(stream, 128)
-    n, d = p * q, pow(_RSA_EXPONENT, -1, (p - 1) * (q - 1))
-    private = _pack_ints(_TAG_RSA_PRV, (n, d))
-    public = _pack_ints(_TAG_RSA_PUB, (n, _RSA_EXPONENT))
-    assert private not in _CRT
+    private = _pack_ints(_TAG_RSA_PRV, (p, q))
+    public = _pack_ints(_TAG_RSA_PUB, (p * q, _RSA_EXPONENT))
     messages, blinded = _signing_inputs(stream, private, 50)
     signatures, blind_signatures = _plain_signatures(private, messages, blinded)
     assert [toy.sign(private, m) for m in messages] == signatures
     assert [toy.blind_sign(private, b) for b in blinded] == blind_signatures
     assert all(toy.verify(public, m, s) for m, s in zip(messages, signatures))
-    assert private not in _CRT
 
 
-def test_keygen_memo_survives_an_evicted_crt_entry(toy):
-    """A memo hit whose CRT entry is gone signs by plain pow, same bytes."""
-    pair = toy.keygen(b"evicted-crt")
-    signature = toy.sign(pair.private_key, b"message")
-    hits = _rsa_keygen.cache_info().hits
-    entry = _CRT.pop(pair.private_key)
-    try:
-        again = toy.keygen(b"evicted-crt")
-        assert _rsa_keygen.cache_info().hits == hits + 1
-        assert again == pair and pair.private_key not in _CRT
-        assert toy.sign(again.private_key, b"message") == signature
-    finally:
-        _CRT[pair.private_key] = entry
+def _malformed_private_keys():
+    stream = SeededStream("malformed-private-key")
+    p, q = _gen_prime(stream, 128), _gen_prime(stream, 128)
+    valid = _pack_ints(_TAG_RSA_PRV, (p, q))
+    # A prime one above a multiple of e: e^-1 mod (p' - 1) does not exist.
+    p_e = next(
+        k * _RSA_EXPONENT + 1 for k in itertools.count(2, 2)
+        if _is_probable_prime(k * _RSA_EXPONENT + 1)
+    )
+    return {
+        "truncated": valid[:-1],
+        "trailing-bytes": valid + b"\x00",
+        "p-equals-q": _pack_ints(_TAG_RSA_PRV, (p, p)),
+        "p-below-3": _pack_ints(_TAG_RSA_PRV, (2, q)),
+        "e-divides-p-minus-1": _pack_ints(_TAG_RSA_PRV, (p_e, q)),
+        "common-factor": _pack_ints(_TAG_RSA_PRV, (3 * 7, 3 * 11)),
+    }
 
 
-def test_crt_table_is_bounded_and_evicts_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(crypto, "_CRT", OrderedDict())
-    monkeypatch.setattr(crypto, "_CRT_LIMIT", 2)
-    keys = [_rsa_keygen.__wrapped__(b"crt-bound-%d" % i, 256).private_key for i in range(3)]
-    assert list(crypto._CRT) == keys[1:]
+MALFORMED_PRIVATE_KEYS = _malformed_private_keys()
 
 
-def test_a_key_in_use_keeps_its_crt_entry_across_many_keygens(toy, monkeypatch):
-    """The CRT table evicts by use, so a key signed between keygens stays."""
-    monkeypatch.setattr(crypto, "_CRT", OrderedDict())
-    monkeypatch.setattr(crypto, "_CRT_LIMIT", 3)
-    hot = _rsa_keygen.__wrapped__(b"crt-hot", 256)
-    for i in range(4 * crypto._CRT_LIMIT):
-        cold = _rsa_keygen.__wrapped__(b"crt-cold-%d" % i, 256)
-        toy.sign(hot.private_key, b"message %d" % i)
-        assert hot.private_key in crypto._CRT
-    assert list(crypto._CRT)[-2:] == [cold.private_key, hot.private_key]
-    assert len(crypto._CRT) == crypto._CRT_LIMIT
+@pytest.mark.parametrize("private", MALFORMED_PRIVATE_KEYS.values(), ids=MALFORMED_PRIVATE_KEYS)
+def test_a_malformed_private_key_raises_format_error(toy, real, private):
+    for scheme in (toy, real):
+        with pytest.raises(FormatError):
+            scheme.sign(private, b"m")
+        with pytest.raises(FormatError):
+            scheme.blind_sign(private, b"\x01")
 
 
 def test_get_scheme_cached_and_strict():

@@ -12,7 +12,6 @@ from ledgerlab.ecash import (
     SERIAL_BYTES,
     SpentList,
     WithdrawalTranscript,
-    coin_from_record,
     coin_record,
     issuer_public_record,
     issuer_setup,
@@ -155,7 +154,11 @@ def test_value_accounting(toy, bank):
 
 def test_coin_record_roundtrip(toy, bank):
     coin = withdraw(bank, 5, SeededStream("w9"), toy)
-    assert coin_from_record(coin_record(coin)) == coin
+    assert coin_record(coin) == {
+        "serial": coin.serial.hex(),
+        "denomination": 5,
+        "signature": coin.signature.hex(),
+    }
     record = issuer_public_record(bank)
     assert set(record) == {"1", "5", "10"}
     assert record["5"] == bank.public_key(5).hex()

@@ -94,7 +94,7 @@ def test_p2pkh_manual_stack_trace(toy, wallets, ctx):
     ]
     program = list(p2pkh_unlocking(sig, pk)) + list(compile_p2pkh(commit))
     for cut in range(1, len(program) + 1):
-        partial = execute(tuple(program[:cut]), (), ctx, push_only_unlocking=False)
+        partial = execute((), tuple(program[:cut]), ctx)
         assert partial.fault is None
         assert list(partial.stack) == expected_stacks[cut - 1]
 
@@ -163,9 +163,6 @@ def test_push_only_unlocking_enforced(ctx):
     result = execute(unlocking, (), ctx)
     assert not result
     assert result.fault == FAULT_NON_PUSH_UNLOCKING
-    # The same program is fine when the validation gate is off.
-    relaxed = execute(unlocking, (), ctx, push_only_unlocking=False)
-    assert relaxed
 
 
 def test_classify(wallets):

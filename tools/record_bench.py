@@ -17,8 +17,9 @@ sides again alternating, and its wall time and the CPU time (user plus
 system) of the child process are each summarized like a metric. CPU time
 is less exposed than wall time to other load on a shared machine.
 
-The file written at the repository root holds the commits (and the tree
-ids of their `src/`), the environment, every run's end-to-end metrics and
+The file written at the repository root holds the commits (with the tree
+ids of their `src/`, and the newline count of their `src/**/*.py` as
+`wc -l` gives it) and the change's net `src/` line delta, the environment, every run's end-to-end metrics and
 output digest, and per workload and metric each side's median, quartiles
 and n, plus the number of pairs the change won (ties count for neither).
 A pair counts as digest-identical only when both runs printed a digest
@@ -64,6 +65,7 @@ def export(rev: str, into: Path) -> dict:
         "rev": rev,
         "commit": git("rev-parse", f"{rev}^{{commit}}"),
         "src_tree": git("rev-parse", f"{rev}:src"),
+        "src_lines": sum(path.read_bytes().count(b"\n") for path in into.glob("src/**/*.py")),
     }
 
 
@@ -191,6 +193,9 @@ def main(argv=None) -> int:
         sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         for side, checkout in sides.items():
             doc[side] = export(getattr(args, side), checkout)
+        doc["src_lines_delta"] = doc["change"]["src_lines"] - doc["base"]["src_lines"]
+        print(f"src lines {doc['base']['src_lines']} -> {doc['change']['src_lines']} "
+              f"({doc['src_lines_delta']:+d})", file=sys.stderr, flush=True)
         benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
         seconds = benchmark["run_seconds"]
         directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
