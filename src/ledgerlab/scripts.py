@@ -19,8 +19,8 @@ bounded by the instruction count. Truthiness is defined here once: a
 result is FALSE iff the stack is empty, or the top item is empty, or the
 top item is all zero bytes; anything else is TRUE.
 
-The unlocking script must be push-only, which precludes preparing the stack with computed values a later locking
-script was never meant to see.
+The unlocking script must be push-only, which precludes preparing the
+stack with computed values a later locking script was never meant to see.
 
 Everything in this module is pure and immutable; it is safe for
 unrestricted concurrent use.

@@ -19,14 +19,14 @@ is less exposed than wall time to other load on a shared machine.
 
 The file written at the repository root holds the commits (with the tree
 ids of their `src/`, and the newline count of their `src/**/*.py` as
-`wc -l` gives it) and the change's net `src/` line delta, the environment, every run's end-to-end metrics and
-output digest, and per workload and metric each side's median, quartiles
-and n, plus the number of pairs the change won (ties count for neither).
-A pair counts as digest-identical only when both runs printed a digest
-and the two agree. `all_runs_ok` is false, and the exit status 1, when any
-run exited non-zero, printed no summary, failed a correctness check or
-failed an operation, or when a tier-1 run exited non-zero. Progress goes
-to stderr.
+`wc -l` gives it), the change's net `src/` line delta, the environment,
+every run's end-to-end metrics and output digest, and per workload and
+metric each side's median, quartiles and n, plus the number of pairs the
+change won (ties count for neither). A pair counts as digest-identical
+only when both runs printed a digest and the two agree. `all_runs_ok` is
+false, and the exit status 1, when any run exited non-zero, printed no
+summary, failed a correctness check or failed an operation, or when a
+tier-1 run exited non-zero. Progress goes to stderr.
 """
 
 from __future__ import annotations
