@@ -28,12 +28,12 @@ the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
 clear message.
 
 All operations are pure functions of their inputs; instances hold no
-mutable state and are safe for unrestricted concurrent use. The four
+mutable state and are safe for unrestricted concurrent use. The five
 module-level caches (generated keys, decoded RSA public keys, decoded
-RSA private keys with their CRT exponents, and the digests of at most
-2^16 signatures that verified) hold only results of pure functions, so
-a hit returns exactly what a recomputation would, and each cache is
-bounded. The verification cache keeps only valid results, so each valid
+RSA private keys with their CRT exponents, loaded Ed25519 private keys,
+and the digests of at most 2^16 signatures that verified) hold only
+results of pure functions, so a hit returns exactly what a
+recomputation would, and each cache is bounded. The verification cache keeps only valid results, so each valid
 signature is checked once per process whichever replica, replay or audit
 presents it; whether a spend is allowed is still decided by each caller's
 own state.
@@ -283,6 +283,12 @@ def _rsa_sign(private_key: bytes, message: bytes) -> bytes:
     return _rsa_private_op(_fdh(message, n), *crt).to_bytes(_sig_width(n), "big")
 
 
+@lru_cache(maxsize=1024)
+def _load_ed25519_private(raw: bytes) -> Ed25519PrivateKey:
+    """Loading costs more than half a signature; a loaded key signs alike."""
+    return Ed25519PrivateKey.from_private_bytes(raw)
+
+
 # Digests of the (public key, signature, message) triples that verified in
 # this process, under either scheme. Validity is a pure function of the
 # triple, so a hit returns what the check would; whether a spend is allowed
@@ -445,7 +451,7 @@ class RealScheme(CryptoScheme):
         if private_key[:4] == _TAG_ED_PRV:
             if len(private_key) != 4 + 32:
                 raise FormatError("bad Ed25519 private key length")
-            return Ed25519PrivateKey.from_private_bytes(private_key[4:]).sign(message)
+            return _load_ed25519_private(private_key[4:]).sign(message)
         if private_key[:4] == _TAG_RSA_PRV:
             return _rsa_sign(private_key, message)
         raise FormatError("unknown private key tag")

@@ -8,8 +8,8 @@ encoders here are the single source of that guarantee.
 
 The kernels own their transaction dataclasses and field layouts; this
 module supplies the primitives (integer packing, length-prefixed bytes,
-the script wire format) plus a strict reader that fails loudly on
-truncation or trailing garbage.
+one writer and one strict reader of the script wire format, which fails
+loudly on truncation, an over-cap count or length, or an unknown tag).
 
 Snapshots and reports are JSON with sorted keys and a fixed separator
 convention so identical states produce identical files.
@@ -35,7 +35,9 @@ _OPCODE_WIRE = {
     Opcode.EQUALVERIFY: 4,
     Opcode.CHECKSIG: 5,
 }
-_OPCODE_TAG = {opcode: bytes((wire,)) for opcode, wire in _OPCODE_WIRE.items()}
+# By opcode value: a str hashes in C, where an Enum member hashes in Python.
+_OPCODE_TAG = {opcode._value_: bytes((wire,)) for opcode, wire in _OPCODE_WIRE.items()}
+_PUSH_TAG = _OPCODE_TAG[Opcode.PUSH._value_]
 _PUSH_WIRE = _OPCODE_WIRE[Opcode.PUSH]
 _WIRE_BARE_OP = {_OPCODE_WIRE[opcode]: op for opcode, op in BARE_OPS.items()}
 
@@ -63,79 +65,57 @@ def varbytes(data: bytes) -> bytes:
     return u32(len(data)) + data
 
 
-def encode_script(script: Script) -> bytes:
-    parts = [u32(len(script))]
+def write_script(parts: list[bytes], script: Script) -> None:
+    """Append the wire form of `script` to `parts`: a u32 op count, then
+    each op's one-byte tag, a PUSH followed by its operand as varbytes."""
+    parts.append(len(script).to_bytes(4, "big"))
     for op in script:
-        opcode = op.opcode
-        parts.append(_OPCODE_TAG[opcode])
-        if opcode is Opcode.PUSH:
-            parts.append(varbytes(op.operand))  # type: ignore[arg-type]
-    return b"".join(parts)
+        operand = op.operand
+        if operand is None:
+            parts.append(_OPCODE_TAG[op.opcode._value_])
+        else:
+            if len(operand) > MAX_FIELD_BYTES:
+                raise FormatError(f"field of {len(operand)} bytes exceeds encoding cap")
+            parts += (_PUSH_TAG, len(operand).to_bytes(4, "big"), operand)
 
 
-class Reader:
-    """Strict cursor over an immutable byte string.
+def item_count(field: bytes) -> int:
+    """The u32 item count in `field`, refused over its cap."""
+    count = int.from_bytes(field, "big")
+    if count > MAX_ITEM_COUNT:
+        raise FormatError(f"declared item count {count} exceeds encoding cap")
+    return count
 
-    Every read checks bounds and raises FormatError on truncation;
-    finish() rejects trailing bytes, so decode(encode(x)) = x is the only
-    way through.
-    """
 
-    def __init__(self, data: bytes):
-        self._data = data
-        # Index of the next unread byte.
-        self.offset = 0
+def read_script(data: bytes, offset: int) -> tuple[Script, int]:
+    """Strictly decode the script written at `offset`; return it with the
+    offset just past it. Raises FormatError on truncation, a count or
+    length over its cap, or an unknown opcode tag.
 
-    def read(self, n: int) -> bytes:
-        offset = self.offset
-        if n < 0 or offset + n > len(self._data):
-            raise FormatError(f"truncated input: wanted {n} bytes at offset {offset}")
-        self.offset = offset + n
-        return self._data[offset : offset + n]
-
-    def u8(self) -> int:
-        return self.read(1)[0]
-
-    def u32(self) -> int:
-        return int.from_bytes(self.read(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.read(8), "big")
-
-    def varbytes(self) -> bytes:
-        length = self.u32()
-        if length > MAX_FIELD_BYTES:
-            raise FormatError(f"declared field length {length} exceeds encoding cap")
-        return self.read(length)
-
-    def count(self) -> int:
-        n = self.u32()
-        if n > MAX_ITEM_COUNT:
-            raise FormatError(f"declared item count {n} exceeds encoding cap")
-        return n
-
-    def script(self) -> Script:
-        ops = []
-        for _ in range(self.count()):
-            wire = self.u8()
+    A field cut short by the end of `data` reads as fewer bytes, but the
+    offset advances by the field's full width, so it ends past the end."""
+    at = offset + 4
+    ops = []
+    try:
+        for _ in range(item_count(data[offset:at])):
+            wire = data[at]
+            at += 1
             op = _WIRE_BARE_OP.get(wire)
             if op is None:
                 if wire != _PUSH_WIRE:
                     raise FormatError(f"unknown opcode tag {wire}")
-                op = Op(Opcode.PUSH, self.varbytes())
+                start = at + 4
+                length = int.from_bytes(data[at:start], "big")
+                if length > MAX_FIELD_BYTES:
+                    raise FormatError(f"declared field length {length} exceeds encoding cap")
+                at = start + length
+                op = Op(Opcode.PUSH, data[start:at])
             ops.append(op)
-        return tuple(ops)
-
-    def expect(self, magic: bytes) -> None:
-        got = self.read(len(magic))
-        if got != magic:
-            raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
-
-    def finish(self) -> None:
-        if self.offset != len(self._data):
-            raise FormatError(
-                f"{len(self._data) - self.offset} trailing bytes after decode"
-            )
+    except IndexError:
+        raise FormatError(f"truncated input: a script op at offset {at}") from None
+    if at > len(data):
+        raise FormatError(f"truncated input: the script at offset {offset}")
+    return tuple(ops), at
 
 
 def canonical_json(obj: Any) -> str:

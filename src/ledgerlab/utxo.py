@@ -46,6 +46,12 @@ fork, the states of one family must be used from one thread at a time.
 A replay or audit from genesis, whose intermediate states never escape,
 keeps no journal; the state a replay returns journals what follows it.
 
+An outpoint, `UtxoId`, is a named tuple `(txid, index)`, so the set and
+dict work every phase does on outpoints hashes, compares and orders them
+in C, with the hash and order a `(txid, index)` tuple has. Being a
+tuple, it equals a plain tuple of the same two fields, and `json.dumps`
+writes it as a list: reports name an outpoint by `render()`.
+
 Transactions and outputs are frozen, and each memoizes bytes derived
 from its fields in slots that are not dataclass fields, so equality,
 hashing, replace(), asdict(), copies and pickles never see them:
@@ -67,12 +73,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 from .crypto import Amount, CryptoScheme, KeyPair, Wallet, check_amount, digest
-from .encoding import Reader, encode_script, u8, u32, u64, varbytes
+from .encoding import MAX_FIELD_BYTES, item_count, read_script, varbytes, write_script
 from .errors import AuthError, FormatError, NotFoundError, TxRejected
 from .scripts import (
     ExecutionContext,
@@ -111,8 +117,7 @@ REASON_DUPLICATE_TXID = "duplicate-txid"
 REASON_UNKNOWN_KIND = "unknown-kind"
 
 
-@dataclass(frozen=True, order=True)
-class UtxoId:
+class UtxoId(NamedTuple):
     """An outpoint: which transaction, which output position."""
 
     txid: bytes
@@ -131,7 +136,7 @@ class UtxoId:
             raise FormatError(f"bad outpoint {text!r}") from exc
         if len(txid) != TXID_BYTES or index < 0:
             raise FormatError(f"bad outpoint {text!r}")
-        return UtxoId(txid=txid, index=index)
+        return UtxoId(txid, index)
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,7 @@ def _advance(state: Chainstate, tx: UtxoTx, txid: bytes) -> Chainstate:
             spent[outpoint] = None
             undo += (outpoint, _SPENT)
     for index, tx_out in enumerate(tx.outputs):
-        outpoint = UtxoId(txid=txid, index=index)
+        outpoint = UtxoId(txid, index)
         undo += (outpoint, active.get(outpoint))
         active[outpoint] = tx_out
     ledger.log.append(tx)
@@ -306,62 +311,79 @@ def _check_value(value: int) -> int:
     return value
 
 
+# An empty script or signature field: a zero u32 length.
+_EMPTY_FIELD = bytes(4)
+_KIND_TAG = {"normal": b"\x00", "coinbase": b"\x01"}
+# The magic, the kind tag and the input count.
+_HEAD = len(_MAGIC) + 5
+
+
 def encode_utxo_tx(tx: UtxoTx, *, for_signing: bool = False) -> bytes:
     """Canonical bytes; with for_signing=True every unlocking script and
     the issuer signature are replaced by empty fields."""
-    if tx.kind not in ("normal", "coinbase"):
+    kind_tag = _KIND_TAG.get(tx.kind)
+    if kind_tag is None:
         raise FormatError(f"unknown tx kind {tx.kind!r}")
-    parts = [_MAGIC, u8(1 if tx.kind == "coinbase" else 0), u32(len(tx.inputs))]
+    parts = [_MAGIC, kind_tag, len(tx.inputs).to_bytes(4, "big")]
     for tx_in in tx.inputs:
-        if len(tx_in.outpoint.txid) != TXID_BYTES:
+        txid, index = tx_in.outpoint
+        if len(txid) != TXID_BYTES:
             raise FormatError("outpoint txid must be 32 bytes")
-        parts.append(tx_in.outpoint.txid)
-        parts.append(u32(tx_in.outpoint.index))
-        parts.append(encode_script(() if for_signing else tx_in.unlocking))
-    parts.append(u32(len(tx.outputs)))
+        if not 0 <= index < 1 << 32:
+            raise FormatError(f"outpoint index {index} is outside the u32 range")
+        parts += (txid, index.to_bytes(4, "big"))
+        if for_signing:
+            parts.append(_EMPTY_FIELD)
+        else:
+            write_script(parts, tx_in.unlocking)
+    parts.append(len(tx.outputs).to_bytes(4, "big"))
     for tx_out in tx.outputs:
-        parts.append(u64(_check_value(tx_out.value)))
-        parts.append(encode_script(tx_out.locking))
-    parts.append(varbytes(b"" if for_signing else tx.issuer_signature))
+        parts.append(_check_value(tx_out.value).to_bytes(8, "big"))
+        write_script(parts, tx_out.locking)
+    parts.append(_EMPTY_FIELD if for_signing else varbytes(tx.issuer_signature))
     return b"".join(parts)
 
 
-# An empty script or signature field: a zero u32 length.
-_EMPTY_FIELD = bytes(4)
-
-
 def decode_utxo_tx(data: bytes) -> UtxoTx:
-    """Strictly decode canonical bytes. The decoded tx carries its txid
-    and signing payload, both derived from `data` (see the module doc)."""
-    reader = Reader(data)
-    reader.expect(_MAGIC)
-    kind_tag = reader.u8()
-    if kind_tag not in (0, 1):
-        raise FormatError(f"bad tx kind tag {kind_tag}")
+    """Strictly decode canonical bytes in one pass (a field cut short
+    leaves the offset past the end, which a later check refuses). The
+    decoded tx carries its txid and signing payload, both derived from
+    `data` (see the module doc)."""
+    if len(data) < _HEAD:
+        raise FormatError(f"truncated input: {len(data)} bytes")
+    if data[:4] != _MAGIC:
+        raise FormatError(f"bad magic: expected {_MAGIC!r}, got {data[:4]!r}")
+    if data[4] > 1:
+        raise FormatError(f"bad tx kind tag {data[4]}")
     # The signing payload is `data` with an empty field spliced over every
     # unlocking script and over the issuer signature.
     payload = []
     kept = 0
     inputs = []
-    for _ in range(reader.count()):
-        outpoint = UtxoId(txid=reader.read(TXID_BYTES), index=reader.u32())
-        payload += (data[kept : reader.offset], _EMPTY_FIELD)
-        unlocking = reader.script()
-        kept = reader.offset
-        inputs.append(TxInput(outpoint=outpoint, unlocking=unlocking))
-    outputs = [
-        TxOutput(value=reader.u64(), locking=reader.script())
-        for _ in range(reader.count())
-    ]
-    payload += (data[kept : reader.offset], _EMPTY_FIELD)
-    issuer_signature = reader.varbytes()
-    reader.finish()
-    tx = UtxoTx(
-        kind="coinbase" if kind_tag else "normal",
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        issuer_signature=issuer_signature,
-    )
+    at = _HEAD
+    for _ in range(item_count(data[_HEAD - 4 : _HEAD])):
+        start, at = at, at + TXID_BYTES + 4
+        outpoint = UtxoId(data[start : at - 4], int.from_bytes(data[at - 4 : at], "big"))
+        payload += (data[kept:at], _EMPTY_FIELD)
+        unlocking, at = read_script(data, at)
+        kept = at
+        inputs.append(TxInput(outpoint, unlocking))
+    outputs = []
+    at += 4
+    for _ in range(item_count(data[at - 4 : at])):
+        value = int.from_bytes(data[at : at + 8], "big")
+        locking, at = read_script(data, at + 8)
+        outputs.append(TxOutput(value, locking))
+    payload += (data[kept:at], _EMPTY_FIELD)
+    length = int.from_bytes(data[at : at + 4], "big")
+    if length > MAX_FIELD_BYTES:
+        raise FormatError(f"declared field length {length} exceeds encoding cap")
+    at += 4
+    if at + length != len(data):
+        if at + length > len(data):
+            raise FormatError(f"truncated input: the issuer signature at offset {at}")
+        raise FormatError(f"{len(data) - at - length} trailing bytes after decode")
+    tx = UtxoTx("coinbase" if data[4] else "normal", tuple(inputs), tuple(outputs), data[at:])
     object.__setattr__(tx, "_txid", digest(data))
     object.__setattr__(tx, "_payload", b"".join(payload))
     return tx
@@ -468,12 +490,8 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
         if not state.allow_p2h and classify(tx_out.locking) == "p2h":
             if REASON_P2H_DISABLED not in reasons:
                 reasons.append(REASON_P2H_DISABLED)
-    seen: set[UtxoId] = set()
-    for tx_in in tx.inputs:
-        if tx_in.outpoint in seen:
-            if REASON_DUPLICATE_INPUT not in reasons:
-                reasons.append(REASON_DUPLICATE_INPUT)
-        seen.add(tx_in.outpoint)
+    if len({tx_in.outpoint for tx_in in tx.inputs}) < len(tx.inputs):
+        reasons.append(REASON_DUPLICATE_INPUT)
     encodable = known_kind and in_range and all(_on_wire(tx_in.outpoint) for tx_in in tx.inputs)
 
     # Issuer gate for minting; ordinary transfers must not carry the field.
@@ -499,7 +517,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     # transaction created an output 0, active or spent since.
     ledger = _own(state)
     if not tx.inputs and encodable:
-        first = UtxoId(txid=txid_of(tx), index=0)
+        first = UtxoId(txid_of(tx), 0)
         if first in ledger.active or first in ledger.spent:
             reasons.append(REASON_DUPLICATE_TXID)
 
@@ -543,9 +561,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     total_out: Amount | None = None
     if in_range:
         total_out = sum(o.value for o in tx.outputs)
-    if tx.kind == "normal" and all_present and not any(
-        r == REASON_DUPLICATE_INPUT for r in reasons
-    ):
+    if tx.kind == "normal" and all_present and REASON_DUPLICATE_INPUT not in reasons:
         total_in = sum(ledger.active[tx_in.outpoint].value for tx_in in tx.inputs)
         if total_out is not None and total_in != total_out:
             reasons.append(REASON_CONSERVATION)
@@ -623,7 +639,7 @@ def make_coinbase(
     )
     payload = utxo_signing_payload(unsigned)
     signature = scheme.sign(issuer.private_key, payload)
-    return _signed(replace(unsigned, issuer_signature=signature), payload)
+    return _signed(UtxoTx("coinbase", (), unsigned.outputs, signature), payload)
 
 
 def coinbase_issue(
@@ -660,21 +676,18 @@ def make_spend(
     covers every input), pay-to-hash inputs take their preimage from
     `preimages`.
     """
+    active = _own(state).active
     for outpoint in outpoints:
-        if outpoint not in state.active:
+        if outpoint not in active:
             raise NotFoundError(f"outpoint {outpoint.render()} is not active")
     unsigned = UtxoTx(
-        kind="normal",
-        inputs=tuple(TxInput(outpoint=op, unlocking=()) for op in outpoints),
-        outputs=tuple(outputs),
-        issuer_signature=b"",
+        "normal", tuple(TxInput(outpoint, ()) for outpoint in outpoints), tuple(outputs)
     )
     payload = utxo_signing_payload(unsigned)
     signature = scheme.sign(signer.private_key, payload) if signer is not None else None
     inputs = []
     for outpoint in outpoints:
-        locking = state.active[outpoint].locking
-        template = classify(locking)
+        template = classify(active[outpoint].locking)
         if template == "p2pkh":
             if signer is None:
                 raise AuthError(
@@ -691,8 +704,8 @@ def make_spend(
             raise FormatError(
                 f"outpoint {outpoint.render()} has an unrecognized locking template"
             )
-        inputs.append(TxInput(outpoint=outpoint, unlocking=unlocking))
-    return _signed(replace(unsigned, inputs=tuple(inputs)), payload)
+        inputs.append(TxInput(outpoint, unlocking))
+    return _signed(UtxoTx("normal", tuple(inputs), unsigned.outputs), payload)
 
 
 def split_payment(
@@ -710,9 +723,10 @@ def split_payment(
     An exact-value payment degenerates to a single payee output.
     """
     check_amount(amount)
-    if outpoint not in state.active:
+    entry = _own(state).active.get(outpoint)
+    if entry is None:
         raise NotFoundError(f"outpoint {outpoint.render()} is not active")
-    held = state.active[outpoint].value
+    held = entry.value
     if amount == 0 or amount > held:
         raise FormatError(f"cannot pay {amount} from an outpoint holding {held}")
     outputs = [TxOutput(value=amount, locking=payee_locking)]
@@ -737,11 +751,11 @@ def merge_payment(
     """Combine several outpoints into one output carrying their total."""
     if len(outpoints) < 2:
         raise FormatError("merging needs at least two outpoints")
-    total = 0
+    active = _own(state).active
     for outpoint in outpoints:
-        if outpoint not in state.active:
+        if outpoint not in active:
             raise NotFoundError(f"outpoint {outpoint.render()} is not active")
-        total += state.active[outpoint].value
+    total = sum(active[outpoint].value for outpoint in outpoints)
     outputs = [TxOutput(value=total, locking=payee_locking)]
     return make_spend(scheme, state, outpoints, outputs, signer=wallet)
 
@@ -763,9 +777,7 @@ def chainstate_snapshot(state: Chainstate) -> dict:
                 "value": entry.value,
                 "locking": script_to_text(entry.locking),
             }
-            for outpoint, entry in sorted(
-                active.items(), key=lambda kv: (kv[0].txid, kv[0].index)
-            )
+            for outpoint, entry in sorted(active.items())
         },
     }
 

@@ -5,7 +5,10 @@ import itertools
 
 import pytest
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from conftest import read_vector_file
 from ledgerlab import crypto
 from ledgerlab.crypto import (
     _RSA_EXPONENT,
+    _TAG_ED_PRV,
     _TAG_ED_PUB,
     _TAG_RSA_PRV,
     _TAG_RSA_PUB,
@@ -193,6 +197,16 @@ def test_real_scheme_sign_verify(real):
     assert not real.verify(pair.public_key, b"hellp", signature)
     other = real.keygen(b"ed-other")
     assert not real.verify(other.public_key, b"hello", signature)
+
+
+def test_an_ed25519_key_is_loaded_once_and_signs_like_a_fresh_one(real):
+    pair = real.keygen(b"ed-load-once")
+    raw = pair.private_key[len(_TAG_ED_PRV):]
+    misses = crypto._load_ed25519_private.cache_info().misses
+    signatures = [real.sign(pair.private_key, message) for message in (b"a", b"b", b"a")]
+    assert crypto._load_ed25519_private.cache_info().misses == misses + 1
+    fresh = Ed25519PrivateKey.from_private_bytes(raw)
+    assert signatures == [fresh.sign(b"a"), fresh.sign(b"b"), fresh.sign(b"a")]
 
 
 def test_real_scheme_rejects_undecodable_key(real):

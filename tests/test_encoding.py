@@ -16,14 +16,15 @@ from ledgerlab.accounts import (
 from ledgerlab.crypto import digest
 from ledgerlab.encoding import (
     MAX_FIELD_BYTES,
-    Reader,
+    MAX_ITEM_COUNT,
     canonical_json,
-    encode_script,
     parse_json,
+    read_script,
     u8,
     u32,
     u64,
     varbytes,
+    write_script,
 )
 from ledgerlab.errors import FormatError
 from ledgerlab.scripts import BARE_OPS, Op, Opcode, compile_p2h, compile_p2pkh, push
@@ -62,42 +63,103 @@ def test_u64_rejects_values_past_64_bits():
             u64(value)
 
 
+def wire(script):
+    parts = []
+    write_script(parts, script)
+    return b"".join(parts)
+
+
+def coinbase_bytes(issuer_signature):
+    tx = UtxoTx("coinbase", (), (TxOutput(9, compile_p2h(digest(b"x"))),), issuer_signature)
+    return encode_utxo_tx(tx)
+
+
 def test_varbytes_roundtrip_and_cap():
     data = b"\x00\x01\x02"
-    reader = Reader(varbytes(data))
-    assert reader.varbytes() == data
-    reader.finish()
+    assert varbytes(data) == u32(3) + data
+    # A PUSH operand and the issuer signature are both varbytes fields.
+    assert read_script(wire((push(data),)), 0) == ((push(data),), 12)
+    assert decode_utxo_tx(coinbase_bytes(data)).issuer_signature == data
     with pytest.raises(FormatError):
         varbytes(b"\x00" * (MAX_FIELD_BYTES + 1))
+    with pytest.raises(FormatError, match="exceeds encoding cap"):
+        write_script([], (push(b"\x00" * (MAX_FIELD_BYTES + 1)),))
+    over_cap = u32(MAX_FIELD_BYTES + 1)
+    with pytest.raises(FormatError, match="exceeds encoding cap"):
+        read_script(u32(1) + u8(0) + over_cap, 0)
+    raw = coinbase_bytes(b"")
+    with pytest.raises(FormatError, match="exceeds encoding cap"):
+        decode_utxo_tx(raw[:-4] + over_cap)
+    with pytest.raises(FormatError, match="exceeds encoding cap"):
+        read_script(u32(MAX_ITEM_COUNT + 1), 0)
 
 
 def test_reader_is_strict():
-    reader = Reader(b"\x00\x01")
+    raw = coinbase_bytes(b"ab")
     with pytest.raises(FormatError):
-        reader.read(3)  # truncated
-    reader = Reader(b"\x00\x00\x00\x05ab")  # declares 5 bytes, carries 2
+        decode_utxo_tx(raw[:2])  # truncated
     with pytest.raises(FormatError):
-        reader.varbytes()
-    reader = Reader(b"abcx")
-    reader.expect(b"abc")
+        decode_utxo_tx(raw[:-6] + u32(5) + b"ab")  # declares 5 bytes, carries 2
     with pytest.raises(FormatError):
-        reader.finish()  # trailing byte
-    reader = Reader(b"abc")
+        read_script(u32(1) + u8(0) + u32(5) + b"ab", 0)
     with pytest.raises(FormatError):
-        reader.expect(b"abd")
+        read_script(u32(2) + u8(1), 0)  # the second tag is missing
+    with pytest.raises(FormatError):
+        read_script(b"\x00\x00\x01", 0)  # a count of three bytes
+    with pytest.raises(FormatError, match="trailing"):
+        decode_utxo_tx(raw + b"x")  # trailing byte
+    with pytest.raises(FormatError, match="bad magic"):
+        decode_utxo_tx(b"UTX2" + raw[4:])
 
 
 def test_script_wire_roundtrip():
     script = compile_p2pkh(digest(b"key")) + (push(b""),)
-    reader = Reader(encode_script(script))
-    assert reader.script() == script
-    reader.finish()
+    data = wire(script)
+    assert read_script(data, 0) == (script, len(data))
+    # The reader starts at any offset and stops where the script ends.
+    assert read_script(b"pad" + data + b"tail", 3) == (script, 3 + len(data))
+    assert read_script(wire(()), 0) == ((), 4)
 
 
 def test_script_wire_rejects_unknown_opcode():
-    reader = Reader(u32(1) + u8(9))
-    with pytest.raises(FormatError):
-        reader.script()
+    with pytest.raises(FormatError, match="unknown opcode tag 9"):
+        read_script(u32(1) + u8(9), 0)
+    tx = sample_utxo_tx()
+    raw = encode_utxo_tx(tx)
+    # The first input's unlocking script starts after the magic, the kind,
+    # the input count, the txid and the index.
+    tag_at = 4 + 1 + 4 + 32 + 4 + 4
+    assert raw[tag_at] == 0
+    with pytest.raises(FormatError, match="unknown opcode tag 9"):
+        decode_utxo_tx(raw[:tag_at] + u8(9) + raw[tag_at + 1 :])
+
+
+def test_off_wire_outpoint_index_is_a_format_error():
+    for index in (-1, 2**32, 2**64):
+        outpoint = UtxoId(digest(b"parent"), index)
+        tx = UtxoTx("normal", (TxInput(outpoint, ()),), (TxOutput(1, compile_p2h(digest(b"a"))),))
+        for encode in (encode_utxo_tx, txid_of, utxo_signing_payload):
+            with pytest.raises(FormatError, match="u32 range"):
+                encode(tx)
+    edge = UtxoTx("normal", (TxInput(UtxoId(digest(b"p"), 2**32 - 1), ()),), ())
+    assert decode_utxo_tx(encode_utxo_tx(edge)).inputs[0].outpoint.index == 2**32 - 1
+
+
+def test_utxo_id_is_a_tuple_of_txid_and_index():
+    txid = digest(b"t")
+    two, ten = UtxoId(txid, 2), UtxoId(txid=txid, index=10)
+    assert hash(two) == hash((txid, 2))
+    assert two == (txid, 2) and ten.txid == txid and ten.index == 10
+    assert sorted([ten, two]) == [two, ten]
+    assert sorted([UtxoId(digest(b"u"), 0), ten]) == sorted(
+        [UtxoId(digest(b"u"), 0), ten], key=lambda o: (o.txid, o.index)
+    )
+    with pytest.raises(AttributeError):
+        two.index = 3  # type: ignore[misc]
+    assert UtxoId.parse(ten.render()) == ten and ten.render() == txid.hex() + ":10"
+    tx = UtxoTx("normal", (TxInput(ten, (push(b"s"),)),), (TxOutput(1, ()),))
+    assert dataclasses.asdict(tx)["inputs"][0]["outpoint"] == ten
+    assert repr(two) == f"UtxoId(txid={txid!r}, index=2)"
 
 
 def test_canonical_json_stability():

@@ -17,6 +17,13 @@ sides again alternating, and its wall time and the CPU time (user plus
 system) of the child process are each summarized like a metric. CPU time
 is less exposed than wall time to other load on a shared machine.
 
+The `layers` leg comes after the workloads: five alternating pairs of
+runs of this script with `--measure-layers` in each export, with that
+export's `src/` on PYTHONPATH, so one measuring code times both sides'
+public functions on the same fixed inputs (see `measure_layers`). Each
+run prints the per-call microseconds of every layer, and each layer is
+summarized like a metric.
+
 The file written at the repository root holds the commits (with the tree
 ids of their `src/`, and the newline count of their `src/**/*.py` as
 `wc -l` gives it), the change's net `src/` line delta, the environment,
@@ -46,6 +53,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_RUNS = 5
+LAYER_RUNS = 5
+# Transactions in the layers leg's split chain, and passes over each input
+# (the fastest pass counts, as timeit advises).
+LAYER_TXS = 400
+LAYER_PASSES = 5
 
 
 def git(*args: str) -> str:
@@ -131,6 +143,98 @@ def run_tier1(checkout: Path) -> dict:
     }
 
 
+def measure_layers() -> dict[str, float]:
+    """Per-call microseconds of each layer on fixed inputs, timed in this
+    process on the ledgerlab that PYTHONPATH names, through public
+    functions only.
+
+    A toy split chain of LAYER_TXS payments is built from one coinbase;
+    each step times `split_payment`, then `utxo_validate` of the new
+    transaction (its signature not yet verified, so the verify cache is
+    cold) and `utxo_apply` (warm, right after that check). Every pass pays
+    other amounts, so each pass signs and verifies anew. The chain's log
+    then times `encode_utxo_tx`, `decode_utxo_tx` of its bytes and
+    `txid_of` on fresh copies that carry no memo, and its final state
+    `canonical_json` of its snapshot and `replica.state_digest`. Sign and
+    verify run in both crypto modes on messages no pass has signed: each
+    signature is verified once with a cold cache, then once warm.
+    """
+    from ledgerlab import crypto, encoding, replica, utxo
+
+    now = time.perf_counter
+    best: dict[str, float] = {}
+
+    def record(name: str, seconds: float, calls: int) -> None:
+        best[name] = min(best.get(name, float("inf")), 1e6 * seconds / calls)
+
+    def timed(name: str, fn, items) -> list:
+        start = now()
+        results = [fn(item) for item in items]
+        record(name, now() - start, len(items))
+        return results
+
+    toy = crypto.get_scheme("toy")
+    issuer = toy.keygen(b"layers-issuer")
+    payer = crypto.derive_wallet(toy, "layers-payer")
+    payee = utxo.lock_to_wallet(crypto.derive_wallet(toy, "layers-payee"))
+    coinbase = utxo.make_coinbase(toy, issuer, [(1 << 40, utxo.lock_to_wallet(payer))])
+    for run in range(LAYER_PASSES):
+        state = utxo.replay_log([coinbase], issuer.public_key, toy)
+        outpoint = utxo.UtxoId(utxo.txid_of(coinbase), 0)
+        spent = {"utxo.split_payment": 0.0, "utxo.utxo_validate": 0.0, "utxo.utxo_apply": 0.0}
+        for step in range(LAYER_TXS):
+            t0 = now()
+            tx = utxo.split_payment(toy, state, payer, outpoint, 1 + (step + run) % 97, payee)
+            t1 = now()
+            if not utxo.utxo_validate(state, tx, toy).valid:
+                raise RuntimeError("a layers-leg split payment failed validation")
+            t2 = now()
+            state = utxo.utxo_apply(state, tx, toy)
+            spent["utxo.split_payment"] += t1 - t0
+            spent["utxo.utxo_validate"] += t2 - t1
+            spent["utxo.utxo_apply"] += now() - t2
+            outpoint = utxo.UtxoId(utxo.txid_of(tx), 1)
+        for name, seconds in spent.items():
+            record(name, seconds, LAYER_TXS)
+        log = state.log
+        raws = timed("utxo.encode_utxo_tx", utxo.encode_utxo_tx, log)
+        timed("utxo.decode_utxo_tx", utxo.decode_utxo_tx, raws)
+        fresh = [utxo.UtxoTx(tx.kind, tx.inputs, tx.outputs, tx.issuer_signature) for tx in log]
+        timed("utxo.txid_of", utxo.txid_of, fresh)
+        snapshot = utxo.chainstate_snapshot(state)
+        timed("encoding.canonical_json", encoding.canonical_json, [snapshot] * 3)
+        timed("replica.state_digest", replica.state_digest, [state] * 3)
+        for mode in ("toy", "real"):
+            scheme = crypto.get_scheme(mode)
+            pair = scheme.keygen(b"layers-signer:" + mode.encode())
+            messages = [b"layers:%d:%d" % (run, i) for i in range(LAYER_TXS)]
+            signed = timed(f"crypto.{mode}.sign", lambda m: scheme.sign(pair.private_key, m), messages)
+            checks = list(zip(messages, signed))
+            for cache in ("cold", "warm"):
+                valid = timed(
+                    f"crypto.{mode}.verify_{cache}",
+                    lambda check: scheme.verify(pair.public_key, *check), checks,
+                )
+                if not all(valid):
+                    raise RuntimeError(f"a layers-leg {mode} signature did not verify")
+    return best
+
+
+def run_layers(checkout: Path) -> dict:
+    """One `measure_layers` run against `checkout`'s own src/."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--measure-layers"],
+        cwd=checkout, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    run = {"exit": proc.returncode}
+    try:
+        run["metrics"] = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        run["error"] = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+    return run
+
+
 def run_ok(run: dict) -> bool:
     return (
         run["exit"] == 0 and "error" not in run
@@ -184,6 +288,9 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
+    if argv is None and sys.argv[1:] == ["--measure-layers"]:
+        print(json.dumps(measure_layers(), sort_keys=True))
+        return 0
     args = parse_args(argv)
     doc = {
         "label": args.label,
@@ -230,6 +337,20 @@ def main(argv=None) -> int:
                     for side in ("base", "change")
                 },
             }
+        layers = []
+        for i in range(LAYER_RUNS):
+            pair = {}
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                pair[side] = run_layers(sides[side])
+                print(f"layers {side}: {pair[side].get('error', 'ok')}", file=sys.stderr, flush=True)
+            layers.append(pair)
+        names = sorted({name for pair in layers for run in pair.values()
+                        for name in run.get("metrics", {})})
+        doc["layers"] = {
+            "unit": "us per call",
+            "runs": layers,
+            "summary": summarize(layers, dict.fromkeys(names, "lower")),
+        }
         tier1 = []
         for i in range(TIER1_RUNS):
             pair = {}
@@ -251,7 +372,8 @@ def main(argv=None) -> int:
         envs = [run["env"] for run in runs if "env" in run]
         doc["env"] = dict(envs[0] if envs else {}, platform=platform.platform(), cpu=cpu_model())
     doc["all_runs_ok"] = all(run_ok(run) for run in runs) and all(
-        pair[side]["exit"] == 0 for pair in tier1 for side in pair
+        pair[side]["exit"] == 0 and "error" not in pair[side]
+        for pair in tier1 + layers for side in pair
     )
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
