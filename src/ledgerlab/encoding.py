@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .scripts import BARE_OPS, Op, Opcode, Script
+from .scripts import BARE_OPS, Opcode, Script, push
 
 # Caps keep hostile or fuzzed input from requesting absurd allocations.
 MAX_FIELD_BYTES = 1 << 24
@@ -109,7 +109,7 @@ def read_script(data: bytes, offset: int) -> tuple[Script, int]:
                 if length > MAX_FIELD_BYTES:
                     raise FormatError(f"declared field length {length} exceeds encoding cap")
                 at = start + length
-                op = Op(Opcode.PUSH, data[start:at])
+                op = push(data[start:at])
             ops.append(op)
     except IndexError:
         raise FormatError(f"truncated input: a script op at offset {at}") from None

@@ -44,6 +44,13 @@ class Opcode(enum.Enum):
     CHECKSIG = "CHECKSIG"
 
 
+# Bound once: reading a member off an Enum class runs Python code.
+_PUSH, _DUP, _HASH = Opcode.PUSH, Opcode.DUP, Opcode.HASH
+_EQUAL, _EQUALVERIFY, _CHECKSIG = Opcode.EQUAL, Opcode.EQUALVERIFY, Opcode.CHECKSIG
+_P2PKH = (_DUP, _HASH, _PUSH, _EQUALVERIFY, _CHECKSIG)
+_P2H = (_HASH, _PUSH, _EQUAL)
+
+
 @dataclass(frozen=True)
 class Op:
     """One instruction; only PUSH carries an operand."""
@@ -52,7 +59,7 @@ class Op:
     operand: bytes | None = None
 
     def __post_init__(self) -> None:
-        if self.opcode is Opcode.PUSH:
+        if self.opcode is _PUSH:
             if self.operand is None:
                 raise FormatError("PUSH requires an operand")
         elif self.operand is not None:
@@ -67,11 +74,11 @@ FALSE_BYTES = b""
 
 
 # One shared instance per operand-free instruction; Op is frozen.
-BARE_OPS = {opcode: Op(opcode) for opcode in Opcode if opcode is not Opcode.PUSH}
+BARE_OPS = {opcode: Op(opcode) for opcode in Opcode if opcode is not _PUSH}
 
 
 def push(data: bytes) -> Op:
-    return Op(Opcode.PUSH, bytes(data))
+    return Op(_PUSH, bytes(data))
 
 
 def is_truthy(item: bytes) -> bool:
@@ -115,17 +122,10 @@ def p2h_unlocking(preimage: bytes) -> Script:
 
 def classify(locking: Script) -> str:
     """Name the template a locking script instantiates, if any."""
-    if (
-        len(locking) == 5
-        and tuple(op.opcode for op in locking)
-        == (Opcode.DUP, Opcode.HASH, Opcode.PUSH, Opcode.EQUALVERIFY, Opcode.CHECKSIG)
-    ):
+    shape = tuple(op.opcode for op in locking)
+    if shape == _P2PKH:
         return "p2pkh"
-    if len(locking) == 3 and tuple(op.opcode for op in locking) == (
-        Opcode.HASH,
-        Opcode.PUSH,
-        Opcode.EQUAL,
-    ):
+    if shape == _P2H:
         return "p2h"
     return "other"
 
@@ -163,28 +163,29 @@ FAULT_CHECKSIG_MALFORMED = "checksig-malformed"
 def _run(ops: Script, stack: list[bytes], ctx: ExecutionContext) -> str | None:
     """Execute ops against the stack in place; return a fault name or None."""
     for op in ops:
-        if op.opcode is Opcode.PUSH:
+        opcode = op.opcode
+        if opcode is _PUSH:
             stack.append(op.operand)  # type: ignore[arg-type]
-        elif op.opcode is Opcode.DUP:
+        elif opcode is _DUP:
             if not stack:
                 return FAULT_STACK_UNDERFLOW
             stack.append(stack[-1])
-        elif op.opcode is Opcode.HASH:
+        elif opcode is _HASH:
             if not stack:
                 return FAULT_STACK_UNDERFLOW
             stack.append(_digest(stack.pop()))
-        elif op.opcode is Opcode.EQUAL:
+        elif opcode is _EQUAL:
             if len(stack) < 2:
                 return FAULT_STACK_UNDERFLOW
             a, b = stack.pop(), stack.pop()
             stack.append(TRUE_BYTES if a == b else FALSE_BYTES)
-        elif op.opcode is Opcode.EQUALVERIFY:
+        elif opcode is _EQUALVERIFY:
             if len(stack) < 2:
                 return FAULT_STACK_UNDERFLOW
             a, b = stack.pop(), stack.pop()
             if a != b:
                 return FAULT_EQUALVERIFY
-        elif op.opcode is Opcode.CHECKSIG:
+        elif opcode is _CHECKSIG:
             if len(stack) < 2:
                 return FAULT_STACK_UNDERFLOW
             public_key = stack.pop()
@@ -208,7 +209,7 @@ def execute(unlocking: Script, locking: Script, ctx: ExecutionContext) -> ExecRe
     Pure function of its inputs.
     """
     for op in unlocking:
-        if op.opcode is not Opcode.PUSH:
+        if op.opcode is not _PUSH:
             return ExecResult(ok=False, fault=FAULT_NON_PUSH_UNLOCKING)
     stack: list[bytes] = []
     fault = _run(unlocking, stack, ctx)
@@ -230,7 +231,7 @@ def script_to_text(script: Script) -> str:
     """Render a script in the fixture notation, e.g. `DUP HASH PUSH:ab12`."""
     parts = []
     for op in script:
-        if op.opcode is Opcode.PUSH:
+        if op.opcode is _PUSH:
             parts.append(f"PUSH:{op.operand.hex()}")  # type: ignore[union-attr]
         else:
             parts.append(op.opcode.value)
