@@ -32,11 +32,11 @@ mutable state and are safe for unrestricted concurrent use. The five
 module-level caches (generated keys, decoded RSA public keys, decoded
 RSA private keys with their CRT exponents, loaded Ed25519 private keys,
 and the digests of at most 2^16 signatures that verified) hold only
-results of pure functions, so a hit returns exactly what a
-recomputation would, and each cache is bounded. The verification cache keeps only valid results, so each valid
-signature is checked once per process whichever replica, replay or audit
-presents it; whether a spend is allowed is still decided by each caller's
-own state.
+results of pure functions, so a hit returns exactly what a recomputation
+would, and each cache is bounded. The verification cache keeps only
+valid results, so each valid signature is checked once per process
+whichever replica, replay or audit presents it; whether a spend is
+allowed is still decided by each caller's own state.
 """
 
 from __future__ import annotations
