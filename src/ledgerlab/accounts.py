@@ -225,4 +225,8 @@ def account_from_snapshot(doc: dict) -> AccountState:
         for key, value in mapping.items():
             if not isinstance(key, str) or isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise FormatError(f"malformed {label} entry {key!r}: {value!r}")
+    # A payer's nonce moves only with a debit, which writes its balance entry.
+    for key in nonces:
+        if key not in balances:
+            raise FormatError(f"nonce entry {key!r} has no balance entry")
     return AccountState(balances=dict(balances), nonces=dict(nonces))

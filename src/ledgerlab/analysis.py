@@ -703,7 +703,7 @@ _FRAUD_ROWS: dict[FraudScenario, list[tuple[str, FraudKernel]]] = {
 }
 
 
-def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
+def matrix_report(seed: int, scheme: CryptoScheme) -> dict:
     """Run every fraud scenario and traceability probe; assemble the matrix.
 
     The document's `rows` are the machine-checkable claims; `evidence`
@@ -711,7 +711,7 @@ def matrix_report(seed: int, scheme: CryptoScheme, *, replays: int = 2) -> dict:
     """
     fraud = {
         scenario: {
-            label: run_fraud_scenario(scenario, kernel, seed, scheme, replays=replays)
+            label: run_fraud_scenario(scenario, kernel, seed, scheme)
             for label, kernel in columns
         }
         for scenario, columns in _FRAUD_ROWS.items()

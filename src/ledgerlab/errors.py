@@ -49,11 +49,11 @@ class ConfigError(LedgerError):
 class TxRejected(LedgerError):
     """A transaction failed validation and was not applied.
 
-    Carries the validation report so callers can inspect why. The state
-    passed to the rejected apply is left untouched.
+    Always carries the validation report, so callers can inspect why. The
+    state passed to the rejected apply is left untouched.
     """
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 

@@ -49,8 +49,7 @@ class Kernel:
         try:
             return self.apply(state, entry, mode, scheme), {"accepted": True}
         except TxRejected as exc:
-            reasons = exc.report.reasons if exc.report is not None else ()
-            return state, {"accepted": False, "reasons": list(reasons)}
+            return state, {"accepted": False, "reasons": list(exc.report.reasons)}
         except LedgerError as exc:
             return state, {"accepted": False, "error": str(exc)}
 

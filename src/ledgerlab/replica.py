@@ -154,8 +154,7 @@ def settle_round(
                 replica.chainstate = utxo_apply(replica.chainstate, tx, scheme)
                 accepted.append(txid_hex)
             except TxRejected as exc:
-                reasons = exc.report.reasons if exc.report is not None else ()
-                rejected.append((txid_hex, tuple(reasons)))
+                rejected.append((txid_hex, exc.report.reasons))
         replica.mempool.clear()
         outcomes.append(
             ReplicaOutcome(

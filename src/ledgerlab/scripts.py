@@ -208,18 +208,16 @@ def execute(unlocking: Script, locking: Script, ctx: ExecutionContext) -> ExecRe
     key material, non-push unlocking op) yield FALSE with the fault named.
     Pure function of its inputs.
     """
+    stack: list[bytes] = []
     for op in unlocking:
         if op.opcode is not _PUSH:
-            return ExecResult(ok=False, fault=FAULT_NON_PUSH_UNLOCKING)
-    stack: list[bytes] = []
-    fault = _run(unlocking, stack, ctx)
-    if fault is None:
+            stack, fault = [], FAULT_NON_PUSH_UNLOCKING
+            break
+        stack.append(op.operand)  # type: ignore[arg-type]
+    else:
         fault = _run(locking, stack, ctx)
-    if fault is not None:
-        return ExecResult(ok=False, fault=fault, stack=tuple(stack))
-    if not stack or not is_truthy(stack[-1]):
-        return ExecResult(ok=False, fault=None, stack=tuple(stack))
-    return ExecResult(ok=True, fault=None, stack=tuple(stack))
+    ok = fault is None and bool(stack) and is_truthy(stack[-1])
+    return ExecResult(ok, fault, tuple(stack))
 
 
 # ---------------------------------------------------------------------------

@@ -464,40 +464,37 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     than normal or coinbase has no signing payload, so it gets no issuer
     check and runs no script: its inputs report presence only.
     """
-    reasons: list[str] = []
-    input_status: list[InputStatus] = []
+    # Insertion-ordered: each reason appears once, where it is first found.
+    reasons: dict[str, None] = {}
 
     # Structural checks, independent of chainstate.
     if tx.kind == "coinbase":
         if tx.inputs:
-            reasons.append(REASON_COINBASE_HAS_INPUTS)
+            reasons[REASON_COINBASE_HAS_INPUTS] = None
     elif not tx.inputs:
-        reasons.append(REASON_NO_INPUTS)
+        reasons[REASON_NO_INPUTS] = None
     known_kind = tx.kind in ("normal", "coinbase")
     if not known_kind:
-        reasons.append(REASON_UNKNOWN_KIND)
+        reasons[REASON_UNKNOWN_KIND] = None
     if not tx.outputs:
-        reasons.append(REASON_NO_OUTPUTS)
+        reasons[REASON_NO_OUTPUTS] = None
     in_range = True
     for tx_out in tx.outputs:
         if not _in_range(tx_out.value):
             in_range = False
-            if REASON_VALUE_RANGE not in reasons:
-                reasons.append(REASON_VALUE_RANGE)
+            reasons[REASON_VALUE_RANGE] = None
         elif tx_out.value == 0:
-            if REASON_ZERO_VALUE_OUTPUT not in reasons:
-                reasons.append(REASON_ZERO_VALUE_OUTPUT)
+            reasons[REASON_ZERO_VALUE_OUTPUT] = None
         if not state.allow_p2h and classify(tx_out.locking) == "p2h":
-            if REASON_P2H_DISABLED not in reasons:
-                reasons.append(REASON_P2H_DISABLED)
+            reasons[REASON_P2H_DISABLED] = None
     if len({tx_in.outpoint for tx_in in tx.inputs}) < len(tx.inputs):
-        reasons.append(REASON_DUPLICATE_INPUT)
+        reasons[REASON_DUPLICATE_INPUT] = None
     encodable = known_kind and in_range and all(_on_wire(tx_in.outpoint) for tx_in in tx.inputs)
 
     # Issuer gate for minting; ordinary transfers must not carry the field.
     if tx.kind == "coinbase":
         if not tx.issuer_signature:
-            reasons.append(REASON_MISSING_ISSUER_SIGNATURE)
+            reasons[REASON_MISSING_ISSUER_SIGNATURE] = None
         elif encodable:
             try:
                 issuer_ok = scheme.verify(
@@ -508,9 +505,9 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             except FormatError:
                 issuer_ok = False
             if not issuer_ok:
-                reasons.append(REASON_ISSUER_AUTH)
+                reasons[REASON_ISSUER_AUTH] = None
     elif tx.issuer_signature:
-        reasons.append(REASON_UNEXPECTED_ISSUER_SIGNATURE)
+        reasons[REASON_UNEXPECTED_ISSUER_SIGNATURE] = None
 
     # An input-free transaction has nothing a spend check could refuse, so
     # one already logged would re-create its outputs (BIP 30). Every logged
@@ -519,52 +516,37 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     if not tx.inputs and encodable:
         first = UtxoId(txid_of(tx), 0)
         if first in ledger.active or first in ledger.spent:
-            reasons.append(REASON_DUPLICATE_TXID)
+            reasons[REASON_DUPLICATE_TXID] = None
 
-    # Per-input presence and script checks against the active set.
+    # Per-input presence and script checks against the active set; the
+    # input total is known only while every input is present.
     payload = utxo_signing_payload(tx) if tx.inputs and encodable else b""
     ctx = ExecutionContext(signing_payload=payload, scheme=scheme)
-    all_present = True
+    input_status: list[InputStatus] = []
+    total_in: Amount | None = 0
     for tx_in in tx.inputs:
-        entry = ledger.active.get(tx_in.outpoint)
+        outpoint = tx_in.outpoint
+        entry = ledger.active.get(outpoint)
+        script_ok, fault = False, None
         if entry is None:
-            all_present = False
-            reason = (
-                REASON_SPENT_INPUT
-                if tx_in.outpoint in ledger.spent
-                else REASON_UNKNOWN_INPUT
-            )
-            if reason not in reasons:
-                reasons.append(reason)
-            input_status.append(
-                InputStatus(outpoint=tx_in.outpoint, present=False, script_ok=False)
-            )
-            continue
-        if not encodable:
-            input_status.append(InputStatus(tx_in.outpoint, present=True, script_ok=False))
-            continue
-        result = execute(tx_in.unlocking, entry.locking, ctx)
-        if not result.ok:
-            if REASON_BAD_SCRIPT not in reasons:
-                reasons.append(REASON_BAD_SCRIPT)
-        input_status.append(
-            InputStatus(
-                outpoint=tx_in.outpoint,
-                present=True,
-                script_ok=result.ok,
-                fault=result.fault,
-            )
-        )
+            total_in = None
+            reasons[REASON_SPENT_INPUT if outpoint in ledger.spent else REASON_UNKNOWN_INPUT] = None
+        else:
+            if total_in is not None:
+                total_in += entry.value
+            if encodable:
+                result = execute(tx_in.unlocking, entry.locking, ctx)
+                script_ok, fault = result.ok, result.fault
+                if not script_ok:
+                    reasons[REASON_BAD_SCRIPT] = None
+        input_status.append(InputStatus(outpoint, entry is not None, script_ok, fault))
 
     # Conservation, only meaningful when every input value is known.
-    total_in: Amount | None = None
-    total_out: Amount | None = None
-    if in_range:
-        total_out = sum(o.value for o in tx.outputs)
-    if tx.kind == "normal" and all_present and REASON_DUPLICATE_INPUT not in reasons:
-        total_in = sum(ledger.active[tx_in.outpoint].value for tx_in in tx.inputs)
-        if total_out is not None and total_in != total_out:
-            reasons.append(REASON_CONSERVATION)
+    total_out = sum(o.value for o in tx.outputs) if in_range else None
+    if tx.kind != "normal" or REASON_DUPLICATE_INPUT in reasons:
+        total_in = None
+    elif total_in is not None and total_out is not None and total_in != total_out:
+        reasons[REASON_CONSERVATION] = None
 
     return ValidationReport(
         valid=not reasons,
@@ -653,8 +635,7 @@ def coinbase_issue(
     try:
         return utxo_apply(state, tx, scheme)
     except TxRejected as exc:
-        report = exc.report
-        if report is not None and REASON_ISSUER_AUTH in report.reasons:
+        if REASON_ISSUER_AUTH in exc.report.reasons:
             raise AuthError("issuance not signed by the configured issuer key") from exc
         raise
 
@@ -715,8 +696,6 @@ def split_payment(
     outpoint: UtxoId,
     amount: Amount,
     payee_locking: Script,
-    *,
-    change_locking: Script | None = None,
 ) -> UtxoTx:
     """Pay a portion of one outpoint: payee output first, change second.
 
@@ -732,12 +711,7 @@ def split_payment(
     outputs = [TxOutput(value=amount, locking=payee_locking)]
     change = held - amount
     if change:
-        outputs.append(
-            TxOutput(
-                value=change,
-                locking=change_locking if change_locking is not None else lock_to_wallet(wallet),
-            )
-        )
+        outputs.append(TxOutput(value=change, locking=lock_to_wallet(wallet)))
     return make_spend(scheme, state, [outpoint], outputs, signer=wallet)
 
 

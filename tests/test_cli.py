@@ -365,6 +365,7 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         {"kernel": ["utxo"]},
         {"kernel": "token", "objects": {}, "authoritative": "no"},
         {"kernel": "token", "objects": {}, "authoritative": True},
+        {"kernel": "account", "balances": {"aa": 3}, "nonces": {"bb": 2}},
     ],
     ids=[
         "account-balances-list",
@@ -372,6 +373,7 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         "kernel-not-a-string",
         "token-authoritative-string",
         "token-authoritative-true",
+        "account-nonce-without-balance",
     ],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):

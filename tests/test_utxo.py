@@ -23,11 +23,13 @@ from ledgerlab.rng import SeededStream
 from ledgerlab.scripts import BARE_OPS, compile_p2h, push
 from ledgerlab.utxo import (
     Chainstate,
+    InputStatus,
     LogEntry,
     TxInput,
     TxOutput,
     UtxoId,
     UtxoTx,
+    ValidationReport,
     _advance,
     chainstate_snapshot,
     coinbase_issue,
@@ -250,6 +252,72 @@ def test_duplicate_outpoint_within_one_tx(toy, chain, wallets):
     report = utxo_validate(chain, doubled, toy)
     assert not report.valid
     assert any("duplicate" in reason for reason in report.reasons)
+
+
+def test_multi_fault_reports_are_pinned_whole(toy, issuer, chain, wallets):
+    """Each reason appears once, in the order first found; every input
+    gets one status; the input total is known only when every input is."""
+    alice, bob = wallets[0], wallets[1]
+    ghost = UtxoId(txid=digest(b"ghost"), index=0)
+    p2pkh = lock_to_wallet(bob)
+
+    gated = Chainstate.genesis(issuer.public_key, allow_p2h=False)
+    coinbase = UtxoTx(
+        kind="coinbase",
+        inputs=(TxInput(ghost, ()), TxInput(ghost, ())),
+        outputs=(
+            TxOutput(1, compile_p2h(digest(b"x"))),
+            TxOutput(0, p2pkh),
+            TxOutput(1 << 64, p2pkh),
+        ),
+        issuer_signature=b"",
+    )
+    absent = InputStatus(ghost, present=False, script_ok=False, fault=None)
+    assert utxo_validate(gated, coinbase, toy) == ValidationReport(
+        valid=False,
+        reasons=(
+            "coinbase-has-inputs",
+            "p2h-disabled",
+            "zero-value-output",
+            "value-range",
+            "duplicate-input",
+            "missing-issuer-signature",
+            "unknown-input",
+        ),
+        inputs=(absent, absent),
+        total_in=None,
+        total_out=None,
+    )
+
+    state = utxo_apply(
+        chain, split_payment(toy, chain, alice, tip(chain), 5, p2pkh), toy
+    )
+    spent, five = tip(chain), tip(state, 0)
+    mixed = UtxoTx(
+        kind="normal",
+        inputs=(TxInput(spent, ()), TxInput(ghost, ()), TxInput(five, ())),
+        outputs=(TxOutput(4, p2pkh),),
+    )
+    assert utxo_validate(state, mixed, toy) == ValidationReport(
+        valid=False,
+        reasons=("spent-input", "unknown-input", "bad-script"),
+        inputs=(
+            InputStatus(spent, False, False, None),
+            InputStatus(ghost, False, False, None),
+            InputStatus(five, True, False, "stack-underflow"),
+        ),
+        total_in=None,
+        total_out=4,
+    )
+
+    short = UtxoTx(kind="normal", inputs=(TxInput(five, ()),), outputs=(TxOutput(4, p2pkh),))
+    assert utxo_validate(state, short, toy) == ValidationReport(
+        valid=False,
+        reasons=("bad-script", "conservation"),
+        inputs=(InputStatus(five, True, False, "stack-underflow"),),
+        total_in=5,
+        total_out=4,
+    )
 
 
 @pytest.fixture(scope="module")

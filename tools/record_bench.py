@@ -58,6 +58,8 @@ LAYER_RUNS = 5
 # (the fastest pass counts, as timeit advises).
 LAYER_TXS = 400
 LAYER_PASSES = 5
+# Fresh toy keys generated per pass: each is a miss of the keygen LRU.
+LAYER_KEYGENS = 40
 
 
 def git(*args: str) -> str:
@@ -151,15 +153,19 @@ def measure_layers() -> dict[str, float]:
     A toy split chain of LAYER_TXS payments is built from one coinbase;
     each step times `split_payment`, then `utxo_validate` of the new
     transaction (its signature not yet verified, so the verify cache is
-    cold) and `utxo_apply` (warm, right after that check). Every pass pays
-    other amounts, so each pass signs and verifies anew. The chain's log
-    then times `encode_utxo_tx`, `decode_utxo_tx` of its bytes and
-    `txid_of` on fresh copies that carry no memo, and its final state
-    `canonical_json` of its snapshot and `replica.state_digest`. Sign and
-    verify run in both crypto modes on messages no pass has signed: each
-    signature is verified once with a cold cache, then once warm.
+    cold), the same validate again (`utxo_validate_warm`, the signature
+    now cached) and `utxo_apply` (warm as well). Every pass pays other
+    amounts, so each pass signs and verifies anew. `scripts.execute` then
+    reruns each spend's p2pkh input against the output it spends (verify
+    cache warm). The chain's log times `encode_utxo_tx`, `decode_utxo_tx`
+    of its bytes and `txid_of` on fresh copies that carry no memo, and its
+    final state `canonical_json` of its snapshot and
+    `replica.state_digest`. Toy keygen runs on LAYER_KEYGENS seeds no pass
+    has used. Sign and verify run in both crypto modes on messages no pass
+    has signed: each signature is verified once with a cold cache, then
+    once warm.
     """
-    from ledgerlab import crypto, encoding, replica, utxo
+    from ledgerlab import crypto, encoding, replica, scripts, utxo
 
     now = time.perf_counter
     best: dict[str, float] = {}
@@ -177,26 +183,43 @@ def measure_layers() -> dict[str, float]:
     issuer = toy.keygen(b"layers-issuer")
     payer = crypto.derive_wallet(toy, "layers-payer")
     payee = utxo.lock_to_wallet(crypto.derive_wallet(toy, "layers-payee"))
-    coinbase = utxo.make_coinbase(toy, issuer, [(1 << 40, utxo.lock_to_wallet(payer))])
+    lock = utxo.lock_to_wallet(payer)
+    coinbase = utxo.make_coinbase(toy, issuer, [(1 << 40, lock)])
     for run in range(LAYER_PASSES):
         state = utxo.replay_log([coinbase], issuer.public_key, toy)
         outpoint = utxo.UtxoId(utxo.txid_of(coinbase), 0)
-        spent = {"utxo.split_payment": 0.0, "utxo.utxo_validate": 0.0, "utxo.utxo_apply": 0.0}
+        spent = dict.fromkeys(
+            ["utxo.split_payment", "utxo.utxo_validate", "utxo.utxo_validate_warm",
+             "utxo.utxo_apply"], 0.0,
+        )
         for step in range(LAYER_TXS):
             t0 = now()
             tx = utxo.split_payment(toy, state, payer, outpoint, 1 + (step + run) % 97, payee)
             t1 = now()
-            if not utxo.utxo_validate(state, tx, toy).valid:
-                raise RuntimeError("a layers-leg split payment failed validation")
+            cold = utxo.utxo_validate(state, tx, toy)
             t2 = now()
+            warm = utxo.utxo_validate(state, tx, toy)
+            t3 = now()
+            if not (cold.valid and warm.valid):
+                raise RuntimeError("a layers-leg split payment failed validation")
             state = utxo.utxo_apply(state, tx, toy)
             spent["utxo.split_payment"] += t1 - t0
             spent["utxo.utxo_validate"] += t2 - t1
-            spent["utxo.utxo_apply"] += now() - t2
+            spent["utxo.utxo_validate_warm"] += t3 - t2
+            spent["utxo.utxo_apply"] += now() - t3
             outpoint = utxo.UtxoId(utxo.txid_of(tx), 1)
         for name, seconds in spent.items():
             record(name, seconds, LAYER_TXS)
         log = state.log
+        spends = [
+            (tx.inputs[0].unlocking, scripts.ExecutionContext(utxo.utxo_signing_payload(tx), toy))
+            for tx in log[1:]
+        ]
+        results = timed("scripts.execute", lambda s: scripts.execute(s[0], lock, s[1]), spends)
+        if not all(result.ok for result in results):
+            raise RuntimeError("a layers-leg p2pkh input failed its script")
+        seeds = [b"layers-keygen:%d:%d" % (run, i) for i in range(LAYER_KEYGENS)]
+        timed("crypto.toy.keygen", toy.keygen, seeds)
         raws = timed("utxo.encode_utxo_tx", utxo.encode_utxo_tx, log)
         timed("utxo.decode_utxo_tx", utxo.decode_utxo_tx, raws)
         fresh = [utxo.UtxoTx(tx.kind, tx.inputs, tx.outputs, tx.issuer_signature) for tx in log]
