@@ -36,17 +36,18 @@ from .errors import AuthError, FormatError, FundsError, ReplayError
 AccountMode = Literal["naive", "nonce-protected"]
 
 _MAGIC = b"ATX1"
-_ADDRESS_BYTES = 32
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _check_address(address: Address) -> Address:
+    """Accept exactly what `address_of` returns: 64 lowercase hex digits."""
+    if not isinstance(address, str) or len(address) != 64 or not _HEX_DIGITS.issuperset(address):
+        raise FormatError(f"address must be 64 lowercase hex digits, got {address!r}")
+    return address
 
 
 def _address_to_bytes(address: Address) -> bytes:
-    try:
-        raw = bytes.fromhex(address)
-    except ValueError as exc:
-        raise FormatError(f"address is not hex: {address!r}") from exc
-    if len(raw) != _ADDRESS_BYTES:
-        raise FormatError(f"address must be {_ADDRESS_BYTES} bytes of hex")
-    return raw
+    return bytes.fromhex(_check_address(address))
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,7 @@ def account_apply(
 
 def account_mint(state: AccountState, payee: Address, amount: Amount) -> AccountState:
     """Credit new units to an account; the only way total supply changes."""
+    _check_address(payee)
     check_amount(amount)
     balances = dict(state.balances)
     balances[payee] = balances.get(payee, 0) + amount
@@ -223,7 +225,8 @@ def account_from_snapshot(doc: dict) -> AccountState:
         raise FormatError("malformed account snapshot")
     for mapping, label in ((balances, "balance"), (nonces, "nonce")):
         for key, value in mapping.items():
-            if not isinstance(key, str) or isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            _check_address(key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise FormatError(f"malformed {label} entry {key!r}: {value!r}")
     # A payer's nonce moves only with a debit, which writes its balance entry.
     for key in nonces:

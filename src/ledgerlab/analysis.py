@@ -27,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-from .accounts import (
-    AccountState,
-    account_apply,
-    account_mint,
-    make_account_tx,
-)
+from .accounts import AccountState
 from .crypto import CryptoScheme, derive_wallet
 from .errors import ConfigError, FormatError, NotFoundError
 from .kernels import KERNEL_TABLE, render_rows
@@ -47,11 +42,7 @@ from .utxo import (
     ValidationReport,
     _advance,
     _unjournaled_genesis,
-    coinbase_issue,
-    lock_to_wallet,
-    split_payment,
     txid_of,
-    utxo_apply,
     utxo_validate,
 )
 
@@ -395,26 +386,21 @@ def pseudonym_growth_experiment(
         raise ConfigError("need at least two participants")
     if policy not in ("reuse-address", "fresh-address-per-payment"):
         raise ConfigError(f"unknown address policy {policy!r}")
+    if kernel not in ("account", "utxo"):
+        raise ConfigError(f"no growth experiment for kernel {kernel!r}")
     stream = SeededStream(seed).fork("pseudonym-growth")
     payer = derive_wallet(scheme, stream.fork("payer").randbytes(16))
     recipients = [
         derive_wallet(scheme, stream.fork(f"recipient-{i}").randbytes(16))
         for i in range(participants - 1)
     ]
+    table = KERNEL_TABLE[kernel]
     fresh_stream = stream.fork("fresh-addresses")
+    state, issuer = table.genesis(scheme, stream.fork("issuer").randbytes(16))
+    state = table.mint(state, payer, n_payments + 1, None, issuer, scheme)
     if kernel == "account":
-        state = account_mint(AccountState.empty(), payer.address, n_payments)
         for recipient in recipients:
-            state = account_mint(state, recipient.address, 1)
-    elif kernel == "utxo":
-        issuer = scheme.keygen(stream.fork("issuer").randbytes(16))
-        state = Chainstate.genesis(issuer.public_key)
-        state = coinbase_issue(
-            state, [(n_payments + 1, lock_to_wallet(payer))], issuer, scheme
-        )
-        change = UtxoId(txid=txid_of(state.log[-1]), index=0)
-    else:
-        raise ConfigError(f"no growth experiment for kernel {kernel!r}")
+            state = table.mint(state, recipient, 1, None, issuer, scheme)
 
     curve: list[StateMetrics] = []
     for i in range(n_payments):
@@ -422,13 +408,8 @@ def pseudonym_growth_experiment(
             payee = recipients[i % len(recipients)]
         else:
             payee = derive_wallet(scheme, fresh_stream.randbytes(16))
-        if kernel == "account":
-            tx = make_account_tx(scheme, payer, payee.address, 1)
-            state = account_apply(state, tx, "naive", scheme)
-        else:
-            tx = split_payment(scheme, state, payer, change, 1, lock_to_wallet(payee))
-            state = utxo_apply(state, tx, scheme)
-            change = UtxoId(txid=txid_of(tx), index=1)
+        tx = table.transfer(state, payer, payee, 1, "naive", scheme)
+        state = table.apply(state, tx, "naive", scheme)
         curve.append(measure_state(state))
     return curve
 

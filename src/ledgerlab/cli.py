@@ -113,31 +113,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _write_reports(args.out, result.reports)
 
 
-REPORT_FILENAMES = {
-    "state": "state.json",
-    "metrics": "metrics.json",
-    "log": "log.json",
-    "growth": "growth.json",
-    "rounds": "rounds.json",
-    "coins": "coins.json",
-    "matrix": "matrix.json",
-    "tables": "tables.txt",
-    "events": "events.json",
-}
-
-
 def _write_reports(out: str, reports: dict[str, object]) -> int:
-    """Write each report to its REPORT_FILENAMES file under `out`."""
+    """Write each report under `out`: `<name>.txt` for a text document
+    (only `tables`), `<name>.json` in canonical JSON for the rest."""
     from .encoding import canonical_json
 
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, document in sorted(reports.items()):
-            target = out_dir / REPORT_FILENAMES[name]
             if isinstance(document, str):
+                target = out_dir / f"{name}.txt"
                 target.write_text(document, encoding="utf-8")
             else:
+                target = out_dir / f"{name}.json"
                 target.write_text(canonical_json(document), encoding="utf-8")
             _diag(f"wrote {target}")
     except OSError as exc:

@@ -28,15 +28,17 @@ the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
 clear message.
 
 All operations are pure functions of their inputs; instances hold no
-mutable state and are safe for unrestricted concurrent use. The five
-module-level caches (generated keys, decoded RSA public keys, decoded
-RSA private keys with their CRT exponents, loaded Ed25519 private keys,
-and the digests of at most 2^16 signatures that verified) hold only
-results of pure functions, so a hit returns exactly what a recomputation
-would, and each cache is bounded. The verification cache keeps only
-valid results, so each valid signature is checked once per process
-whichever replica, replay or audit presents it; whether a spend is
-allowed is still decided by each caller's own state.
+mutable state and are safe for unrestricted concurrent use. The six
+module-level ``functools.lru_cache``s (generated keys, decoded RSA public
+keys, decoded RSA private keys with their CRT exponents, loaded Ed25519
+private keys, and the RSA and the Ed25519 verification results, 2^14
+triples each) hold only results of pure functions, so a hit returns
+exactly what a recomputation would, each is bounded, and each reports
+through ``cache_info()``. A verification result is cached whether the signature
+is valid or not, so each triple is checked once per process whichever
+replica, replay or audit presents it; a key that cannot be decoded raises
+on every call and is never cached. Whether a spend is allowed is still
+decided by each caller's own state.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -289,52 +290,30 @@ def _load_ed25519_private(raw: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(raw)
 
 
-# Digests of the (public key, signature, message) triples that verified in
-# this process, under either scheme. Validity is a pure function of the
-# triple, so a hit returns what the check would; whether a spend is allowed
-# is never decided here. Only True is kept, and the set is cleared when
-# full (each set operation is one call, so concurrent callers cannot
-# corrupt it).
-_VALID: set[bytes] = set()
-_VALID_LIMIT = 1 << 16
+# Validity is a pure function of the triple, so False is cached as well
+# as True. Callers dispatch on the key's tag first, so an entry of one
+# algorithm never answers for a key the other would refuse.
 
 
-def _triple_digest(public_key: bytes, message: bytes, signature: bytes) -> bytes:
-    """Injective: the 4-byte lengths fix where the key and signature end."""
-    return digest(
-        len(public_key).to_bytes(4, "big") + public_key
-        + len(signature).to_bytes(4, "big") + signature + message
-    )
-
-
-def _verify_once(
-    check: Callable[[], bool], public_key: bytes, message: bytes, signature: bytes
-) -> bool:
-    """check() unless the triple verified before. A key check() cannot
-    decode is never stored, so its FormatError repeats on every call;
-    callers dispatch on the key's tag first, so an entry stored by one
-    algorithm never answers for a key the other would refuse."""
-    key = _triple_digest(public_key, message, signature)
-    if key in _VALID:
-        return True
-    if not check():
-        return False
-    if len(_VALID) >= _VALID_LIMIT:
-        _VALID.clear()
-    _VALID.add(key)
-    return True
-
-
+@lru_cache(maxsize=1 << 14)
 def _rsa_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     n, e = _decode_rsa_public(public_key)
+    if len(signature) != _sig_width(n):
+        return False
+    sigma = int.from_bytes(signature, "big")
+    return sigma < n and pow(sigma, e, n) == _fdh(message, n)
 
-    def check() -> bool:
-        if len(signature) != _sig_width(n):
-            return False
-        sigma = int.from_bytes(signature, "big")
-        return sigma < n and pow(sigma, e, n) == _fdh(message, n)
 
-    return _verify_once(check, public_key, message, signature)
+@lru_cache(maxsize=1 << 14)
+def _ed25519_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """`public_key` is a tagged EPUB key whose length the caller checked."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key[4:]).verify(signature, message)
+        return True
+    except InvalidSignature:
+        return False
+    except ValueError as exc:
+        raise FormatError(f"bad Ed25519 public key: {exc}") from exc
 
 
 def _decode_factor(factor: bytes, n: int) -> int:
@@ -460,38 +439,21 @@ class RealScheme(CryptoScheme):
         if public_key[:4] == _TAG_ED_PUB:
             if len(public_key) != 4 + 32:
                 raise FormatError("bad Ed25519 public key length")
-
-            def check() -> bool:
-                try:
-                    Ed25519PublicKey.from_public_bytes(public_key[4:]).verify(
-                        signature, message
-                    )
-                    return True
-                except InvalidSignature:
-                    return False
-                except ValueError as exc:
-                    raise FormatError(f"bad Ed25519 public key: {exc}") from exc
-            return _verify_once(check, public_key, message, signature)
+            return _ed25519_verify(public_key, message, signature)
         if public_key[:4] == _TAG_RSA_PUB:
             return _rsa_verify(public_key, message, signature)
         raise FormatError("unknown public key tag")
 
 
-_SCHEMES: dict[str, CryptoScheme] = {}
+_SCHEMES: dict[str, CryptoScheme] = {"toy": ToyScheme(), "real": RealScheme()}
 
 
 def get_scheme(name: str) -> CryptoScheme:
     """Return the shared instance of the named scheme ('toy' or 'real')."""
-    if name not in _SCHEMES:
-        if name == "toy":
-            _SCHEMES[name] = ToyScheme()
-        elif name == "real":
-            _SCHEMES[name] = RealScheme()
-        else:
-            raise ConfigError(
-                f"unknown crypto scheme {name!r}; expected 'toy' or 'real'"
-            )
-    return _SCHEMES[name]
+    scheme = _SCHEMES.get(name)
+    if scheme is None:
+        raise ConfigError(f"unknown crypto scheme {name!r}; expected 'toy' or 'real'")
+    return scheme
 
 
 def derive_wallet(scheme: CryptoScheme, seed: bytes | str) -> Wallet:

@@ -117,6 +117,26 @@ def test_negative_amount_rejected(toy, funded):
         account_apply(state, dataclasses.replace(tx, amount=-1), "naive", toy)
 
 
+@pytest.mark.parametrize(
+    "address",
+    ["not-an-address", "AB" * 32, "ab" * 31, "ab" * 33, " " + "ab" * 31 + "a", b"ab" * 32],
+    ids=["not-hex", "uppercase", "short", "long", "space", "bytes"],
+)
+def test_an_address_is_64_lowercase_hex_digits(toy, funded, address):
+    """No transfer can name such an address, so no mint or snapshot may."""
+    _, payer, _ = funded
+    with pytest.raises(FormatError):
+        account_mint(AccountState.empty(), address, 5)
+    with pytest.raises(FormatError):
+        account_from_snapshot({"kernel": "account", "balances": {address: 5}})
+    with pytest.raises(FormatError):
+        account_from_snapshot(
+            {"kernel": "account", "balances": {payer.address: 5}, "nonces": {address: 1}}
+        )
+    with pytest.raises(FormatError):
+        make_account_tx(toy, payer, address, 1)
+
+
 def test_conservation_over_random_transfers(toy):
     """Total supply is invariant under any sequence of valid transfers."""
     stream = SeededStream("account-conservation")

@@ -365,7 +365,8 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         {"kernel": ["utxo"]},
         {"kernel": "token", "objects": {}, "authoritative": "no"},
         {"kernel": "token", "objects": {}, "authoritative": True},
-        {"kernel": "account", "balances": {"aa": 3}, "nonces": {"bb": 2}},
+        {"kernel": "account", "balances": {"a" * 64: 3}, "nonces": {"b" * 64: 2}},
+        {"kernel": "account", "balances": {"not-an-address": 5}},
     ],
     ids=[
         "account-balances-list",
@@ -374,6 +375,7 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         "token-authoritative-string",
         "token-authoritative-true",
         "account-nonce-without-balance",
+        "account-address-not-hex",
     ],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):

@@ -29,7 +29,6 @@ from ledgerlab.crypto import (
     _is_probable_prime,
     _pack_ints,
     _rsa_keygen,
-    _triple_digest,
     _unpack_ints,
     address_of,
     check_amount,
@@ -394,6 +393,14 @@ def uncached_verify(public_key, message, signature):
     return len(signature) == width and sigma < n and pow(sigma, e, n) == _fdh(message, n)
 
 
+VERIFY_CACHES = {"toy": crypto._rsa_verify, "real": crypto._ed25519_verify}
+
+
+def clear_verify_caches():
+    for cache in VERIFY_CACHES.values():
+        cache.cache_clear()
+
+
 def flip_bit(data, bit):
     bit %= 8 * len(data)
     return data[: bit // 8] + bytes([data[bit // 8] ^ (1 << bit % 8)]) + data[bit // 8 + 1 :]
@@ -415,30 +422,37 @@ def test_cached_verify_equals_the_uncached_check(name, message, bit, valid_first
         (pair.public_key, flip_bit(message, bit), signature),
         (other.public_key, message, signature),
     ]
-    crypto._VALID.clear()
+    clear_verify_caches()
     calls = [valid, *tampered] if valid_first else [*tampered, valid]
     for triple in calls + calls:  # the second pass meets a warm cache
         assert scheme.verify(*triple) == uncached_verify(*triple)
     assert scheme.verify(*valid) and not any(scheme.verify(*t) for t in tampered)
 
 
-def test_a_false_result_is_not_stored(toy, real, monkeypatch):
-    monkeypatch.setattr(crypto, "_VALID", set())
-    for scheme in (toy, real):
-        pair = scheme.keygen(b"cache-false")
-        signature = scheme.sign(pair.private_key, b"m")
-        assert scheme.verify(pair.public_key, b"m", signature)
-        size = len(crypto._VALID)
-        for _ in range(2):
-            assert not scheme.verify(pair.public_key, b"n", signature)
-            assert len(crypto._VALID) == size
+@pytest.mark.parametrize("name", ["toy", "real"])
+def test_a_repeated_triple_is_checked_once_valid_or_not(name):
+    scheme, cache = get_scheme(name), VERIFY_CACHES[name]
+    pair = scheme.keygen(b"cache-once")
+    signature = scheme.sign(pair.private_key, b"m")
+    cache.cache_clear()
+    for message, valid in ((b"m", True), (b"n", False)):
+        before = cache.cache_info()
+        for _ in range(3):
+            assert scheme.verify(pair.public_key, message, signature) is valid
+        after = cache.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
-def test_a_malformed_key_raises_on_every_call(toy, real, monkeypatch):
-    monkeypatch.setattr(crypto, "_VALID", set())
+def test_both_verify_caches_are_bounded():
+    assert {cache.cache_info().maxsize for cache in VERIFY_CACHES.values()} == {1 << 14}
+
+
+def test_a_malformed_key_raises_on_every_call(toy, real):
+    clear_verify_caches()
     ed = real.keygen(b"cache-ed")
     signature = real.sign(ed.private_key, b"m")
     assert real.verify(ed.public_key, b"m", signature)  # now cached
+    sizes = [cache.cache_info().currsize for cache in VERIFY_CACHES.values()]
     cases = [
         (toy, ed.public_key),  # valid under the other scheme's dispatch
         (toy, _TAG_RSA_PUB + b"\x00\x00"),
@@ -449,28 +463,7 @@ def test_a_malformed_key_raises_on_every_call(toy, real, monkeypatch):
         for _ in range(3):
             with pytest.raises(FormatError):
                 scheme.verify(key, b"m", signature)
-
-
-def test_the_cache_never_exceeds_its_limit(toy, monkeypatch):
-    monkeypatch.setattr(crypto, "_VALID", set())
-    monkeypatch.setattr(crypto, "_VALID_LIMIT", 3)
-    pair = toy.keygen(b"cache-limit")
-    for i in range(10):
-        message = b"message %d" % i
-        assert toy.verify(pair.public_key, message, toy.sign(pair.private_key, message))
-        assert 1 <= len(crypto._VALID) <= 3
-
-
-def test_cache_keys_fix_the_field_boundaries():
-    """Every split of one byte string into (key, signature, message) gets
-    its own digest, so moving bytes across a boundary changes the key."""
-    data = bytes(range(7))
-    splits = [
-        (data[:i], data[j:], data[i:j])
-        for i in range(len(data) + 1)
-        for j in range(i, len(data) + 1)
-    ]
-    assert len({_triple_digest(*split) for split in splits}) == len(splits)
+    assert [cache.cache_info().currsize for cache in VERIFY_CACHES.values()] == sizes
 
 
 @pytest.mark.parametrize("name", ["toy", "real"])
@@ -490,8 +483,8 @@ def test_a_round_report_is_the_same_from_a_cold_and_a_warm_cache(name):
         split_payment(scheme, state, alice, first, 7, lock_to_wallet(carol)),
         split_payment(scheme, state, alice, second, 4, lock_to_wallet(carol)),
     ]
-    crypto._VALID.clear()
+    clear_verify_caches()
     cold = canonical_json(run_round(state, txs, 4, 5, "arrival-order", scheme)[1].doc())
-    assert crypto._VALID
+    assert VERIFY_CACHES[name].cache_info().currsize
     warm = canonical_json(run_round(state, txs, 4, 5, "arrival-order", scheme)[1].doc())
     assert cold == warm

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import ScenarioError
-from ledgerlab.cli import REPORT_FILENAMES
 from ledgerlab.scenario import execute_scenario, validate_scenario
 
 BUNDLED = [
@@ -234,7 +233,6 @@ def test_bundled_scenarios_run_deterministically(filename):
     second = execute_scenario(copy.deepcopy(doc))
     assert first.kernel == doc["kernel"]
     assert set(first.reports) == set(doc["reports"]) | {"events"}
-    assert all(name in REPORT_FILENAMES for name in first.reports)
     assert canonical_json(
         {k: v for k, v in sorted(first.reports.items())}
     ) == canonical_json({k: v for k, v in sorted(second.reports.items())})

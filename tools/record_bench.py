@@ -17,7 +17,7 @@ sides again alternating, and its wall time and the CPU time (user plus
 system) of the child process are each summarized like a metric. CPU time
 is less exposed than wall time to other load on a shared machine.
 
-The `layers` leg comes after the workloads: five alternating pairs of
+The `layers` leg comes after the workloads: ten alternating pairs of
 runs of this script with `--measure-layers` in each export, with that
 export's `src/` on PYTHONPATH, so one measuring code times both sides'
 public functions on the same fixed inputs (see `measure_layers`). Each
@@ -29,11 +29,14 @@ ids of their `src/`, and the newline count of their `src/**/*.py` as
 `wc -l` gives it), the change's net `src/` line delta, the environment,
 every run's end-to-end metrics and output digest, and per workload and
 metric each side's median, quartiles and n, plus the number of pairs the
-change won (ties count for neither). A pair counts as digest-identical
-only when both runs printed a digest and the two agree. `all_runs_ok` is
-false, and the exit status 1, when any run exited non-zero, printed no
-summary, failed a correctness check or failed an operation, or when a
-tier-1 run exited non-zero. Progress goes to stderr.
+change won (ties count for neither) and `resolved`, the test a claimed
+gain must pass: true only when the change won at least nine tenths of the
+pairs and the two medians differ by more than the base's interquartile
+range. A pair counts as digest-identical only when both runs printed a
+digest and the two agree. `all_runs_ok` is false, and the exit status 1,
+when any run exited non-zero, printed no summary, failed a correctness
+check or failed an operation, or when a tier-1 run exited non-zero.
+Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_RUNS = 5
-LAYER_RUNS = 5
+LAYER_RUNS = 10
 # Transactions in the layers leg's split chain, and passes over each input
 # (the fastest pass counts, as timeit advises).
 LAYER_TXS = 400
@@ -291,12 +294,16 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
             (change > base) if better == "higher" else (change < base)
             for base, change in scored
         )
+        base_spread = spread([base for base, _ in scored])
+        change_spread = spread([change for _, change in scored])
         summary[name] = {
             "better": better,
-            "base": spread([base for base, _ in scored]),
-            "change": spread([change for _, change in scored]),
+            "base": base_spread,
+            "change": change_spread,
             "change_wins": wins,
             "pairs": len(scored),
+            "resolved": bool(scored) and 10 * wins >= 9 * len(scored)
+            and abs(change_spread["median"] - base_spread["median"]) > base_spread["iqr"],
         }
     return summary
 
