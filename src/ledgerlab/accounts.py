@@ -29,25 +29,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .crypto import Address, Amount, CryptoScheme, Wallet, address_of, check_amount, digest
+from .crypto import (
+    Address,
+    Amount,
+    CryptoScheme,
+    Wallet,
+    address_of,
+    check_address,
+    check_amount,
+    digest,
+)
 from .encoding import u8, u64, varbytes
 from .errors import AuthError, FormatError, FundsError, ReplayError
 
 AccountMode = Literal["naive", "nonce-protected"]
 
 _MAGIC = b"ATX1"
-_HEX_DIGITS = frozenset("0123456789abcdef")
-
-
-def _check_address(address: Address) -> Address:
-    """Accept exactly what `address_of` returns: 64 lowercase hex digits."""
-    if not isinstance(address, str) or len(address) != 64 or not _HEX_DIGITS.issuperset(address):
-        raise FormatError(f"address must be 64 lowercase hex digits, got {address!r}")
-    return address
 
 
 def _address_to_bytes(address: Address) -> bytes:
-    return bytes.fromhex(_check_address(address))
+    return bytes.fromhex(check_address(address))
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def account_apply(
 
 def account_mint(state: AccountState, payee: Address, amount: Amount) -> AccountState:
     """Credit new units to an account; the only way total supply changes."""
-    _check_address(payee)
+    check_address(payee)
     check_amount(amount)
     balances = dict(state.balances)
     balances[payee] = balances.get(payee, 0) + amount
@@ -225,7 +226,7 @@ def account_from_snapshot(doc: dict) -> AccountState:
         raise FormatError("malformed account snapshot")
     for mapping, label in ((balances, "balance"), (nonces, "nonce")):
         for key, value in mapping.items():
-            _check_address(key)
+            check_address(key)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise FormatError(f"malformed {label} entry {key!r}: {value!r}")
     # A payer's nonce moves only with a debit, which writes its balance entry.

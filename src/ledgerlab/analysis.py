@@ -24,7 +24,7 @@ seed; safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .accounts import AccountState
@@ -221,7 +221,7 @@ def audit_replay(
     for position, entry in enumerate(entries):
         report = utxo_validate(shadow, entry.tx, scheme)
         if entry.recorded_txid in seen and REASON_DUPLICATE_TXID not in report.reasons:
-            report = replace(report, valid=False, reasons=(*report.reasons, REASON_DUPLICATE_TXID))
+            report = report._replace(valid=False, reasons=(*report.reasons, REASON_DUPLICATE_TXID))
         seen.add(entry.recorded_txid)
         audits.append(
             StepAudit(

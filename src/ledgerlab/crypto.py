@@ -77,6 +77,16 @@ def address_of(public_key: bytes) -> Address:
     return digest(public_key).hex()
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def check_address(address: Address) -> Address:
+    """Accept exactly what `address_of` returns: 64 lowercase hex digits."""
+    if not isinstance(address, str) or len(address) != 64 or not _HEX_DIGITS.issuperset(address):
+        raise FormatError(f"address must be 64 lowercase hex digits, got {address!r}")
+    return address
+
+
 def check_amount(value: int, *, context: str = "amount") -> int:
     """Reject negative, fractional, or boolean amounts."""
     if isinstance(value, bool) or not isinstance(value, int):

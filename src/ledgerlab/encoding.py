@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .scripts import BARE_OPS, Opcode, Script, push
+from .scripts import BARE_OPS, Op, Opcode, Script
 
 # Caps keep hostile or fuzzed input from requesting absurd allocations.
 MAX_FIELD_BYTES = 1 << 24
@@ -39,6 +39,7 @@ _OPCODE_WIRE = {
 _OPCODE_TAG = {opcode._value_: bytes((wire,)) for opcode, wire in _OPCODE_WIRE.items()}
 _PUSH_TAG = _OPCODE_TAG[Opcode.PUSH._value_]
 _PUSH_WIRE = _OPCODE_WIRE[Opcode.PUSH]
+_PUSH = Opcode.PUSH
 _WIRE_BARE_OP = {_OPCODE_WIRE[opcode]: op for opcode, op in BARE_OPS.items()}
 
 
@@ -109,7 +110,9 @@ def read_script(data: bytes, offset: int) -> tuple[Script, int]:
                 if length > MAX_FIELD_BYTES:
                     raise FormatError(f"declared field length {length} exceeds encoding cap")
                 at = start + length
-                op = push(data[start:at])
+                # Unchecked: a PUSH carrying an operand is all Op() checks.
+                # An operand cut short is refused below.
+                op = tuple.__new__(Op, (_PUSH, data[start:at]))
             ops.append(op)
     except IndexError:
         raise FormatError(f"truncated input: a script op at offset {at}") from None

@@ -29,7 +29,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .crypto import DIGEST_SIZE, CryptoScheme, digest as _digest
 from .errors import FormatError
@@ -51,19 +51,31 @@ _P2PKH = (_DUP, _HASH, _PUSH, _EQUALVERIFY, _CHECKSIG)
 _P2H = (_HASH, _PUSH, _EQUAL)
 
 
-@dataclass(frozen=True)
-class Op:
-    """One instruction; only PUSH carries an operand."""
-
+class _OpFields(NamedTuple):
     opcode: Opcode
     operand: bytes | None = None
 
-    def __post_init__(self) -> None:
-        if self.opcode is _PUSH:
-            if self.operand is None:
+
+class Op(_OpFields):
+    """One instruction; only PUSH carries an operand.
+
+    A tuple, so scripts compare and hash in C. Construction, `_make` and
+    `_replace` check the operand; only `encoding.read_script` builds a
+    PUSH unchecked, after checking its wire fields itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, opcode: Opcode, operand: bytes | None = None) -> "Op":
+        if opcode is _PUSH:
+            if operand is None:
                 raise FormatError("PUSH requires an operand")
-        elif self.operand is not None:
-            raise FormatError(f"{self.opcode.value} takes no operand")
+        elif operand is not None:
+            raise FormatError(f"{opcode.value} takes no operand")
+        return tuple.__new__(cls, (opcode, operand))
+
+    @classmethod
+    def _make(cls, iterable) -> "Op":
+        return cls(*iterable)
 
 
 Script = tuple[Op, ...]
@@ -135,8 +147,7 @@ def classify(locking: Script) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
+class ExecutionContext(NamedTuple):
     """What CHECKSIG verifies against: the spending transaction's canonical
     bytes with every unlocking field zeroed, plus the verifier to use."""
 
@@ -144,11 +155,10 @@ class ExecutionContext:
     scheme: CryptoScheme
 
 
-@dataclass(frozen=True)
-class ExecResult:
+class ExecResult(NamedTuple):
     ok: bool
     fault: str | None = None
-    stack: tuple[bytes, ...] = field(default=())
+    stack: tuple[bytes, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import Address, Amount, check_amount
+from .crypto import Address, Amount, check_address, check_amount
 from .errors import ConfigError, FormatError, NotFoundError, OwnershipError
 
 TokenId = str
@@ -54,7 +54,9 @@ class TokenRegistry:
 def token_issue(
     state: TokenRegistry, token: TokenId, value: Amount, owner: Address
 ) -> TokenRegistry:
-    """Create a new object; ids are never reused."""
+    """Create a new object; ids are never reused. The owner is an address
+    as `address_of` derives it."""
+    check_address(owner)
     check_amount(value, context="token value")
     if value == 0:
         raise FormatError("token value must be positive")
@@ -69,6 +71,7 @@ def token_transfer(
     state: TokenRegistry, payer: Address, payee: Address, token: TokenId
 ) -> TokenRegistry:
     """Move one object from payer to payee; value stays constant."""
+    check_address(payee)
     if token not in state.objects:
         raise NotFoundError(f"unknown token {token!r}")
     obj = state.objects[token]
@@ -112,8 +115,7 @@ def token_from_snapshot(doc: dict) -> TokenRegistry:
             or not isinstance(entry.get("value"), int)
             or isinstance(entry.get("value"), bool)
             or entry.get("value", 0) <= 0
-            or not isinstance(entry.get("owner"), str)
         ):
             raise FormatError(f"malformed token entry {tid!r}")
-        objects[tid] = TokenObject(value=entry["value"], owner=entry["owner"])
+        objects[tid] = TokenObject(value=entry["value"], owner=check_address(entry.get("owner")))
     return TokenRegistry(objects=objects, authoritative=authoritative)

@@ -52,7 +52,7 @@ in C, with the hash and order a `(txid, index)` tuple has. Being a
 tuple, it equals a plain tuple of the same two fields, and `json.dumps`
 writes it as a list: reports name an outpoint by `render()`.
 
-Transactions and outputs are frozen, and each memoizes bytes derived
+Transactions and outputs are frozen, and each memoizes what it derives
 from its fields in slots that are not dataclass fields, so equality,
 hashing, replace(), asdict(), copies and pickles never see them:
 
@@ -62,8 +62,24 @@ hashing, replace(), asdict(), copies and pickles never see them:
   payload blanks (the unlocking scripts and the issuer signature).
   `decode_utxo_tx` stores both from the bytes it has just checked, since
   `encode_utxo_tx(decode_utxo_tx(b)) == b` for every `b` it accepts.
+* `_verdict` stores the checks of a transaction that read no
+  chainstate: its structural reasons, whether it is encodable and
+  whether its values are in range. Only the p2h policy of a state can
+  change them, so the memo keeps the policy it was found under. A clean
+  verdict is one shared constant per policy.
+* `utxo_validate` stores each input's script result, `(ok, fault)`,
+  with the locking script it ran against and the scheme that ran it: an
+  input meets another locking script in another history (two forks can
+  hold different outputs at one outpoint), and a toy result must not
+  answer for a real-crypto check. A locking script matches by identity
+  first, then by equality, as `_row`'s outpoint does. The issuer check,
+  presence, the spent and duplicate-txid checks and conservation read
+  the state and run on every call.
 * `_row` stores an output's rendered snapshot row with the outpoint it
   was rendered at.
+
+A replica round therefore checks a transaction's state-free half once,
+however many replicas validate it.
 
 replace() builds a new object with empty memos, so a memo never passes
 from a transaction to an altered copy.
@@ -160,9 +176,10 @@ class TxOutput(_SnapshotMemo):
 
 
 class _TxMemo:
-    """Slots for the txid and signing-payload memos, outside the fields."""
+    """Slots for the txid, signing-payload, verdict and script-result
+    memos, outside the fields."""
 
-    __slots__ = ("_txid", "_payload")
+    __slots__ = ("_txid", "_payload", "_verdict", "_scripts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,8 +438,7 @@ def _signed(tx: UtxoTx, payload: bytes) -> UtxoTx:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputStatus:
+class InputStatus(NamedTuple):
     """Per-input findings: outpoint presence, script result, fault name."""
 
     outpoint: UtxoId
@@ -431,8 +447,7 @@ class InputStatus:
     fault: str | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     reasons: tuple[str, ...]
     inputs: tuple[InputStatus, ...]
@@ -453,21 +468,25 @@ def _on_wire(outpoint: UtxoId) -> bool:
     return len(outpoint.txid) == TXID_BYTES and 0 <= outpoint.index < 1 << 32
 
 
-def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> ValidationReport:
-    """Check a transaction against the chainstate without mutating anything.
+# A verdict is (p2h disabled, reasons, encodable, in range); see _verdict.
+_CLEAN_VERDICTS = {disabled: (disabled, (), True, True) for disabled in (False, True)}
 
-    Total: structural defects, missing or spent inputs, failing scripts,
-    broken conservation, and issuer-authorization failures all land in
-    the report's reasons rather than raising. A transaction with an
-    out-of-range output value, an input outpoint too wide for the wire
-    (which names no output, so it is an unknown input), or a kind other
-    than normal or coinbase has no signing payload, so it gets no issuer
-    check and runs no script: its inputs report presence only.
+
+def _verdict(tx: UtxoTx, p2h_disabled: bool) -> tuple[bool, tuple[str, ...], bool, bool]:
+    """The checks of `tx` that read no chainstate, memoized on the tx.
+
+    Returns `p2h_disabled`, the reasons found in the order found, whether
+    `tx` has a signing payload (a known kind, every output value in range
+    and every outpoint on the wire) and whether every output value is in
+    range. The reasons depend on the state only through its p2h policy,
+    so the memo holds the verdict of the policy last asked for. A clean
+    verdict is a shared constant.
     """
+    verdict = getattr(tx, "_verdict", None)
+    if verdict is not None and verdict[0] is p2h_disabled:
+        return verdict
     # Insertion-ordered: each reason appears once, where it is first found.
     reasons: dict[str, None] = {}
-
-    # Structural checks, independent of chainstate.
     if tx.kind == "coinbase":
         if tx.inputs:
             reasons[REASON_COINBASE_HAS_INPUTS] = None
@@ -485,29 +504,59 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             reasons[REASON_VALUE_RANGE] = None
         elif tx_out.value == 0:
             reasons[REASON_ZERO_VALUE_OUTPUT] = None
-        if not state.allow_p2h and classify(tx_out.locking) == "p2h":
+        if p2h_disabled and classify(tx_out.locking) == "p2h":
             reasons[REASON_P2H_DISABLED] = None
     if len({tx_in.outpoint for tx_in in tx.inputs}) < len(tx.inputs):
         reasons[REASON_DUPLICATE_INPUT] = None
     encodable = known_kind and in_range and all(_on_wire(tx_in.outpoint) for tx_in in tx.inputs)
-
-    # Issuer gate for minting; ordinary transfers must not carry the field.
+    # Minting needs the issuer's signature; ordinary transfers must not
+    # carry the field. Whether the signature verifies is the state's part.
     if tx.kind == "coinbase":
         if not tx.issuer_signature:
             reasons[REASON_MISSING_ISSUER_SIGNATURE] = None
-        elif encodable:
-            try:
-                issuer_ok = scheme.verify(
-                    state.issuer_public_key,
-                    utxo_signing_payload(tx),
-                    tx.issuer_signature,
-                )
-            except FormatError:
-                issuer_ok = False
-            if not issuer_ok:
-                reasons[REASON_ISSUER_AUTH] = None
     elif tx.issuer_signature:
         reasons[REASON_UNEXPECTED_ISSUER_SIGNATURE] = None
+    if reasons or not encodable:
+        verdict = (p2h_disabled, tuple(reasons), encodable, in_range)
+    else:
+        verdict = _CLEAN_VERDICTS[p2h_disabled]
+    object.__setattr__(tx, "_verdict", verdict)
+    return verdict
+
+
+def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> ValidationReport:
+    """Check a transaction against the chainstate without mutating anything.
+
+    Total: structural defects, missing or spent inputs, failing scripts,
+    broken conservation, and issuer-authorization failures all land in
+    the report's reasons rather than raising. A transaction with an
+    out-of-range output value, an input outpoint too wide for the wire
+    (which names no output, so it is an unknown input), or a kind other
+    than normal or coinbase has no signing payload, so it gets no issuer
+    check and runs no script: its inputs report presence only.
+
+    The checks that read no state run once per transaction (`_verdict`),
+    and each input's script once per locking script it meets and scheme
+    (see the module doc).
+    """
+    _, found, encodable, in_range = _verdict(tx, not state.allow_p2h)
+    # The reasons that read the state, insertion-ordered: each appears
+    # once, where it is first found, after every state-free reason.
+    reasons: dict[str, None] = {}
+
+    # The issuer key is the state's. A signature is present only where the
+    # verdict found no issuer-field reason.
+    if tx.kind == "coinbase" and tx.issuer_signature and encodable:
+        try:
+            issuer_ok = scheme.verify(
+                state.issuer_public_key,
+                utxo_signing_payload(tx),
+                tx.issuer_signature,
+            )
+        except FormatError:
+            issuer_ok = False
+        if not issuer_ok:
+            reasons[REASON_ISSUER_AUTH] = None
 
     # An input-free transaction has nothing a spend check could refuse, so
     # one already logged would re-create its outputs (BIP 30). Every logged
@@ -519,12 +568,17 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             reasons[REASON_DUPLICATE_TXID] = None
 
     # Per-input presence and script checks against the active set; the
-    # input total is known only while every input is present.
-    payload = utxo_signing_payload(tx) if tx.inputs and encodable else b""
-    ctx = ExecutionContext(signing_payload=payload, scheme=scheme)
+    # input total is known only while every input is present. Input i's
+    # script result sits at ran[3 * i + 1 : 3 * i + 4] as (the locking
+    # script it met, ok, fault) after ran[0], the scheme that ran it.
+    ran = getattr(tx, "_scripts", ())
+    if ran and ran[0] is not scheme:
+        ran = ()
+    rerun: list | None = None
+    ctx = None
     input_status: list[InputStatus] = []
     total_in: Amount | None = 0
-    for tx_in in tx.inputs:
+    for at, tx_in in enumerate(tx.inputs):
         outpoint = tx_in.outpoint
         entry = ledger.active.get(outpoint)
         script_ok, fault = False, None
@@ -535,25 +589,32 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
             if total_in is not None:
                 total_in += entry.value
             if encodable:
-                result = execute(tx_in.unlocking, entry.locking, ctx)
-                script_ok, fault = result.ok, result.fault
+                locking, key = entry.locking, 3 * at + 1
+                if ran and (ran[key] is locking or ran[key] == locking):
+                    script_ok, fault = ran[key + 1], ran[key + 2]
+                else:
+                    if ctx is None:
+                        ctx = ExecutionContext(utxo_signing_payload(tx), scheme)
+                    result = execute(tx_in.unlocking, locking, ctx)
+                    script_ok, fault = result.ok, result.fault
+                    if rerun is None:
+                        rerun = list(ran or (scheme, *(None, False, None) * len(tx.inputs)))
+                    rerun[key : key + 3] = (locking, script_ok, fault)
                 if not script_ok:
                     reasons[REASON_BAD_SCRIPT] = None
         input_status.append(InputStatus(outpoint, entry is not None, script_ok, fault))
+    if rerun is not None:
+        object.__setattr__(tx, "_scripts", tuple(rerun))
 
     # Conservation, only meaningful when every input value is known.
     total_out = sum(o.value for o in tx.outputs) if in_range else None
-    if tx.kind != "normal" or REASON_DUPLICATE_INPUT in reasons:
+    if tx.kind != "normal" or REASON_DUPLICATE_INPUT in found:
         total_in = None
     elif total_in is not None and total_out is not None and total_in != total_out:
         reasons[REASON_CONSERVATION] = None
 
     return ValidationReport(
-        valid=not reasons,
-        reasons=tuple(reasons),
-        inputs=tuple(input_status),
-        total_in=total_in,
-        total_out=total_out,
+        not (found or reasons), found + tuple(reasons), tuple(input_status), total_in, total_out
     )
 
 

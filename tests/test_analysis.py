@@ -131,9 +131,9 @@ def test_measure_state_counts(toy, three_step_chain):
         accounts = account_mint(accounts, derive_wallet(toy, name).address, 1)
     assert measure_state(accounts).entry_count == 3
 
-    registry = TokenRegistry.empty()
+    registry, owner = TokenRegistry.empty(), derive_wallet(toy, "x").address
     for i in range(5):
-        registry = token_issue(registry, f"t{i}", 1, "nobody")
+        registry = token_issue(registry, f"t{i}", 1, owner)
     assert measure_state(registry).entry_count == 5
 
     with pytest.raises(ConfigError):

@@ -367,6 +367,7 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         {"kernel": "token", "objects": {}, "authoritative": True},
         {"kernel": "account", "balances": {"a" * 64: 3}, "nonces": {"b" * 64: 2}},
         {"kernel": "account", "balances": {"not-an-address": 5}},
+        {"kernel": "token", "objects": {"t": {"value": 1, "owner": "nobody"}}},
     ],
     ids=[
         "account-balances-list",
@@ -376,6 +377,7 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         "token-authoritative-true",
         "account-nonce-without-balance",
         "account-address-not-hex",
+        "token-owner-not-an-address",
     ],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):

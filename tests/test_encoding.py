@@ -116,6 +116,10 @@ def test_script_wire_roundtrip():
     script = compile_p2pkh(digest(b"key")) + (push(b""),)
     data = wire(script)
     assert read_script(data, 0) == (script, len(data))
+    # Decoded PUSHes skip Op's check, yet are the Ops push() builds.
+    decoded, _ = read_script(data, 0)
+    assert [type(op) for op in decoded] == [Op] * len(script)
+    assert repr(decoded) == repr(script) and hash(decoded) == hash(script)
     # The reader starts at any offset and stops where the script ends.
     assert read_script(b"pad" + data + b"tail", 3) == (script, 3 + len(data))
     assert read_script(wire(()), 0) == ((), 4)

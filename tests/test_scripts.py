@@ -1,5 +1,7 @@
 """Stack interpreter: templates, faults, truthiness, text notation."""
 
+import pickle
+
 import pytest
 
 from ledgerlab.crypto import digest
@@ -41,6 +43,14 @@ def test_op_shape_rules():
     with pytest.raises(FormatError):
         Op(opcode=Opcode.DUP, operand=b"x")
     assert push(b"ab").operand == b"ab"
+    # An Op is a tuple, and no tuple-level path builds one unchecked.
+    with pytest.raises(FormatError):
+        push(b"ab")._replace(operand=None)
+    with pytest.raises(FormatError):
+        Op(opcode=Opcode.DUP)._replace(operand=b"x")
+    with pytest.raises(FormatError):
+        Op._make((Opcode.PUSH, None))
+    assert pickle.loads(pickle.dumps(push(b"ab"))) == push(b"ab")
 
 
 def test_truthiness_convention():

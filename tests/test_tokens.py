@@ -80,3 +80,21 @@ def test_snapshot_roundtrip(registry):
     restored = token_from_snapshot(doc)
     assert restored.objects == registry.objects
     assert canonical_json(doc) == canonical_json(token_snapshot(restored))
+
+
+@pytest.mark.parametrize(
+    "owner",
+    ["nobody", "AB" * 32, "ab" * 31, "ab" * 33, " " + "ab" * 31 + "a", b"ab" * 32, None],
+    ids=["not-hex", "uppercase", "short", "long", "space", "bytes", "none"],
+)
+def test_an_owner_is_an_address(registry, wallets, owner):
+    """Objects change hands only between addresses, as accounts do."""
+    a = wallets[0].address
+    with pytest.raises(FormatError):
+        token_issue(registry, "o3", 1, owner)
+    with pytest.raises(FormatError):
+        token_transfer(registry, a, owner, "o1")
+    doc = token_snapshot(registry)
+    doc["objects"]["o1"]["owner"] = owner
+    with pytest.raises(FormatError):
+        token_from_snapshot(doc)

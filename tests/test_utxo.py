@@ -20,7 +20,7 @@ from ledgerlab.errors import (
     TxRejected,
 )
 from ledgerlab.rng import SeededStream
-from ledgerlab.scripts import BARE_OPS, compile_p2h, push
+from ledgerlab.scripts import BARE_OPS, ExecResult, ExecutionContext, compile_p2h, execute, push
 from ledgerlab.utxo import (
     Chainstate,
     InputStatus,
@@ -820,11 +820,15 @@ def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
     assert [f.name for f in dataclasses.fields(memoized)] == ["value", "locking"]
     for clone in (dataclasses.replace(memoized), copy.copy(memoized), copy.deepcopy(memoized)):
         assert clone == fresh and not hasattr(clone, "_snapshot")
-    # The transaction memos (txid, signing payload) likewise.
-    tx = state.log[0]
+    # The transaction memos (txid, signing payload, verdict, script
+    # results) likewise.
+    tx = split_payment(toy, state, wallets[0], tip(state), 3, lock)
     memoized_tx, fresh_tx = decode_utxo_tx(encode_utxo_tx(tx)), dataclasses.replace(tx)
-    assert not hasattr(fresh_tx, "_txid") and not hasattr(fresh_tx, "_payload")
+    assert utxo_validate(state, memoized_tx, toy).valid
+    memos = ("_txid", "_payload", "_verdict", "_scripts")
+    assert not any(hasattr(fresh_tx, name) for name in memos)
     assert (memoized_tx._txid, memoized_tx._payload) == (txid_of(tx), utxo_signing_payload(tx))
+    assert memoized_tx._scripts[0] is toy and memoized_tx._verdict[1:] == ((), True, True)
     assert memoized_tx == fresh_tx and hash(memoized_tx) == hash(fresh_tx)
     assert dataclasses.asdict(memoized_tx) == dataclasses.asdict(fresh_tx)
     assert [f.name for f in dataclasses.fields(memoized_tx)] == [
@@ -834,7 +838,7 @@ def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
         dataclasses.replace(memoized_tx), copy.copy(memoized_tx), copy.deepcopy(memoized_tx)
     ):
         assert clone == fresh_tx
-        assert not hasattr(clone, "_txid") and not hasattr(clone, "_payload")
+        assert not any(hasattr(clone, name) for name in memos)
 
 
 def test_log_export_import_roundtrip(toy, issuer):
@@ -874,3 +878,79 @@ def test_make_coinbase_signature_covers_outputs(toy, issuer, wallets):
     state = Chainstate.genesis(issuer.public_key)
     report = utxo_validate(state, tampered, toy)
     assert not report.valid
+
+
+def test_per_call_records_are_values(toy, chain, wallets):
+    """Reports and script results are named tuples: equal by value, true
+    iff valid, and replaced field by field without touching the original."""
+    tx = split_payment(toy, chain, wallets[0], tip(chain), 5, lock_to_wallet(wallets[1]))
+    report = utxo_validate(chain, tx, toy)
+    assert report == ValidationReport(
+        valid=True,
+        reasons=(),
+        inputs=(InputStatus(tip(chain), present=True, script_ok=True),),
+        total_in=12,
+        total_out=12,
+    )
+    assert report and report == utxo_validate(chain, dataclasses.replace(tx), toy)
+    refused = report._replace(valid=False, reasons=("duplicate-txid",))
+    assert not refused and refused.inputs == report.inputs and report.valid
+    assert repr(refused).startswith("ValidationReport(valid=False, reasons=('duplicate-txid',)")
+
+    ctx = ExecutionContext(signing_payload=utxo_signing_payload(tx), scheme=toy)
+    result = execute(tx.inputs[0].unlocking, chain.active[tip(chain)].locking, ctx)
+    assert result and result == ExecResult(ok=True, fault=None, stack=(b"\x01",))
+    failed = result._replace(ok=False, fault="equalverify-failed")
+    assert not failed and failed != result and result.ok
+    assert not ExecResult(ok=False) and ExecResult(False).stack == ()
+
+
+def test_script_memo_is_keyed_by_locking_script_and_scheme(toy, real, chain, wallets):
+    """An outpoint can hold different outputs in two histories (an audit
+    applies a tampered row under its recorded id), and one transaction
+    can be validated under either scheme: a memoized result answers only
+    for the locking script and the scheme it was found with."""
+    payer, other = wallets[0], wallets[2]
+    payee = derive_wallet(real, "memo-payee")
+    honest = split_payment(toy, chain, payer, tip(chain), 5, lock_to_wallet(payee))
+    passes = utxo_apply(chain, honest, toy)
+    forged = dataclasses.replace(
+        honest, outputs=(TxOutput(5, lock_to_wallet(other)), honest.outputs[1])
+    )
+    fails = _advance(chain, forged, txid_of(honest))
+    paid = UtxoId(txid_of(honest), 0)
+    assert passes.active[paid] != fails.active[paid]
+    spend = make_spend(
+        real, passes, [paid], [TxOutput(5, lock_to_wallet(payer))], signer=payee
+    )
+
+    def fresh(state, scheme):
+        return utxo_validate(state, dataclasses.replace(spend), scheme)
+
+    assert fresh(passes, real).valid
+    assert fresh(fails, real).inputs[0].fault == "equalverify-failed"
+    assert fresh(passes, toy).inputs[0].fault == "checksig-malformed"
+    for order in ((passes, fails), (fails, passes)):
+        tx = dataclasses.replace(spend)
+        for state in order + order:
+            assert utxo_validate(state, tx, real) == fresh(state, real)
+    for schemes in ((toy, real), (real, toy)):
+        tx = dataclasses.replace(spend)
+        for scheme in schemes + schemes:
+            assert utxo_validate(passes, tx, scheme) == fresh(passes, scheme)
+
+
+def test_verdict_memo_is_keyed_by_p2h_policy(toy, issuer):
+    """The state-free checks depend on a state only through its p2h
+    policy, so one transaction meets both policies correctly."""
+    tx = make_coinbase(toy, issuer, [(3, compile_p2h(digest(b"secret")))])
+    allowed = Chainstate.genesis(issuer.public_key)
+    disabled = Chainstate.genesis(issuer.public_key, allow_p2h=False)
+    assert utxo_validate(allowed, dataclasses.replace(tx), toy).valid
+    assert utxo_validate(disabled, dataclasses.replace(tx), toy).reasons == ("p2h-disabled",)
+    for order in ((allowed, disabled), (disabled, allowed)):
+        memoized = dataclasses.replace(tx)
+        for state in order + order:
+            assert utxo_validate(state, memoized, toy) == utxo_validate(
+                state, dataclasses.replace(tx), toy
+            )

@@ -157,8 +157,13 @@ def measure_layers() -> dict[str, float]:
     each step times `split_payment`, then `utxo_validate` of the new
     transaction (its signature not yet verified, so the verify cache is
     cold), the same validate again (`utxo_validate_warm`, the signature
-    now cached) and `utxo_apply` (warm as well). Every pass pays other
-    amounts, so each pass signs and verifies anew. `scripts.execute` then
+    now cached), a validate of a fresh `decode_utxo_tx` copy
+    (`utxo_validate_decoded`) and `utxo_apply` (warm as well). Where a
+    transaction memoizes its validation, `utxo_validate_warm` and
+    `utxo_apply` are memo hits; the decoded copy carries no such memo, so
+    `utxo_validate_decoded` keeps measuring the work of a validate whose
+    signature is already cached. Every pass pays other amounts, so each
+    pass signs and verifies anew. `scripts.execute` then
     reruns each spend's p2pkh input against the output it spends (verify
     cache warm). The chain's log times `encode_utxo_tx`, `decode_utxo_tx`
     of its bytes and `txid_of` on fresh copies that carry no memo, and its
@@ -193,7 +198,7 @@ def measure_layers() -> dict[str, float]:
         outpoint = utxo.UtxoId(utxo.txid_of(coinbase), 0)
         spent = dict.fromkeys(
             ["utxo.split_payment", "utxo.utxo_validate", "utxo.utxo_validate_warm",
-             "utxo.utxo_apply"], 0.0,
+             "utxo.utxo_validate_decoded", "utxo.utxo_apply"], 0.0,
         )
         for step in range(LAYER_TXS):
             t0 = now()
@@ -203,13 +208,18 @@ def measure_layers() -> dict[str, float]:
             t2 = now()
             warm = utxo.utxo_validate(state, tx, toy)
             t3 = now()
-            if not (cold.valid and warm.valid):
+            decoded_tx = utxo.decode_utxo_tx(utxo.encode_utxo_tx(tx))
+            t4 = now()
+            decoded = utxo.utxo_validate(state, decoded_tx, toy)
+            t5 = now()
+            if not (cold.valid and warm.valid and decoded.valid):
                 raise RuntimeError("a layers-leg split payment failed validation")
             state = utxo.utxo_apply(state, tx, toy)
             spent["utxo.split_payment"] += t1 - t0
             spent["utxo.utxo_validate"] += t2 - t1
             spent["utxo.utxo_validate_warm"] += t3 - t2
-            spent["utxo.utxo_apply"] += now() - t3
+            spent["utxo.utxo_validate_decoded"] += t5 - t4
+            spent["utxo.utxo_apply"] += now() - t5
             outpoint = utxo.UtxoId(utxo.txid_of(tx), 1)
         for name, seconds in spent.items():
             record(name, seconds, LAYER_TXS)
