@@ -16,9 +16,10 @@ Actions split into two classes with different failure semantics:
   the refusal is the measurement and is recorded in the event log, never
   raised.
 
-Validation is strict and runs before anything executes: unknown keys,
-unknown action names, missing fields, and kernel/action mismatches are
-all rejected with a list of messages.
+Validation is strict and runs before anything executes. One table per
+kernel names the settings, actions and reports it takes, and one walker
+checks each object's fields: a key that is present is checked whatever
+its value, null included. Every problem is returned in one list.
 
 The broadcast-round probe is observational: it copies the current
 chainstate into a set of replicas, runs one delivery-and-settlement
@@ -29,6 +30,7 @@ scenario's own chainstate is not advanced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .analysis import growth_report, matrix_report, measure_state, render_tables_text
 from .crypto import CryptoScheme, Wallet, derive_wallet, get_scheme
@@ -45,7 +47,7 @@ from .ecash import (
 )
 from .errors import LedgerError, ScenarioError, UnfundedError
 from .kernels import KERNEL_TABLE
-from .replica import RoundReport, run_round
+from .replica import ORDERING_RULES, RoundReport, run_round
 from .rng import SeededStream
 from .utxo import (
     UtxoId,
@@ -58,51 +60,9 @@ from .utxo import (
 
 SCHEMA_VERSION = 1
 
-KERNELS = ("account", "token", "utxo", "ecash", "matrix")
 CRYPTO_MODES = ("toy", "real")
 ACCOUNT_MODES = ("naive", "nonce-protected")
-ORDERING = ("arrival-order", "canonical-txid-order")
 
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "name",
-    "kernel",
-    "crypto",
-    "seed",
-    "account_mode",
-    "allow_p2h",
-    "issuer",
-    "participants",
-    "actions",
-    "reports",
-    "growth",
-}
-
-_KERNEL_ACTIONS = {
-    "account": {"issue", "pay", "replay", "double-spend"},
-    "token": {"issue", "pay", "replay", "double-spend"},
-    "utxo": {"issue", "pay", "split", "merge", "replay", "double-spend", "broadcast-round"},
-    "ecash": {"withdraw", "redeem", "double-spend"},
-    "matrix": set(),
-}
-
-_KERNEL_REPORTS = {
-    "account": {"state", "metrics", "growth", "events"},
-    "token": {"state", "metrics", "events"},
-    "utxo": {"state", "metrics", "log", "growth", "rounds", "events"},
-    "ecash": {"coins", "events"},
-    "matrix": {"matrix", "tables", "events"},
-}
-
-_DEFAULT_REPORTS = {
-    "account": ["state", "metrics"],
-    "token": ["state", "metrics"],
-    "utxo": ["state", "metrics", "log"],
-    "ecash": ["coins"],
-    "matrix": ["matrix", "tables"],
-}
-
-# Per-action field schema: name -> {field: (required, checker description)}.
 _is_name = lambda v: isinstance(v, str) and bool(v)
 _is_amount = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0
 _is_positive = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1
@@ -110,213 +70,201 @@ _is_index = lambda v: isinstance(v, int) and not isinstance(v, bool)
 _is_name_pair = lambda v: (
     isinstance(v, list) and len(v) == 2 and all(_is_name(n) for n in v)
 )
-_is_outpoint = lambda v: isinstance(v, str)
-_is_outpoint_list = lambda v: isinstance(v, list) and all(isinstance(o, str) for o in v)
-_is_rule = lambda v: v in ORDERING
+_is_strings = lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
+_is_denominations = lambda v: isinstance(v, list) and bool(v) and all(map(_is_positive, v))
 
-_ACTION_FIELDS: dict[str, dict[str, tuple[bool, object, str]]] = {
-    "issue": {
-        "to": (True, _is_name, "participant name"),
-        "amount": (True, _is_positive, "positive integer"),
-        "token": (False, _is_name, "token id"),
-    },
+# A field is (required, check, message): `check` accepts a value and
+# `message` says what the value must be. A field whose check is a dict of
+# fields holds an object, which the walker checks in turn.
+_object = lambda fields: (False, fields, "must be an object")
+_NAME = (False, _is_name, "must be a non-empty string")
+_LIST = (False, lambda v: isinstance(v, list), "must be a list")
+_WHO = (True, _is_name, "must be a participant name")
+_MAYBE_WHO = (False, _is_name, "must be a participant name")
+_PAIR = (True, _is_name_pair, "must be two participant names")
+_MAYBE_PAIR = (False, _is_name_pair, "must be two participant names")
+_AMOUNT = (True, _is_positive, "must be a positive integer")
+_POSITIVE = (False, _is_positive, "must be a positive integer")
+_NON_NEGATIVE = (False, _is_amount, "must be a non-negative integer")
+_INDEX = (False, _is_index, "must be an integer")
+_TOKEN = (False, _is_name, "must be a token id")
+_ACCOUNT_MODE = (False, lambda v: v in ACCOUNT_MODES, f"must be one of {ACCOUNT_MODES}")
+_BOOLEAN = (False, lambda v: isinstance(v, bool), "must be a boolean")
+_GROWTH = _object({
+    "payments": _POSITIVE,
+    "participants": (False, lambda v: _is_positive(v) and v >= 2, "must be an integer >= 2"),
+})
+_DENOMINATIONS = (True, _is_denominations, "must be a non-empty list of positive integers")
+
+
+class _Kernel(NamedTuple):
+    """What a scenario for one kernel may hold beyond the common fields."""
+
+    settings: dict[str, tuple]  # its own top-level fields
+    actions: set[str]
+    reports: set[str]  # every report it can emit
+    default_reports: list[str]  # what it emits when the document names none
+
+
+_KERNELS = {
+    "account": _Kernel(
+        {"account_mode": _ACCOUNT_MODE, "growth": _GROWTH},
+        {"issue", "pay", "replay", "double-spend"},
+        {"state", "metrics", "growth", "events"},
+        ["state", "metrics"],
+    ),
+    "token": _Kernel(
+        {},
+        {"issue", "pay", "replay", "double-spend"},
+        {"state", "metrics", "events"},
+        ["state", "metrics"],
+    ),
+    "utxo": _Kernel(
+        {"allow_p2h": _BOOLEAN, "issuer": _object({"seed": _NAME}), "growth": _GROWTH},
+        {"issue", "pay", "split", "merge", "replay", "double-spend", "broadcast-round"},
+        {"state", "metrics", "log", "growth", "rounds", "events"},
+        ["state", "metrics", "log"],
+    ),
+    "ecash": _Kernel(
+        {"issuer": _object({"seed": _NAME, "denominations": _DENOMINATIONS})},
+        {"withdraw", "redeem", "double-spend"},
+        {"coins", "events"},
+        ["coins"],
+    ),
+    "matrix": _Kernel({}, set(), {"matrix", "tables", "events"}, ["matrix", "tables"]),
+}
+KERNELS = tuple(_KERNELS)
+
+_COMMON = {
+    "schema_version": (True, lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}"),
+    "kernel": (True, lambda v: v in KERNELS, f"must be one of {KERNELS}"),
+    "name": _NAME,
+    "crypto": (False, lambda v: v in CRYPTO_MODES, f"must be one of {CRYPTO_MODES}"),
+    "seed": _NON_NEGATIVE,
+    "participants": _LIST,
+    "actions": _LIST,
+    "reports": (False, _is_strings, "must be a list of strings"),
+}
+
+
+def _only_valid_for(setting: str) -> tuple:
+    """The field a setting is on a kernel that does not take it: no value is valid."""
+    users = [kernel for kernel, entry in _KERNELS.items() if setting in entry.settings]
+    where = f"the {users[0]} kernel" if len(users) == 1 else f"{' and '.join(users)} kernels"
+    return (False, lambda v: False, f"is only valid for {where}")
+
+
+# Every kernel's settings as fields of the others; a kernel's own
+# settings replace these entries.
+_ELSEWHERE = {s: _only_valid_for(s) for entry in _KERNELS.values() for s in entry.settings}
+
+_ACTION_FIELDS: dict[str, dict[str, tuple]] = {
+    "issue": {"to": _WHO, "amount": _AMOUNT, "token": _TOKEN},
     "pay": {
-        "from": (True, _is_name, "participant name"),
-        "to": (True, _is_name, "participant name"),
-        "amount": (False, _is_amount, "non-negative integer"),
-        "token": (False, _is_name, "token id"),
-        "nonce": (False, _is_amount, "non-negative integer"),
+        "from": _WHO, "to": _WHO, "amount": _NON_NEGATIVE, "token": _TOKEN,
+        "nonce": _NON_NEGATIVE,
     },
     "split": {
-        "from": (True, _is_name, "participant name"),
-        "to": (True, _is_name, "participant name"),
-        "amount": (True, _is_positive, "positive integer"),
-        "outpoint": (False, _is_outpoint, "txid:index"),
+        "from": _WHO, "to": _WHO, "amount": _AMOUNT,
+        "outpoint": (False, lambda v: isinstance(v, str), "must be a txid:index"),
     },
     "merge": {
-        "from": (True, _is_name, "participant name"),
-        "to": (False, _is_name, "participant name"),
-        "outpoints": (False, _is_outpoint_list, "list of txid:index"),
+        "from": _WHO, "to": _MAYBE_WHO,
+        "outpoints": (False, _is_strings, "must be a list of txid:index"),
     },
-    "replay": {
-        "index": (False, _is_index, "submission index"),
-        "times": (False, _is_positive, "positive integer"),
-    },
+    "replay": {"index": _INDEX, "times": _POSITIVE},
     "double-spend": {
-        "from": (False, _is_name, "participant name"),
-        "to": (False, _is_name_pair, "two participant names"),
-        "amount": (False, _is_positive, "positive integer"),
-        "token": (False, _is_name, "token id"),
-        "wallet": (False, _is_name, "participant name"),
-        "coin": (False, _is_index, "coin index"),
+        "from": _MAYBE_WHO, "to": _MAYBE_PAIR, "amount": _POSITIVE, "token": _TOKEN,
+        "wallet": _MAYBE_WHO, "coin": _INDEX,
     },
     "broadcast-round": {
-        "from": (True, _is_name, "participant name"),
-        "to": (True, _is_name_pair, "two participant names"),
-        "amount": (True, _is_positive, "positive integer"),
-        "replicas": (False, _is_positive, "positive integer"),
-        "rule": (False, _is_rule, "ordering rule"),
-        "round_seed": (False, _is_index, "integer"),
+        "from": _WHO, "to": _PAIR, "amount": _AMOUNT, "replicas": _POSITIVE,
+        "rule": (False, lambda v: v in ORDERING_RULES, "must be an ordering rule"),
+        "round_seed": _INDEX,
     },
-    "withdraw": {
-        "wallet": (True, _is_name, "participant name"),
-        "denomination": (True, _is_positive, "positive integer"),
-        "count": (False, _is_positive, "positive integer"),
-    },
-    "redeem": {
-        "wallet": (True, _is_name, "participant name"),
-        "coin": (False, _is_index, "coin index"),
-        "times": (False, _is_positive, "positive integer"),
-    },
+    "withdraw": {"wallet": _WHO, "denomination": _AMOUNT, "count": _POSITIVE},
+    "redeem": {"wallet": _WHO, "coin": _INDEX, "times": _POSITIVE},
 }
+
+
+def _check_fields(where: str, obj: dict, fields: dict, problems: list[str]) -> None:
+    """Check one object's keys and values against its fields.
+
+    `where` names the object in each message, and is "" for the document
+    itself. A key that is present is checked whatever its value, null
+    included, because the runner reads every present key as given.
+    """
+    at = f"{where}: " if where else ""
+    for key in obj:
+        if key not in fields:
+            problems.append(
+                f"{at}unknown field {key!r}" if where else f"unknown top-level key {key!r}"
+            )
+    for key, (required, check, message) in fields.items():
+        name = f"{where}.{key}" if where else key
+        if key not in obj:
+            if required:
+                problems.append(f"{at}requires {key!r}")
+        elif isinstance(check, dict) and isinstance(obj[key], dict):
+            _check_fields(name, obj[key], check, problems)
+        elif isinstance(check, dict) or not check(obj[key]):
+            problems.append(f"{name} {message}")
 
 
 def validate_scenario(doc: object) -> list[str]:
     """Check a scenario document against the schema; return all problems."""
-    problems: list[str] = []
     if not isinstance(doc, dict):
         return ["scenario must be a JSON object"]
-    for key in doc:
-        if key not in _TOP_LEVEL_KEYS:
-            problems.append(f"unknown top-level key {key!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        problems.append(
-            f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
-        )
     kernel = doc.get("kernel")
-    if kernel not in KERNELS:
-        problems.append(f"kernel must be one of {KERNELS}, got {kernel!r}")
-        return problems
-    if "crypto" in doc and doc["crypto"] not in CRYPTO_MODES:
-        problems.append(f"crypto must be one of {CRYPTO_MODES}, got {doc['crypto']!r}")
-    if "seed" in doc and not _is_amount(doc["seed"]):
-        problems.append("seed must be a non-negative integer")
-    if "name" in doc and not _is_name(doc["name"]):
-        problems.append("name must be a non-empty string")
-    if "account_mode" in doc:
-        if kernel != "account":
-            problems.append("account_mode is only valid for the account kernel")
-        elif doc["account_mode"] not in ACCOUNT_MODES:
-            problems.append(f"account_mode must be one of {ACCOUNT_MODES}")
-    if "allow_p2h" in doc:
-        if kernel != "utxo":
-            problems.append("allow_p2h is only valid for the utxo kernel")
-        elif not isinstance(doc["allow_p2h"], bool):
-            problems.append("allow_p2h must be a boolean")
-
-    issuer = doc.get("issuer")
-    if issuer is not None:
-        if kernel not in ("utxo", "ecash"):
-            problems.append("issuer config is only valid for utxo and ecash kernels")
-        elif not isinstance(issuer, dict):
-            problems.append("issuer must be an object")
-        else:
-            for key in issuer:
-                if key not in ("seed", "denominations"):
-                    problems.append(f"unknown issuer key {key!r}")
-            if "seed" in issuer and not _is_name(issuer["seed"]):
-                problems.append("issuer.seed must be a non-empty string")
-            if kernel == "ecash":
-                denoms = issuer.get("denominations")
-                if (
-                    not isinstance(denoms, list)
-                    or not denoms
-                    or not all(_is_positive(d) for d in denoms)
-                ):
-                    problems.append(
-                        "issuer.denominations must be a non-empty list of positive integers"
-                    )
-            elif "denominations" in issuer:
-                problems.append("issuer.denominations is only valid for the ecash kernel")
-    elif kernel == "ecash":
+    if kernel not in KERNELS:  # what else is valid depends on the kernel
+        return [f"kernel must be one of {KERNELS}, got {kernel!r}"]
+    schema = _KERNELS[kernel]
+    problems: list[str] = []
+    _check_fields("", doc, {**_COMMON, **_ELSEWHERE, **schema.settings}, problems)
+    if kernel == "ecash" and "issuer" not in doc:
         problems.append("ecash kernel requires an issuer config with denominations")
 
     participants = doc.get("participants", [])
     names: set[str] = set()
-    if not isinstance(participants, list):
-        problems.append("participants must be a list")
-    else:
-        for i, entry in enumerate(participants):
-            if not isinstance(entry, dict) or not _is_name(entry.get("name")):
-                problems.append(f"participant {i} must be an object with a name")
-                continue
-            for key in entry:
-                if key not in ("name", "seed"):
-                    problems.append(f"participant {i}: unknown key {key!r}")
-            if "seed" in entry and not _is_name(entry["seed"]):
-                problems.append(f"participant {i}: seed must be a non-empty string")
-            if entry["name"] in names:
-                problems.append(f"duplicate participant name {entry['name']!r}")
-            names.add(entry["name"])
-    if kernel != "matrix" and not names:
+    for i, entry in enumerate(participants if isinstance(participants, list) else []):
+        where = f"participants[{i}]"
+        if not isinstance(entry, dict) or not _is_name(entry.get("name")):
+            problems.append(f"{where} must be an object with a name")
+            continue
+        _check_fields(where, entry, {"name": _NAME, "seed": _NAME}, problems)
+        if entry["name"] in names:
+            problems.append(f"duplicate participant name {entry['name']!r}")
+        names.add(entry["name"])
+    if schema.actions and not names:  # a kernel that takes actions needs an actor
         problems.append(f"{kernel} kernel requires at least one participant")
 
     actions = doc.get("actions", [])
-    allowed = _KERNEL_ACTIONS[kernel]
-    if not isinstance(actions, list):
-        problems.append("actions must be a list")
-        actions = []
+    actions = actions if isinstance(actions, list) else []
     for i, action in enumerate(actions):
-        where = f"action {i}"
+        where = f"actions[{i}]"
         if not isinstance(action, dict):
-            problems.append(f"{where}: must be an object")
+            problems.append(f"{where} must be an object")
             continue
         name = action.get("action")
         if not isinstance(name, str) or name not in _ACTION_FIELDS:
             problems.append(f"{where}: unknown action {name!r}")
             continue
-        if name not in allowed:
+        if name not in schema.actions:
             problems.append(f"{where}: {name!r} is not valid for the {kernel} kernel")
             continue
-        schema = _ACTION_FIELDS[name]
-        for key in action:
-            if key != "action" and key not in schema:
-                problems.append(f"{where}: unknown field {key!r} for {name!r}")
-        for field_name, (required, checker, description) in schema.items():
-            if field_name not in action:
-                if required:
-                    problems.append(f"{where}: {name!r} requires {field_name!r}")
-                continue
-            if not checker(action[field_name]):  # type: ignore[operator]
-                problems.append(
-                    f"{where}: field {field_name!r} must be a {description}"
-                )
-        for field_name in ("from", "to", "wallet"):
-            value = action.get(field_name)
-            candidates = value if isinstance(value, list) else [value]
-            for candidate in candidates:
-                if isinstance(candidate, str) and _is_name(candidate) and candidate not in names:
+        _check_fields(where, action, {"action": _NAME, **_ACTION_FIELDS[name]}, problems)
+        for key in ("from", "to", "wallet"):
+            value = action.get(key)
+            for candidate in value if isinstance(value, list) else [value]:
+                if _is_name(candidate) and candidate not in names:
                     problems.append(f"{where}: unknown participant {candidate!r}")
-    if kernel == "matrix" and actions:
-        problems.append("matrix scenarios take no actions")
+    if actions and not schema.actions:
+        problems.append(f"{kernel} scenarios take no actions")
 
-    reports = doc.get("reports")
-    if reports is not None:
-        if not isinstance(reports, list) or not all(isinstance(r, str) for r in reports):
-            problems.append("reports must be a list of strings")
-        else:
-            for report in reports:
-                if report not in _KERNEL_REPORTS[kernel]:
-                    problems.append(
-                        f"report {report!r} is not available for the {kernel} kernel"
-                    )
-
-    growth = doc.get("growth")
-    if growth is not None:
-        if kernel not in ("account", "utxo"):
-            problems.append("growth config is only valid for account and utxo kernels")
-        elif not isinstance(growth, dict):
-            problems.append("growth must be an object")
-        else:
-            for key in growth:
-                if key not in ("payments", "participants"):
-                    problems.append(f"unknown growth key {key!r}")
-            if "payments" in growth and not _is_positive(growth["payments"]):
-                problems.append("growth.payments must be a positive integer")
-            if "participants" in growth and (
-                not _is_positive(growth["participants"]) or growth["participants"] < 2
-            ):
-                problems.append("growth.participants must be an integer >= 2")
+    reports = doc.get("reports", [])
+    for report in reports if _is_strings(reports) else []:
+        if report not in schema.reports:
+            problems.append(f"report {report!r} is not available for the {kernel} kernel")
     return problems
 
 
@@ -724,7 +672,7 @@ def execute_scenario(
     runner = _Runner(doc, seed, scheme)
     for index, action in enumerate(doc.get("actions", [])):
         runner.run_action(index, action)
-    wanted = doc.get("reports", _DEFAULT_REPORTS[runner.kernel])
+    wanted = doc.get("reports", _KERNELS[runner.kernel].default_reports)
     return ScenarioResult(
         name=runner.name,
         kernel=runner.kernel,

@@ -14,6 +14,7 @@ never touch their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .crypto import Address, Amount, check_address, check_amount
 from .errors import ConfigError, FormatError, NotFoundError, OwnershipError
@@ -36,7 +37,7 @@ class TokenRegistry:
     """
 
     objects: dict[TokenId, TokenObject] = field(default_factory=dict)
-    authoritative: bool = False
+    authoritative: ClassVar[bool] = False
 
     @staticmethod
     def empty() -> "TokenRegistry":
@@ -64,7 +65,7 @@ def token_issue(
         raise ConfigError(f"token id {token!r} already issued")
     objects = dict(state.objects)
     objects[token] = TokenObject(value=value, owner=owner)
-    return TokenRegistry(objects=objects, authoritative=state.authoritative)
+    return TokenRegistry(objects=objects)
 
 
 def token_transfer(
@@ -83,7 +84,7 @@ def token_transfer(
         return state
     objects = dict(state.objects)
     objects[token] = TokenObject(value=obj.value, owner=payee)
-    return TokenRegistry(objects=objects, authoritative=state.authoritative)
+    return TokenRegistry(objects=objects)
 
 
 def token_snapshot(state: TokenRegistry) -> dict:
@@ -118,4 +119,4 @@ def token_from_snapshot(doc: dict) -> TokenRegistry:
         ):
             raise FormatError(f"malformed token entry {tid!r}")
         objects[tid] = TokenObject(value=entry["value"], owner=check_address(entry.get("owner")))
-    return TokenRegistry(objects=objects, authoritative=authoritative)
+    return TokenRegistry(objects=objects)

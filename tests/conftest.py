@@ -64,6 +64,20 @@ def read_vector_file(name):
     return pairs
 
 
+def json_slots(node, found):
+    """Every (container, key) pair under a JSON document, depth first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, value in items:
+        found.append((node, key))
+        json_slots(value, found)
+    return found
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     verdicts = {}
     for outcome in ("passed", "failed", "error"):

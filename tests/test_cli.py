@@ -17,6 +17,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import ledgerlab
+from conftest import json_slots
 from ledgerlab.accounts import (
     AccountState,
     account_apply,
@@ -214,6 +215,23 @@ def test_run_out_of_range_value_exits_3_without_traceback(
     assert f"execution failed at action {len(actions) - 1}" in err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"reports": None}, {"growth": None, "reports": ["growth"]}],
+    ids=["reports-null", "growth-null"],
+)
+def test_run_present_null_setting_exits_2_without_traceback(change, tmp_path, capsys):
+    """A key set to null is present, so validation checks it, not the runner."""
+    doc = json.loads((SCENARIO_DIR / "account_naive_replay.json").read_text(encoding="utf-8"))
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({**doc, **change}), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_run_missing_file_exits_2(capsys):
@@ -474,20 +492,6 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=4,
 )
-
-
-def json_slots(node, found):
-    """Every (container, key) pair under a JSON document, depth first."""
-    if isinstance(node, dict):
-        items = list(node.items())
-    elif isinstance(node, list):
-        items = list(enumerate(node))
-    else:
-        items = []
-    for key, value in items:
-        found.append((node, key))
-        json_slots(value, found)
-    return found
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,12 @@ import json
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from conftest import json_slots
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ledgerlab.encoding import canonical_json
-from ledgerlab.errors import ScenarioError
+from ledgerlab.errors import LedgerError, ScenarioError
 from ledgerlab.scenario import execute_scenario, validate_scenario
 
 BUNDLED = [
@@ -160,6 +161,16 @@ def test_kernel_scoped_settings():
     assert any(
         "growth.participants" in p
         for p in problems_of(lambda d: d.update(growth={"participants": 1}))
+    )
+
+
+def test_list_valued_kernel_and_action_names_are_problems():
+    problems = validate_scenario({"schema_version": 1, "kernel": ["account"]})
+    assert len(problems) == 1
+    assert "kernel" in problems[0]
+    assert any(
+        "unknown action [1]" in p
+        for p in problems_of(lambda d: d["actions"].append({"action": [1]}))
     )
 
 
@@ -324,3 +335,48 @@ def test_events_report_is_always_present():
     events = result.reports["events"]
     assert events["kernel"] == "token"
     assert [e["index"] for e in result.events] == list(range(len(doc["actions"])))
+
+
+# The toy, non-matrix bundled scenarios: `run`'s document path past parsing.
+FUZZED = [name for name in BUNDLED if bundled(name)["kernel"] != "matrix"]
+# Small integers only: a count such as `times` or `growth.payments` sets
+# how much work a run does, not whether its document is valid. "real" is
+# left out of the strings, since a real-crypto run is slow to set up.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.text(max_size=4)
+    | st.sampled_from(
+        ["alice", "bob", "carol", "toy", "naive", "nonce-protected", "state", "log",
+         "growth", "rounds", "coins", "events", "pay", "split", "arrival-order",
+         "00" * 32 + ":0"]
+    ),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_validation_is_total_and_an_accepted_document_runs(data):
+    """Replace one to three values anywhere in a bundled scenario, null
+    included: validation never raises, and a document it accepts runs or
+    fails only with a LedgerError (exit 3 at the CLI), never a traceback."""
+    doc = bundled(data.draw(st.sampled_from(FUZZED)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = json_slots(doc, [])
+        pick = st.integers(0, len(slots) - 1)
+        container, key = slots[data.draw(pick)]
+        # Half the time the new value is one the document already holds
+        # elsewhere, which keeps more mutants valid enough to run.
+        if data.draw(st.booleans()):
+            source, name = slots[data.draw(pick)]
+            container[key] = copy.deepcopy(source[name])
+        else:
+            container[key] = data.draw(JSON_VALUES)
+    problems = validate_scenario(doc)
+    event("accepted" if not problems else "refused")
+    if not problems:
+        try:
+            execute_scenario(doc)
+        except LedgerError:
+            event("failed at an action")

@@ -82,6 +82,14 @@ def test_snapshot_roundtrip(registry):
     assert canonical_json(doc) == canonical_json(token_snapshot(restored))
 
 
+def test_authoritative_is_a_constant_no_caller_can_set(registry):
+    """The registry is an observer's oracle, never an authoritative record."""
+    assert TokenRegistry.authoritative is False
+    assert token_snapshot(registry)["authoritative"] is False
+    with pytest.raises(TypeError):
+        TokenRegistry(objects={}, authoritative=True)
+
+
 @pytest.mark.parametrize(
     "owner",
     ["nobody", "AB" * 32, "ab" * 31, "ab" * 33, " " + "ab" * 31 + "a", b"ab" * 32, None],

@@ -55,6 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SIDES = ("base", "change")
 TIER1_RUNS = 5
 LAYER_RUNS = 10
 # Transactions in the layers leg's split chain, and passes over each input
@@ -271,6 +272,21 @@ def run_layers(checkout: Path) -> dict:
     return run
 
 
+def alternate(label: str, count: int, run, start=lambda i: {}) -> list[dict]:
+    """`count` pairs of runs, `run(side, i)` on each side of pair i: base
+    first when i is even, change first when odd. `start(i)` gives the keys
+    a pair holds besides its two runs."""
+    pairs = []
+    for i in range(count):
+        pair = start(i)
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            pair[side] = done = run(side, i)
+            shown = done.get("error") or done.get("result") or done.get("metrics")
+            print(f"{label} pair {i} {side}: {shown}", file=sys.stderr, flush=True)
+        pairs.append(pair)
+    return pairs
+
+
 def run_ok(run: dict) -> bool:
     return (
         run["exit"] == 0 and "error" not in run
@@ -337,7 +353,7 @@ def main(argv=None) -> int:
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
-        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        sides = {side: Path(tmp) / side for side in SIDES}
         for side, checkout in sides.items():
             doc[side] = export(getattr(args, side), checkout)
         doc["src_lines_delta"] = doc["change"]["src_lines"] - doc["base"]["src_lines"]
@@ -354,16 +370,11 @@ def main(argv=None) -> int:
         }
         doc["workloads"] = {}
         for workload in (w["name"] for w in benchmark["workloads"]):
-            pairs = []
-            for i, seed in enumerate(args.seeds):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_bench(sides[side], workload, seed, seconds, 0)
-                    print(f"{workload} seed {seed} {side}: "
-                          f"{pair[side].get('metrics', pair[side].get('error'))}",
-                          file=sys.stderr, flush=True)
-                pairs.append(pair)
+            pairs = alternate(
+                workload, len(args.seeds),
+                lambda side, i: run_bench(sides[side], workload, args.seeds[i], seconds, 0),
+                lambda i: {"seed": args.seeds[i], "first": SIDES[i % 2]},
+            )
             doc["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summarize(pairs, directions),
@@ -374,16 +385,10 @@ def main(argv=None) -> int:
                 ),
                 "traced": {
                     side: run_bench(sides[side], workload, args.seeds[0], seconds, 1)
-                    for side in ("base", "change")
+                    for side in SIDES
                 },
             }
-        layers = []
-        for i in range(LAYER_RUNS):
-            pair = {}
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                pair[side] = run_layers(sides[side])
-                print(f"layers {side}: {pair[side].get('error', 'ok')}", file=sys.stderr, flush=True)
-            layers.append(pair)
+        layers = alternate("layers", LAYER_RUNS, lambda side, i: run_layers(sides[side]))
         names = sorted({name for pair in layers for run in pair.values()
                         for name in run.get("metrics", {})})
         doc["layers"] = {
@@ -391,13 +396,7 @@ def main(argv=None) -> int:
             "runs": layers,
             "summary": summarize(layers, dict.fromkeys(names, "lower")),
         }
-        tier1 = []
-        for i in range(TIER1_RUNS):
-            pair = {}
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                pair[side] = run_tier1(sides[side])
-                print(f"tier1 {side}: {pair[side]['result']}", file=sys.stderr, flush=True)
-            tier1.append(pair)
+        tier1 = alternate("tier1", TIER1_RUNS, lambda side, i: run_tier1(sides[side]))
         doc["tier1_s"] = {
             "command": " ".join(["PYTHONPATH=src python", *TIER1]),
             "runs": tier1,
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
         }
         runs = [
             run for w in doc["workloads"].values()
-            for run in [*(p[side] for p in w["pairs"] for side in ("base", "change")),
+            for run in [*(p[side] for p in w["pairs"] for side in SIDES),
                         *w["traced"].values()]
         ]
         envs = [run["env"] for run in runs if "env" in run]
