@@ -84,11 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _diag(str(exc))
         return EXIT_INVALID
     try:
-        result = execute_scenario(
-            doc if isinstance(doc, dict) else {},
-            seed_override=seed,
-            crypto_override=args.crypto,
-        )
+        result = execute_scenario(doc, seed_override=seed, crypto_override=args.crypto)
     except ScenarioError as exc:
         if exc.action_index is None:
             _diag(str(exc))

@@ -33,7 +33,7 @@ from typing import Literal, Sequence
 from .crypto import CryptoScheme, digest
 from .errors import ConfigError, TxRejected
 from .rng import SeededStream
-from .utxo import Chainstate, UtxoTx, snapshot_text, txid_of, utxo_apply
+from .utxo import Chainstate, UtxoTx, snapshot_bytes, txid_of, utxo_apply
 
 OrderingRule = Literal["arrival-order", "canonical-txid-order"]
 
@@ -55,9 +55,9 @@ class Replica:
 
 
 def state_digest(state: Chainstate) -> str:
-    """Digest of the canonical snapshot text; equal iff states are
+    """Digest of the canonical snapshot bytes; equal iff states are
     bit-identical."""
-    return digest(snapshot_text(state).encode("utf-8")).hex()
+    return digest(snapshot_bytes(state)).hex()
 
 
 def make_replicas(count: int, genesis: Chainstate) -> list[Replica]:

@@ -75,8 +75,8 @@ hashing, replace(), asdict(), copies and pickles never see them:
   first, then by equality, as `_row`'s outpoint does. The issuer check,
   presence, the spent and duplicate-txid checks and conservation read
   the state and run on every call.
-* `_row` stores an output's rendered snapshot row with the outpoint it
-  was rendered at.
+* `_row` stores an output's rendered snapshot row, as ASCII bytes, with
+  the outpoint it was rendered at.
 
 A replica round therefore checks a transaction's state-free half once,
 however many replicas validate it.
@@ -205,7 +205,7 @@ class _Ledger:
     no ledger refers to any chainstate, so a dead family is freed at once.
     The journal is None while only the head may be used (see
     `_unjournaled_genesis`). `rows` caches the sorted snapshot rows of the
-    active set at `base` for `snapshot_text`; forks made at `base` share
+    active set at `base` for `snapshot_bytes`; forks made at `base` share
     it, and whatever rebases a ledger clears it.
     """
 
@@ -216,7 +216,7 @@ class _Ledger:
     spent: dict[UtxoId, None]
     base: int = 0
     journal: list[tuple] | None = field(default_factory=list)
-    rows: list[str] | None = None
+    rows: list[bytes] | None = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -817,13 +817,14 @@ def chainstate_snapshot(state: Chainstate) -> dict:
     }
 
 
-def _row(outpoint: UtxoId, entry: TxOutput) -> str:
+def _row(outpoint: UtxoId, entry: TxOutput) -> bytes:
     """The line canonical_json renders for `entry` at `outpoint` inside a
-    snapshot's active set, memoized on the frozen output like txid_of's
-    txid. The memo is no field, so equality, hashing, replace(), asdict()
-    and copies never see it. It keeps the outpoint it was rendered at: a
-    caller can place one output object at two outpoints, and an audit can
-    carry a tampered row's outputs under another txid."""
+    snapshot's active set, as ASCII bytes, memoized on the frozen output
+    like txid_of's txid. The memo is no field, so equality, hashing,
+    replace(), asdict() and copies never see it. It keeps the outpoint it
+    was rendered at: a caller can place one output object at two
+    outpoints, and an audit can carry a tampered row's outputs under
+    another txid."""
     try:
         at, row = entry._snapshot
         if at is outpoint or at == outpoint:
@@ -836,7 +837,7 @@ def _row(outpoint: UtxoId, entry: TxOutput) -> str:
         '    "' + outpoint.render() + '": {\n      "locking": "'
         + script_to_text(entry.locking) + '",\n      "value": ' + str(entry.value)
         + "\n    }"
-    )
+    ).encode("ascii")
     object.__setattr__(entry, "_snapshot", (outpoint, row))
     return row
 
@@ -852,11 +853,11 @@ def _base_entries(ledger: _Ledger) -> dict[UtxoId, TxOutput | None]:
     return first
 
 
-def _sorted_rows(ledger: _Ledger) -> list[str]:
+def _sorted_rows(ledger: _Ledger) -> list[bytes]:
     """The active set's rows, sorted by rendered outpoint: the order
-    sort_keys gives ("...:10" before "...:2"), since keys are distinct and
-    the quote closing each sorts below every character a rendered key can
-    hold.
+    sort_keys gives ("...:10" before "...:2"), since keys are distinct,
+    ASCII byte order is code-point order, and the quote closing each key
+    sorts below every character a rendered key can hold.
 
     A ledger that has applied fewer transactions since its base than it
     holds before it (every replica forked from one history) edits a copy
@@ -883,23 +884,28 @@ def _sorted_rows(ledger: _Ledger) -> list[str]:
     return rows
 
 
-def snapshot_text(state: Chainstate) -> str:
-    """Exactly canonical_json(chainstate_snapshot(state)), joined from each
-    active output's memoized row. Forked states share their outputs and
-    their base's sorted rows, so replicas digesting one history render
-    and sort its outputs once."""
+def snapshot_bytes(state: Chainstate) -> bytes:
+    """Exactly canonical_json(chainstate_snapshot(state)).encode(), joined
+    from each active output's memoized row. Forked states share their
+    outputs and their base's sorted rows, so replicas digesting one
+    history render and sort its outputs once."""
     rows = _sorted_rows(_own(state))
     tail = (
         ',\n  "allow_p2h": ' + json.dumps(state.allow_p2h)
         + ',\n  "issuer_public_key": ' + json.dumps(state.issuer_public_key.hex())
         + ',\n  "kernel": "utxo",\n  "log_length": ' + str(state._length) + "\n}\n"
-    )
+    ).encode("ascii")
     if not rows:
-        return '{\n  "active": {}' + tail
+        return b'{\n  "active": {}' + tail
     # One join copies the text once: the head and tail ride on the end rows.
-    rows[0] = '{\n  "active": {\n' + rows[0]
-    rows[-1] += "\n  }" + tail
-    return ",\n".join(rows)
+    rows[0] = b'{\n  "active": {\n' + rows[0]
+    rows[-1] += b"\n  }" + tail
+    return b",\n".join(rows)
+
+
+def snapshot_text(state: Chainstate) -> str:
+    """snapshot_bytes(state) as text: canonical_json(chainstate_snapshot(state))."""
+    return snapshot_bytes(state).decode("ascii")
 
 
 def active_from_snapshot(doc: dict) -> dict[UtxoId, TxOutput]:

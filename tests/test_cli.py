@@ -28,6 +28,7 @@ from ledgerlab.accounts import (
 from ledgerlab.cli import main
 from ledgerlab.crypto import derive_wallet
 from ledgerlab.encoding import canonical_json
+from ledgerlab.scenario import MAX_COUNT
 from ledgerlab.tokens import TokenRegistry, token_issue, token_snapshot
 from ledgerlab.utxo import (
     Chainstate,
@@ -232,6 +233,43 @@ def test_run_present_null_setting_exits_2_without_traceback(change, tmp_path, ca
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc["actions"][-1].update(times=10**12),
+        lambda doc: doc.update(growth={"payments": 10**9}, reports=["growth"]),
+    ],
+    ids=["replay-times", "growth-payments"],
+)
+def test_run_count_over_the_cap_exits_2_at_once(change, tmp_path):
+    """A count sets how much work a run does, so validation caps it; the
+    run is a child process so that a runaway count fails by its timeout."""
+    doc = json.loads((SCENARIO_DIR / "account_naive_replay.json").read_text(encoding="utf-8"))
+    assert doc["actions"][-1]["action"] == "replay"
+    change(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    package_root = str(Path(ledgerlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ledgerlab.cli", "run", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"must be an integer from 1 to {MAX_COUNT}" in result.stderr
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", "3", '"account"'])
+def test_run_non_object_scenario_exits_2_naming_it(text, tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "scenario must be a JSON object" in capsys.readouterr().err
 
 
 def test_run_missing_file_exits_2(capsys):

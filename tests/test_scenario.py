@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import LedgerError, ScenarioError
-from ledgerlab.scenario import execute_scenario, validate_scenario
+from ledgerlab.scenario import MAX_COUNT, execute_scenario, validate_scenario
 
 BUNDLED = [
     "account_naive_replay.json",
@@ -235,6 +235,35 @@ def test_execution_failure_carries_action_index():
 @pytest.mark.parametrize("filename", BUNDLED)
 def test_bundled_scenarios_validate(filename):
     assert validate_scenario(bundled(filename)) == []
+
+
+# Each field that sets how much work a run does: (document, setter, path, least value).
+COUNTS = [
+    ("account_naive_replay.json", lambda d, v: d["actions"][3].update(times=v),
+     "actions[3].times", 1),
+    ("account_naive_replay.json", lambda d, v: d.update(growth={"payments": v}),
+     "growth.payments", 1),
+    ("account_naive_replay.json", lambda d, v: d.update(growth={"participants": v}),
+     "growth.participants", 2),
+    ("ecash_basic.json", lambda d, v: d["actions"][0].update(count=v), "actions[0].count", 1),
+    ("ecash_basic.json", lambda d, v: d["actions"][2].update(times=v), "actions[2].times", 1),
+    ("replica_round.json", lambda d, v: d["actions"][1].update(replicas=v),
+     "actions[1].replicas", 1),
+]
+
+
+@pytest.mark.parametrize("filename, set_count, where, least", COUNTS)
+def test_counts_are_capped(filename, set_count, where, least):
+    def problems_at(value):
+        doc = bundled(filename)
+        set_count(doc, value)
+        return validate_scenario(doc)
+
+    assert problems_at(least) == problems_at(MAX_COUNT) == []
+    for value in (least - 1, MAX_COUNT + 1, 10**12, True):
+        assert problems_at(value) == [
+            f"{where} must be an integer from {least} to {MAX_COUNT}"
+        ]
 
 
 @pytest.mark.parametrize("filename", BUNDLED)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import sys
 import tracemalloc
 
@@ -19,6 +20,7 @@ from ledgerlab.errors import (
     NotFoundError,
     TxRejected,
 )
+from ledgerlab.replica import state_digest
 from ledgerlab.rng import SeededStream
 from ledgerlab.scripts import BARE_OPS, ExecResult, ExecutionContext, compile_p2h, execute, push
 from ledgerlab.utxo import (
@@ -43,6 +45,7 @@ from ledgerlab.utxo import (
     make_spend,
     merge_payment,
     replay_log,
+    snapshot_bytes,
     snapshot_text,
     split_payment,
     txid_of,
@@ -665,7 +668,7 @@ def test_replay_and_audit_keep_no_undo_journal(toy, issuer, wallets):
 def test_snapshot_text_of_empty_genesis(issuer, allow_p2h):
     genesis = Chainstate.genesis(issuer.public_key, allow_p2h=allow_p2h)
     assert '"active": {}' in snapshot_text(genesis)
-    assert snapshot_text(genesis) == canonical_json(chainstate_snapshot(genesis))
+    assert_canonical_snapshot(genesis)
 
 
 @pytest.fixture(scope="module")
@@ -702,6 +705,15 @@ def digests_through_shared_rows(state, filled):
     return shared
 
 
+def assert_canonical_snapshot(state):
+    """snapshot_text, snapshot_bytes and state_digest agree with
+    canonical_json(chainstate_snapshot(state)) and its SHA-256."""
+    text = canonical_json(chainstate_snapshot(state))
+    assert snapshot_text(state) == text
+    assert snapshot_bytes(state) == text.encode()
+    assert state_digest(state) == hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_snapshot_text_matches_canonical_snapshot(toy, wallets, snapshot_root):
     """snapshot_text is canonical_json(chainstate_snapshot) for branching
     states rendered before and after they fork, including states carried
@@ -712,7 +724,7 @@ def test_snapshot_text_matches_canonical_snapshot(toy, wallets, snapshot_root):
     filled, shared = [], []
 
     def render(state):
-        assert snapshot_text(state) == canonical_json(chainstate_snapshot(state))
+        assert_canonical_snapshot(state)
         shared.append(digests_through_shared_rows(state, filled))
 
     @given(data=st.data())
@@ -777,7 +789,7 @@ def test_forks_digest_through_the_shared_base_in_any_order(toy, wallets, snapsho
     assert forks[0]._ledger.rows is not None
     for index in data.draw(st.permutations(range(len(forks))), label="read order"):
         fork = forks[index]
-        assert snapshot_text(fork) == canonical_json(chainstate_snapshot(fork))
+        assert_canonical_snapshot(fork)
         assert fork._ledger.rows is forks[0]._ledger.rows
     assert snapshot_text(snapshot_root) == before
     assert before == canonical_json(chainstate_snapshot(snapshot_root))
@@ -811,10 +823,10 @@ def test_snapshot_text_with_one_output_object_at_two_outpoints(
 def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
     lock = lock_to_wallet(wallets[0])
     state = coinbase_issue(Chainstate.genesis(issuer.public_key), [(7, lock)], issuer, toy)
-    snapshot_text(state)
+    snapshot = snapshot_bytes(state)
     memoized, fresh = state.active[tip(state)], TxOutput(value=7, locking=lock)
     rendered_at, row = memoized._snapshot
-    assert rendered_at == tip(state) and row in snapshot_text(state)
+    assert rendered_at == tip(state) and isinstance(row, bytes) and row in snapshot
     assert memoized == fresh and hash(memoized) == hash(fresh)
     assert dataclasses.asdict(memoized) == dataclasses.asdict(fresh)
     assert [f.name for f in dataclasses.fields(memoized)] == ["value", "locking"]

@@ -64,6 +64,8 @@ LAYER_TXS = 400
 LAYER_PASSES = 5
 # Fresh toy keys generated per pass: each is a miss of the keygen LRU.
 LAYER_KEYGENS = 40
+# Forks of one state digested per pass, one per replica of a round.
+LAYER_FORKS = 8
 
 
 def git(*args: str) -> str:
@@ -169,7 +171,11 @@ def measure_layers() -> dict[str, float]:
     cache warm). The chain's log times `encode_utxo_tx`, `decode_utxo_tx`
     of its bytes and `txid_of` on fresh copies that carry no memo, and its
     final state `canonical_json` of its snapshot and
-    `replica.state_digest`. Toy keygen runs on LAYER_KEYGENS seeds no pass
+    `replica.state_digest`, which sorts every row of a head ledger.
+    `replica.state_digest_fork` digests LAYER_FORKS forks of the replayed
+    final state, each one spend ahead, after the state's own digest, as
+    the replicas of a round digest theirs: each edits the sorted base
+    rows the forks share. Toy keygen runs on LAYER_KEYGENS seeds no pass
     has used. Sign and verify run in both crypto modes on messages no pass
     has signed: each signature is verified once with a cold cache, then
     once warm.
@@ -241,6 +247,15 @@ def measure_layers() -> dict[str, float]:
         snapshot = utxo.chainstate_snapshot(state)
         timed("encoding.canonical_json", encoding.canonical_json, [snapshot] * 3)
         timed("replica.state_digest", replica.state_digest, [state] * 3)
+        root = utxo.replay_log(log, issuer.public_key, toy)
+        replica.state_digest(root)
+        forks = [
+            utxo.utxo_apply(
+                root, utxo.split_payment(toy, root, payer, outpoint, 1 + fork, payee), toy
+            )
+            for fork in range(LAYER_FORKS)
+        ]
+        timed("replica.state_digest_fork", replica.state_digest, forks)
         for mode in ("toy", "real"):
             scheme = crypto.get_scheme(mode)
             pair = scheme.keygen(b"layers-signer:" + mode.encode())
