@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .crypto import (
+    MAX_AMOUNT,
     Address,
     Amount,
     CryptoScheme,
@@ -96,18 +97,15 @@ class AccountState:
 
 def encode_account_tx(tx: AccountTx, *, for_signing: bool = False) -> bytes:
     """Canonical bytes; with for_signing=True the signature field is zeroed."""
-    check_amount(tx.amount)
-    if tx.nonce is not None and (not isinstance(tx.nonce, int) or tx.nonce < 0):
-        raise FormatError(f"nonce must be a non-negative integer, got {tx.nonce!r}")
     signature = b"" if for_signing else tx.payer_signature
     return b"".join(
         [
             _MAGIC,
             _address_to_bytes(tx.payer),
             _address_to_bytes(tx.payee),
-            u64(tx.amount),
+            u64(check_amount(tx.amount)),
             u8(0 if tx.nonce is None else 1),
-            u64(tx.nonce or 0),
+            u64(0 if tx.nonce is None else check_amount(tx.nonce, context="nonce")),
             varbytes(tx.payer_public_key),
             varbytes(signature),
         ]
@@ -155,6 +153,11 @@ def make_account_tx(
 # ---------------------------------------------------------------------------
 
 
+def _check_credit(state: AccountState, payee: Address, amount: Amount) -> None:
+    if state.balance(payee) + amount > MAX_AMOUNT:
+        raise FundsError(f"crediting {amount} to {payee} would exceed the 64-bit range")
+
+
 def account_apply(
     state: AccountState,
     tx: AccountTx,
@@ -164,10 +167,9 @@ def account_apply(
     """Apply one transfer, returning the successor state.
 
     Raises AuthError for a bad key binding or signature, FundsError for
-    an overdraft, ReplayError for a missing or stale nonce in protected
-    mode. The input state is never modified.
+    an overdraft or a credit past MAX_AMOUNT, ReplayError for a missing
+    or stale nonce in protected mode. The input state is never modified.
     """
-    check_amount(tx.amount)
     if address_of(tx.payer_public_key) != tx.payer:
         raise AuthError("public key does not hash to the payer address")
     if not scheme.verify(
@@ -184,6 +186,8 @@ def account_apply(
         raise FundsError(
             f"payer holds {state.balance(tx.payer)}, cannot send {tx.amount}"
         )
+    if tx.payee != tx.payer:  # a self-payment credits only what it debits
+        _check_credit(state, tx.payee, tx.amount)
 
     balances = dict(state.balances)
     balances[tx.payer] = balances.get(tx.payer, 0) - tx.amount
@@ -199,6 +203,7 @@ def account_mint(state: AccountState, payee: Address, amount: Amount) -> Account
     """Credit new units to an account; the only way total supply changes."""
     check_address(payee)
     check_amount(amount)
+    _check_credit(state, payee, amount)
     balances = dict(state.balances)
     balances[payee] = balances.get(payee, 0) + amount
     return AccountState(balances=balances, nonces=state.nonces)
@@ -227,8 +232,7 @@ def account_from_snapshot(doc: dict) -> AccountState:
     for mapping, label in ((balances, "balance"), (nonces, "nonce")):
         for key, value in mapping.items():
             check_address(key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise FormatError(f"malformed {label} entry {key!r}: {value!r}")
+            check_amount(value, context=f"{label} entry {key!r}")
     # A payer's nonce moves only with a debit, which writes its balance entry.
     for key in nonces:
         if key not in balances:

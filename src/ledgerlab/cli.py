@@ -51,21 +51,22 @@ def _read_document(path: str, context: str) -> object:
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {context} {path!r}: {exc}") from exc
     return parse_json(text, context=context)
 
 
 def _resolve_seed(explicit: int | None) -> int | None:
-    if explicit is not None:
-        return explicit
     env = os.environ.get(_ENV_SEED)
-    if env is None or env == "":
+    if explicit is None and not env:
         return None
     try:
-        return int(env)
+        seed = int(env) if explicit is None else explicit
     except ValueError as exc:
         raise FormatError(f"{_ENV_SEED} must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise FormatError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

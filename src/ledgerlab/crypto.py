@@ -60,8 +60,9 @@ from .rng import SeededStream
 
 DIGEST_SIZE = 32
 
-# Smallest indivisible unit; amounts are plain non-negative ints.
+# Smallest indivisible unit; an amount is an int from 0 to MAX_AMOUNT (a u64).
 Amount = int
+MAX_AMOUNT = (1 << 64) - 1
 
 # An address is the hex form of the digest of a public key.
 Address = str
@@ -88,11 +89,13 @@ def check_address(address: Address) -> Address:
 
 
 def check_amount(value: int, *, context: str = "amount") -> int:
-    """Reject negative, fractional, or boolean amounts."""
+    """The one amount rule of every kernel: an int, not a bool, from 0 to MAX_AMOUNT."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{context} must be an integer, got {value!r}")
     if value < 0:
         raise FormatError(f"{context} must be non-negative, got {value}")
+    if value > MAX_AMOUNT:  # name the bound: str() of a long enough int raises
+        raise FormatError(f"{context} exceeds the 64-bit range (at most {MAX_AMOUNT})")
     return value
 
 

@@ -52,9 +52,8 @@ def u32(value: int) -> bytes:
 
 
 def u64(value: int) -> bytes:
-    # Amounts and nonces can arrive here unchecked from scenario files, so
-    # a value too wide for the field is malformed input. (Callers reject
-    # negative values before encoding.)
+    # Callers hold amounts and nonces to crypto.check_amount first; this
+    # guard keeps any other value too wide for the field off the wire.
     if value > 0xFFFF_FFFF_FFFF_FFFF:
         raise FormatError(f"{value} exceeds the 64-bit range")
     return value.to_bytes(8, "big")
@@ -131,7 +130,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def parse_json(text: str, *, context: str = "document") -> Any:
+    # ValueError covers JSONDecodeError and CPython's integer-digit limit.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"malformed {context}: {exc}") from exc

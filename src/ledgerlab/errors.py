@@ -12,7 +12,7 @@ class AuthError(LedgerError):
 
 
 class FundsError(LedgerError):
-    """A debit would take a balance below zero."""
+    """A debit would take a balance below zero, or a credit past MAX_AMOUNT."""
 
 
 class UnfundedError(FundsError):

@@ -111,12 +111,10 @@ def token_from_snapshot(doc: dict) -> TokenRegistry:
         raise FormatError("a token registry is never authoritative")
     objects = {}
     for tid, entry in raw.items():
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("value"), int)
-            or isinstance(entry.get("value"), bool)
-            or entry.get("value", 0) <= 0
-        ):
+        if not isinstance(entry, dict):
             raise FormatError(f"malformed token entry {tid!r}")
-        objects[tid] = TokenObject(value=entry["value"], owner=check_address(entry.get("owner")))
+        value = check_amount(entry.get("value"), context=f"token {tid!r} value")
+        if value == 0:
+            raise FormatError(f"token {tid!r} value must be positive")
+        objects[tid] = TokenObject(value=value, owner=check_address(entry.get("owner")))
     return TokenRegistry(objects=objects)

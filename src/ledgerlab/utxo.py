@@ -93,7 +93,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Literal, Mapping, NamedTuple, Sequence
 
-from .crypto import Amount, CryptoScheme, KeyPair, Wallet, check_amount, digest
+from .crypto import MAX_AMOUNT, Amount, CryptoScheme, KeyPair, Wallet, check_amount, digest
 from .encoding import MAX_FIELD_BYTES, item_count, read_script, varbytes, write_script
 from .errors import AuthError, FormatError, NotFoundError, TxRejected
 from .scripts import (
@@ -110,7 +110,6 @@ from .scripts import (
 
 _MAGIC = b"UTX1"
 TXID_BYTES = 32
-MAX_VALUE = (1 << 64) - 1
 
 TxKind = Literal["normal", "coinbase"]
 
@@ -321,13 +320,6 @@ def _advance(state: Chainstate, tx: UtxoTx, txid: bytes) -> Chainstate:
 # ---------------------------------------------------------------------------
 
 
-def _check_value(value: int) -> int:
-    check_amount(value, context="output value")
-    if value > MAX_VALUE:
-        raise FormatError(f"output value {value} exceeds the 64-bit range")
-    return value
-
-
 # An empty script or signature field: a zero u32 length.
 _EMPTY_FIELD = bytes(4)
 _KIND_TAG = {"normal": b"\x00", "coinbase": b"\x01"}
@@ -355,7 +347,7 @@ def encode_utxo_tx(tx: UtxoTx, *, for_signing: bool = False) -> bytes:
             write_script(parts, tx_in.unlocking)
     parts.append(len(tx.outputs).to_bytes(4, "big"))
     for tx_out in tx.outputs:
-        parts.append(_check_value(tx_out.value).to_bytes(8, "big"))
+        parts.append(check_amount(tx_out.value, context="output value").to_bytes(8, "big"))
         write_script(parts, tx_out.locking)
     parts.append(_EMPTY_FIELD if for_signing else varbytes(tx.issuer_signature))
     return b"".join(parts)
@@ -459,8 +451,8 @@ class ValidationReport(NamedTuple):
 
 
 def _in_range(value: object) -> bool:
-    """Whether an output value fits the u64 field the encoder writes."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_VALUE
+    """Whether an output value passes check_amount, without raising."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_AMOUNT
 
 
 def _on_wire(outpoint: UtxoId) -> bool:
@@ -923,7 +915,7 @@ def active_from_snapshot(doc: dict) -> dict[UtxoId, TxOutput]:
         if not isinstance(entry, dict) or not isinstance(entry.get("locking"), str):
             raise FormatError(f"malformed utxo entry {text!r}")
         active[UtxoId.parse(text)] = TxOutput(
-            value=_check_value(entry.get("value")),
+            value=check_amount(entry.get("value"), context="output value"),
             locking=script_from_text(entry["locking"]),
         )
     return active

@@ -12,6 +12,7 @@ from ledgerlab.accounts import (
     account_snapshot,
     make_account_tx,
 )
+from ledgerlab.crypto import MAX_AMOUNT
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import AuthError, FormatError, FundsError, ReplayError
 from ledgerlab.rng import SeededStream
@@ -115,6 +116,28 @@ def test_negative_amount_rejected(toy, funded):
     tx = make_account_tx(toy, a, b.address, 1)
     with pytest.raises(FormatError):
         account_apply(state, dataclasses.replace(tx, amount=-1), "naive", toy)
+
+
+@pytest.mark.parametrize("mode", ["naive", "nonce-protected"])
+def test_a_credit_past_the_bound_is_refused_and_leaves_the_state(toy, funded, mode):
+    state, a, b = funded
+    full = account_mint(state, b.address, MAX_AMOUNT - state.balance(b.address))
+    assert full.balance(b.address) == MAX_AMOUNT
+    balances, nonces = dict(full.balances), dict(full.nonces)
+    with pytest.raises(FundsError, match="exceed the 64-bit range"):
+        account_mint(full, b.address, 1)
+    with pytest.raises(FundsError, match="exceed the 64-bit range"):
+        account_apply(full, make_account_tx(toy, a, b.address, 1, nonce=0), mode, toy)
+    assert (full.balances, full.nonces) == (balances, nonces)
+    # A self-payment credits what it debits, so a full balance may make one.
+    itself = make_account_tx(toy, b, b.address, MAX_AMOUNT, nonce=0)
+    assert account_apply(full, itself, mode, toy).balances == balances
+
+
+def test_a_nonce_is_an_integer_not_a_boolean(toy, wallets):
+    a, b = wallets[0], wallets[1]
+    with pytest.raises(FormatError, match="nonce must be an integer"):
+        make_account_tx(toy, a, b.address, 1, nonce=True)
 
 
 @pytest.mark.parametrize(

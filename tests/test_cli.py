@@ -56,6 +56,14 @@ def scenario_path(name):
     return str(SCENARIO_DIR / name)
 
 
+def run_main(argv):
+    """`main(argv)` with its stdout and stderr captured as text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def traced_log(toy, tmp_path_factory):
     """A three-hop exported log on disk plus the leaf outpoint to trace."""
@@ -189,10 +197,7 @@ TWO_TO_THE_64 = 1 << 64
         ),
         (
             "account",
-            [
-                {"action": "issue", "to": "a", "amount": TWO_TO_THE_64},
-                {"action": "pay", "from": "a", "to": "b", "amount": TWO_TO_THE_64},
-            ],
+            [{"action": "issue", "to": "a", "amount": TWO_TO_THE_64}],
             "exceeds the 64-bit range",
         ),
     ],
@@ -330,10 +335,8 @@ def test_run_exits_0_2_or_3_on_mutated_scenarios(data, tmp_path_factory):
             action[field] = data.draw(TIMES if field == "times" else WIDE_INTS)
     path = tmp_path_factory.mktemp("fuzz") / name
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", str(path)])
-    assert code in (0, 2, 3), err.getvalue()
+    code, _, err = run_main(["run", str(path)])
+    assert code in (0, 2, 3), err
 
 
 # -- inspect -----------------------------------------------------------------
@@ -424,6 +427,9 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         {"kernel": "account", "balances": {"a" * 64: 3}, "nonces": {"b" * 64: 2}},
         {"kernel": "account", "balances": {"not-an-address": 5}},
         {"kernel": "token", "objects": {"t": {"value": 1, "owner": "nobody"}}},
+        {"kernel": "account", "balances": {"a" * 64: TWO_TO_THE_64}},
+        {"kernel": "account", "balances": {"a" * 64: 1}, "nonces": {"a" * 64: TWO_TO_THE_64}},
+        {"kernel": "token", "objects": {"t": {"value": TWO_TO_THE_64, "owner": "a" * 64}}},
     ],
     ids=[
         "account-balances-list",
@@ -434,6 +440,9 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         "account-nonce-without-balance",
         "account-address-not-hex",
         "token-owner-not-an-address",
+        "account-balance-2^64",
+        "account-nonce-2^64",
+        "token-value-2^64",
     ],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):
@@ -597,12 +606,122 @@ def test_inspect_and_trace_exit_0_2_or_3_on_mutated_documents(
     else:
         fmt = data.draw(st.sampled_from(["table", "json"]))
         argv = ["inspect", str(path), "--format", fmt]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, _, err = run_main(argv)
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+# -- hostile bytes -----------------------------------------------------------
+
+
+def every_reader(path, target):
+    """The argv of each command that reads a document from `path`."""
+    return [["inspect", str(path)], ["trace", str(path), target], ["run", str(path)]]
+
+
+# Inputs that no JSON reader accepts: bytes that are not UTF-8, nesting
+# past the recursion limit, and an integer literal past CPython's digit limit.
+UNREADABLE = {
+    "not-utf-8": b"\xff\xfe{}",
+    "nested-100000-deep": b"[" * 100_000,
+    "5000-digit-literal": b'{"kernel": "account", "seed": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_input_exits_2_with_one_line(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE[name])
+    for argv in every_reader(path, "00" * 32 + ":0"):
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1, err
+
+
+def test_deep_nesting_exits_2_from_the_installed_module(tmp_path):
+    """Run as its own process, so the recursion limit meets a real stack."""
+    path = tmp_path / "deep.json"
+    path.write_bytes(UNREADABLE["nested-100000-deep"])
+    package_root = str(Path(ledgerlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ledgerlab.cli", "inspect", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert "malformed snapshot file" in result.stderr
+
+
+def test_run_refuses_balances_of_4300_digits_at_the_first_issue(tmp_path):
+    """Two mints of a 4 300-digit amount to one account: the first is
+    refused, so no balance too wide to print is ever reported."""
+    doc = json.loads((SCENARIO_DIR / "account_naive_replay.json").read_text(encoding="utf-8"))
+    issues = [action for action in doc["actions"] if action["action"] == "issue"]
+    assert len(issues) == 2
+    for action in issues:
+        action.update(to="alice", amount=10**4299)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_main(["run", str(path)])
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "execution failed at action 0: action 0 (issue) failed: "
+        f"amount exceeds the 64-bit range (at most {(1 << 64) - 1})"
+    ]
+
+
+@pytest.fixture(scope="module")
+def real_files(tmp_path_factory):
+    """The bytes of each bundled scenario this property mutates, and of the
+    log and state that `run --out` writes for one, with a traceable outpoint."""
+    out = tmp_path_factory.mktemp("real-files")
+    code, _, _ = run_main(["run", scenario_path("utxo_basic.json"), "--out", str(out)])
+    assert code == 0
+    files = {name: (SCENARIO_DIR / name).read_bytes() for name in FUZZED_SCENARIOS}
+    files["log.json"] = (out / "log.json").read_bytes()
+    files["state.json"] = (out / "state.json").read_bytes()
+    target = json.loads(files["log.json"])["txs"][0]["txid"] + ":0"
+    return files, target
+
+
+def mutate_bytes(data, draw):
+    """Apply one byte-level mutation to `data`, drawn with `draw`."""
+    mutation = draw(st.sampled_from(["flip", "truncate", "insert", "duplicate", "wrap"]))
+    at = draw(st.integers(0, len(data)))
+    if mutation == "flip":
+        # One bit: a digit often stays a digit, so the document may still parse.
+        bit = 1 << draw(st.integers(0, 7))
+        return data[:at] + bytes(byte ^ bit for byte in data[at : at + 1]) + data[at + 1 :]
+    if mutation == "truncate":
+        return data[:at]
+    if mutation == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+    if mutation == "duplicate":
+        end = draw(st.integers(at, len(data)))
+        return data[:end] + data[at:end] + data[end:]
+    depth = draw(st.integers(1, 3))
+    return b"[" * depth + data + b"]" * draw(st.integers(0, depth))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_reader_exits_0_2_or_3_on_mutated_bytes(data, real_files, tmp_path_factory):
+    files, target = real_files
+    name = data.draw(st.sampled_from(sorted(files)))
+    raw = files[name]
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw = mutate_bytes(raw, data.draw)
+    path = tmp_path_factory.mktemp("bytes") / name
+    path.write_bytes(raw)
+    for argv in every_reader(path, target):
+        code, _, err = run_main(argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
 
 
 # -- tables ------------------------------------------------------------------
@@ -655,6 +774,29 @@ def test_tables_env_seed_must_be_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("LEDGERLAB_SEED", "lots")
     assert main(["tables"]) == 2
     assert "LEDGERLAB_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["run", scenario_path("token_basic.json"), "--seed", "-5"], None),
+        (["tables", "--seed", "-1"], None),
+        (["tables"], "-3"),
+    ],
+    ids=["run-flag", "tables-flag", "env"],
+)
+def test_a_negative_seed_exits_2_like_a_negative_document_seed(
+    argv, env, monkeypatch, capsys
+):
+    if env is None:
+        monkeypatch.delenv("LEDGERLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LEDGERLAB_SEED", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "seed must be a non-negative integer" in captured.err
 
 
 def test_explicit_seed_beats_env(monkeypatch, capsys):

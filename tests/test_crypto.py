@@ -30,20 +30,28 @@ from ledgerlab.crypto import (
     _pack_ints,
     _rsa_keygen,
     _unpack_ints,
+    MAX_AMOUNT,
     address_of,
     check_amount,
     derive_wallet,
     digest,
     get_scheme,
 )
+from ledgerlab.accounts import AccountState, account_from_snapshot, account_mint, make_account_tx
+from ledgerlab.ecash import issuer_setup
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import ConfigError, DomainError, FormatError
 from ledgerlab.replica import run_round
 from ledgerlab.rng import SeededStream
+from ledgerlab.tokens import TokenRegistry, token_from_snapshot, token_issue
 from ledgerlab.utxo import (
     Chainstate,
+    TxOutput,
     UtxoId,
+    UtxoTx,
+    active_from_snapshot,
     coinbase_issue,
+    encode_utxo_tx,
     lock_to_wallet,
     split_payment,
     txid_of,
@@ -156,6 +164,44 @@ def test_check_amount():
     for bad in (-1, 1.5, "3", True):
         with pytest.raises(FormatError):
             check_amount(bad)
+
+
+def test_check_amount_stops_at_64_bits():
+    assert check_amount(MAX_AMOUNT) == MAX_AMOUNT == (1 << 64) - 1
+    # 10**5000 has too many digits to print, so the refusal names the bound.
+    for value in (MAX_AMOUNT + 1, 10**5000):
+        with pytest.raises(FormatError) as refusal:
+            check_amount(value)
+        assert str(refusal.value) == f"amount exceeds the 64-bit range (at most {MAX_AMOUNT})"
+
+
+WIDE = 1 << 64
+# Each kernel's amounts, and each snapshot decoder, go through check_amount.
+WIDE_AMOUNTS = {
+    "account-mint": lambda toy, w: account_mint(AccountState.empty(), w.address, WIDE),
+    "account-tx-amount": lambda toy, w: make_account_tx(toy, w, w.address, WIDE),
+    "account-tx-nonce": lambda toy, w: make_account_tx(toy, w, w.address, 1, nonce=WIDE),
+    "account-snapshot": lambda toy, w: account_from_snapshot(
+        {"kernel": "account", "balances": {w.address: WIDE}}
+    ),
+    "token-issue": lambda toy, w: token_issue(TokenRegistry.empty(), "t", WIDE, w.address),
+    "token-snapshot": lambda toy, w: token_from_snapshot(
+        {"kernel": "token", "objects": {"t": {"value": WIDE, "owner": w.address}}}
+    ),
+    "ecash-denomination": lambda toy, w: issuer_setup([WIDE], "wide", toy),
+    "utxo-output": lambda toy, w: encode_utxo_tx(
+        UtxoTx("coinbase", (), (TxOutput(WIDE, lock_to_wallet(w)),))
+    ),
+    "utxo-snapshot": lambda toy, w: active_from_snapshot(
+        {"kernel": "utxo", "active": {"00" * 32 + ":0": {"value": WIDE, "locking": ""}}}
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(WIDE_AMOUNTS))
+def test_every_kernel_refuses_an_amount_of_2_to_the_64(toy, wallets, where):
+    with pytest.raises(FormatError, match="exceeds the 64-bit range"):
+        WIDE_AMOUNTS[where](toy, wallets[0])
 
 
 @pytest.mark.parametrize("name", ["toy", "real"])
