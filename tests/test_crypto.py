@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import read_vector_file
 from ledgerlab import crypto
+from ledgerlab.accounts import AccountState, account_from_snapshot, account_mint, make_account_tx
 from ledgerlab.crypto import (
     _RSA_EXPONENT,
     _TAG_ED_PRV,
@@ -22,6 +23,7 @@ from ledgerlab.crypto import (
     _TAG_RSA_PUB,
     _TRIAL_PRIMES,
     DIGEST_SIZE,
+    MAX_AMOUNT,
     _decode_rsa_private,
     _decode_rsa_public,
     _fdh,
@@ -30,14 +32,12 @@ from ledgerlab.crypto import (
     _pack_ints,
     _rsa_keygen,
     _unpack_ints,
-    MAX_AMOUNT,
     address_of,
     check_amount,
     derive_wallet,
     digest,
     get_scheme,
 )
-from ledgerlab.accounts import AccountState, account_from_snapshot, account_mint, make_account_tx
 from ledgerlab.ecash import issuer_setup
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import ConfigError, DomainError, FormatError
