@@ -16,6 +16,17 @@ convention: a 4-byte ASCII tag followed by the key material, so ``sign``
 and ``verify`` dispatch on the key itself and callers never branch on the
 active scheme.
 
+RSA keys come from a seeded candidate stream; a key is the first pair
+of primes in it, so a faster search must find the same ones. Trial
+division runs in stages sized to the candidate: one gcd with the product
+of the odd primes below 1 000, and for the 1 024-bit primes of a blind
+key two more, with the primes in [1 000, 10 000) and in [10 000, 2^15)
+(built on first use), as FIPS 186-4 Appendix C.3 sieves before it tests.
+A stage only drops a composite before the probable-prime test would. A
+survivor below 1 024 bits gets the Baillie-PSW test, and a wider one a
+base-2 Fermat test and 5 Miller-Rabin rounds; see `_is_probable_prime`
+for why neither changes a key.
+
 An RSA private key is its two primes (``RPRV || p || q``), the CRT form
 of PKCS #1 v2.2, section 3.2; the exponent is always 65537. Every private
 operation, a signature or a blind signature, recombines its two half-size
@@ -28,11 +39,11 @@ the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
 clear message.
 
 All operations are pure functions of their inputs; instances hold no
-mutable state and are safe for unrestricted concurrent use. The six
-module-level ``functools.lru_cache``s (generated keys, decoded RSA public
-keys, decoded RSA private keys with their CRT exponents, loaded Ed25519
-private keys, and the RSA and the Ed25519 verification results, 2^14
-triples each) hold only results of pure functions, so a hit returns
+mutable state and are safe for unrestricted concurrent use. The seven
+module-level ``functools.lru_cache``s (generated keys, the products of
+the wide trial-division stages, decoded RSA public keys, decoded RSA
+private keys with their CRT exponents, loaded Ed25519 private keys, and
+the RSA and the Ed25519 verification results, 2^14 triples each) hold only results of pure functions, so a hit returns
 exactly what a recomputation would, each is bounded, and each reports
 through ``cache_info()``. A verification result is cached whether the signature
 is valid or not, so each triple is checked once per process whichever
@@ -44,6 +55,7 @@ decided by each caller's own state.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -92,9 +104,10 @@ def check_amount(value: int, *, context: str = "amount") -> int:
     """The one amount rule of every kernel: an int, not a bool, from 0 to MAX_AMOUNT."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{context} must be an integer, got {value!r}")
+    # Name the bound, not the value: str() of a long enough int raises.
     if value < 0:
-        raise FormatError(f"{context} must be non-negative, got {value}")
-    if value > MAX_AMOUNT:  # name the bound: str() of a long enough int raises
+        raise FormatError(f"{context} must be non-negative")
+    if value > MAX_AMOUNT:
         raise FormatError(f"{context} exceeds the 64-bit range (at most {MAX_AMOUNT})")
     return value
 
@@ -189,71 +202,159 @@ def _decode_rsa_private(private_key: bytes) -> tuple[int, int, int, int, int, in
 # ---------------------------------------------------------------------------
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-_sieve = [True] * 10000
-_sieve[0] = _sieve[1] = False
-for _i in range(2, 100):
-    if _sieve[_i]:
-        for _j in range(_i * _i, 10000, _i):
-            _sieve[_j] = False
-_TRIAL_PRIMES = [i for i, flag in enumerate(_sieve) if flag]
-del _sieve, _i, _j
-_TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES)
+# From this size on a candidate is a prime of a 2048-bit blind key.
+_WIDE_BITS = 1024
+# Trial division stages: below 1 000 for every candidate; then, from
+# _WIDE_BITS on, [1 000, 10 000) and [10 000, 2^15).
+_STAGE_BOUNDS = (1000, 10000, 1 << 15)
+
+
+def _sieve(limit: int) -> bytearray:
+    """flags[n] is 1 iff n is prime, for n < limit: Eratosthenes' sieve."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return flags
+
+
+_TRIAL_PRIMES = list(itertools.compress(range(_STAGE_BOUNDS[0]), _sieve(_STAGE_BOUNDS[0])))
+_TRIAL_PRIMORIAL = math.prod(_TRIAL_PRIMES[1:])  # candidates are odd
+
+
+@lru_cache(maxsize=1)
+def _wide_primorials() -> tuple[int, ...]:
+    """The product of the primes of each later stage, built when the first
+    wide candidate arrives, so a process that makes only toy keys never
+    pays for them."""
+    flags = _sieve(_STAGE_BOUNDS[-1])
+    return tuple(
+        math.prod(itertools.compress(range(low, high), flags[low:high]))
+        for low, high in itertools.pairwise(_STAGE_BOUNDS)
+    )
+
+
+def _survives_trial_division(n: int) -> bool:
+    """True iff odd n > 997 has no prime factor below 1 000 and, from
+    1 024 bits on, none below 2^15: one gcd per stage, cheapest first."""
+    if math.gcd(n, _TRIAL_PRIMORIAL) != 1:
+        return False
+    return n.bit_length() < _WIDE_BITS or all(math.gcd(n, m) == 1 for m in _wide_primorials())
+
 
 _RSA_EXPONENT = 65537
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with bases derived from the candidate itself, so the
-    answer is a pure function of n.
+def _odd_part(m: int) -> tuple[int, int]:
+    """(d, s) with m = d * 2^s and d odd, for m > 0."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
 
-    Below 1 024 bits (the toy keys) every candidate gets 24 rounds. From
-    1 024 bits on (the primes of a 2048-bit blind key) it gets the first 5
-    rounds of the same base stream: FIPS 186-4 Appendix C.3, Table C.3,
-    asks for 5 rounds for the 1024-bit p and q of a 2048-bit modulus, a
-    count that rests on the Damgard-Landrock-Pomerance bounds for random
-    candidates. Before them, a base-2 Fermat test, whose exponentiation
-    costs less than one with a random base, rejects nearly every composite
-    that trial division let through. A prime passes that test and every
-    round, so a key differs from the 24-round one only where the two
-    disagree on a composite: the 5 rounds pass one that a later round
-    catches, or the Fermat test catches one that all 24 rounds pass.
+
+def _strong_round(n: int, a: int, d: int, s: int) -> bool:
+    """One Miller-Rabin round: is n a strong probable prime to base a,
+    where n - 1 = d * 2^s?"""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters (method A) for odd
+    n with no factor below 50: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4, and n + 1 = d * 2^s with d odd.
+    n passes iff U_d = 0 or V_(d * 2^r) = 0 (mod n) for some r < s."""
+    if math.isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    d, s = _odd_part(n + 1)
+    u, v, q_k = 1, 1, Q % n  # U_k, V_k and Q^k at k = 1
+    for bit in bin(d)[3:]:
+        u, v, q_k = u * v % n, (v * v - 2 * q_k) % n, q_k * q_k % n
+        if bit == "1":
+            u, v, q_k = (u + v) * half % n, (D * u + v) * half % n, q_k * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * q_k) % n
+        if v == 0:
+            return True
+        q_k = q_k * q_k % n
+    return False
+
+
+def _is_probable_prime(n: int) -> bool:
+    """A pure function of n: no state, no randomness beyond n itself.
+
+    Below 1 024 bits (the toy keys' 128-bit primes) it is the Baillie-PSW
+    test (Baillie and Wagstaff, Math. Comp. 35, 1980): a strong base-2
+    test, then a strong Lucas test with Selfridge's parameters. Each half
+    passes composites the other refuses (8321 is a strong base-2
+    pseudoprime, 5459 a strong Lucas one), and no composite is known to
+    pass both; none exists below 2^64. It replaces 24 Miller-Rabin rounds
+    with bases drawn from n, at about a fifth of their cost on a prime.
+    The two can disagree only on a composite that one of them passes: none
+    is known to pass Baillie-PSW, and one passes 24 rounds with chance
+    below 4^-24, so the keys stay the 24-round ones.
+
+    From 1 024 bits on (the primes of a 2048-bit blind key) a base-2
+    Fermat test, which rejects nearly every composite for one cheap
+    exponentiation, comes before 5 Miller-Rabin rounds whose bases are
+    drawn from n: FIPS 186-4 Appendix C.3, Table C.3, asks for 5 rounds
+    for the 1024-bit p and q of a 2048-bit modulus, a count that rests on
+    the Damgard-Landrock-Pomerance bounds for random candidates. A prime
+    passes both, so a key differs from the 24-round one only where the
+    two disagree on a composite.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    large = n.bit_length() >= 1024
-    if large and pow(2, n - 1, n) != 1:
+    d, s = _odd_part(n - 1)
+    if n.bit_length() < _WIDE_BITS:
+        return _strong_round(n, 2, d, s) and _is_strong_lucas_probable_prime(n)
+    if pow(2, n - 1, n) != 1:
         return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
     base_stream = SeededStream(b"miller-rabin:" + n.to_bytes((n.bit_length() + 7) // 8, "big"))
-    for _ in range(5 if large else 24):
-        a = base_stream.randbelow(n - 3) + 2
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(_strong_round(n, base_stream.randbelow(n - 3) + 2, d, s) for _ in range(5))
 
 
 def _gen_prime(stream: SeededStream, bits: int) -> int:
+    """The first prime of the candidate stream. Trial division only drops
+    composites before the probable-prime test would, so it decides the
+    cost and never the result."""
     while True:
         candidate = stream.randint_bits(bits) | 1
-        # Above the largest trial prime (every candidate of 15 or more bits,
-        # as the top bit is set) a common factor is exactly a trial divisor.
-        if candidate > _TRIAL_PRIMES[-1]:
-            if math.gcd(candidate, _TRIAL_PRIMORIAL) != 1:
-                continue
-        elif any(candidate % p == 0 and candidate != p for p in _TRIAL_PRIMES):
+        if candidate > _TRIAL_PRIMES[-1] and not _survives_trial_division(candidate):
             continue
         if _is_probable_prime(candidate):
             return candidate

@@ -52,10 +52,13 @@ def u32(value: int) -> bytes:
 
 
 def u64(value: int) -> bytes:
-    # Callers hold amounts and nonces to crypto.check_amount first; this
-    # guard keeps any other value too wide for the field off the wire.
+    # Callers hold amounts and nonces to crypto.check_amount first; these
+    # guards keep any other value that does not fit the field off the wire.
+    # They name the bound, not the value: str() of a long enough int raises.
+    if value < 0:
+        raise FormatError("a 64-bit field must be non-negative")
     if value > 0xFFFF_FFFF_FFFF_FFFF:
-        raise FormatError(f"{value} exceeds the 64-bit range")
+        raise FormatError("value exceeds the 64-bit range (at most 18446744073709551615)")
     return value.to_bytes(8, "big")
 
 

@@ -1,7 +1,12 @@
 """Primitives: digests, deterministic keys, signatures, blinding."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import itertools
+import math
+from importlib import resources
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -13,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import read_vector_file
-from ledgerlab import crypto
+from ledgerlab import cli, crypto
 from ledgerlab.accounts import AccountState, account_from_snapshot, account_mint, make_account_tx
 from ledgerlab.crypto import (
     _RSA_EXPONENT,
@@ -24,13 +29,18 @@ from ledgerlab.crypto import (
     _TRIAL_PRIMES,
     DIGEST_SIZE,
     MAX_AMOUNT,
+    KeyPair,
     _decode_rsa_private,
     _decode_rsa_public,
     _fdh,
     _gen_prime,
     _is_probable_prime,
+    _is_strong_lucas_probable_prime,
+    _odd_part,
     _pack_ints,
     _rsa_keygen,
+    _strong_round,
+    _survives_trial_division,
     _unpack_ints,
     address_of,
     check_amount,
@@ -79,7 +89,7 @@ def test_toy_signature_golden_vectors(toy):
 
 def test_gen_prime_matches_trial_division_by_each_prime():
     """The gcd test draws the same primes as dividing by every trial prime,
-    on both sides of the largest one (9973, a 14-bit number)."""
+    on both sides of the largest one (997, a 10-bit number)."""
 
     def reference(stream, bits):
         while True:
@@ -95,9 +105,11 @@ def test_gen_prime_matches_trial_division_by_each_prime():
             assert _gen_prime(SeededStream(label), bits) == reference(SeededStream(label), bits)
 
 
+@functools.lru_cache(maxsize=None)
 def reference_is_probable_prime(n):
     """Miller-Rabin at 24 rounds for every size and with no pre-test, on
-    the base stream _is_probable_prime draws from."""
+    the base stream _is_probable_prime draws from. Cached, so a blind key's
+    primes are tested once however many tests ask."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -118,6 +130,94 @@ def reference_is_probable_prime(n):
         else:
             return False
     return True
+
+
+def sieve(limit):
+    """The primes below `limit`, by the sieve of Eratosthenes."""
+    flags = [True] * limit
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(range(i * i, limit, i))
+    return [n for n in range(2, limit) if flags[n]]
+
+
+PRIMES_BELOW_2_15 = sieve(1 << 15)
+ODD_PRIMES_BELOW_2_15 = PRIMES_BELOW_2_15[1:]
+# Single-stage trial division: every prime below 10 000 at once.
+REFERENCE_PRIMORIAL = math.prod(p for p in PRIMES_BELOW_2_15 if p < 10000)
+
+
+def reference_keygen(seed, modulus_bits):
+    """_rsa_keygen's candidate stream, filtered by one gcd with the primes
+    below 10 000 (every candidate of a key is far above them) and tested
+    by reference_is_probable_prime, the 24-round test."""
+    stream = SeededStream(b"rsa-keygen:%d:" % modulus_bits + seed)
+
+    def prime():
+        while True:
+            candidate = stream.randint_bits(modulus_bits // 2) | 1
+            if math.gcd(candidate, REFERENCE_PRIMORIAL) == 1 and reference_is_probable_prime(candidate):
+                return candidate
+
+    while True:
+        p, q = prime(), prime()
+        if p != q and math.gcd(_RSA_EXPONENT, (p - 1) * (q - 1)) == 1:
+            return KeyPair(
+                public_key=_pack_ints(_TAG_RSA_PUB, (p * q, _RSA_EXPONENT)),
+                private_key=_pack_ints(_TAG_RSA_PRV, (p, q)),
+            )
+
+
+# Composites with no factor below 50 that pass one half of Baillie-PSW:
+# strong pseudoprimes to base 2 (only the Lucas step refuses them), and
+# strong Lucas pseudoprimes with Selfridge's parameters (only the base-2
+# step refuses them).
+STRONG_BASE_2_PSEUDOPRIMES = [8321, 3215031751, 3825123056546413051, 318665857834031151167461]
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971]
+
+
+@pytest.mark.parametrize("n", STRONG_BASE_2_PSEUDOPRIMES)
+def test_the_lucas_step_refuses_strong_base_2_pseudoprimes(n):
+    assert all(n % p for p in range(2, 50))
+    assert _strong_round(n, 2, *_odd_part(n - 1))
+    assert not _is_probable_prime(n)
+
+
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+def test_the_base_2_step_refuses_strong_lucas_pseudoprimes(n):
+    assert all(n % p for p in range(2, 50))
+    assert _is_strong_lucas_probable_prime(n)
+    assert not _is_probable_prime(n)
+
+
+def test_probable_prime_is_exact_on_small_numbers_and_squares():
+    """Below 2^15 the test is exact. 1093^2 and 3511^2 are strong base-2
+    pseudoprimes, and no Selfridge D exists for a square."""
+    assert [n for n in range(1 << 15) if _is_probable_prime(n)] == PRIMES_BELOW_2_15
+    for p in (1093, 3511):
+        assert _strong_round(p * p, 2, *_odd_part(p * p - 1))
+        assert not _is_probable_prime(p * p)
+
+
+def test_staged_trial_division_equals_dividing_by_every_prime_below_2_15():
+    """From 1 024 bits on the three stages refuse exactly the numbers with
+    an odd prime factor below 2^15; below that, the first stage alone
+    refuses those with one below 1 000. Each stage's first and last prime
+    is tried as the only small factor of a number."""
+    stream = SeededStream("staged-trial-division")
+
+    def has_factor_below(n, bound):
+        return any(n % p == 0 for p in ODD_PRIMES_BELOW_2_15 if p < bound)
+
+    for bits, bound in ((1024, 1 << 15), (128, 1000)):
+        cofactor = next(
+            n for n in iter(lambda: stream.randint_bits(bits) | 1, None)
+            if not has_factor_below(n, 1 << 15)
+        )
+        numbers = [stream.randint_bits(bits) | 1 for _ in range(1000)]
+        numbers += [cofactor] + [p * cofactor for p in (3, 997, 1009, 9973, 10007, 32749)]
+        for n in numbers:
+            assert _survives_trial_division(n) == (not has_factor_below(n, bound)), (bits, n)
 
 
 def primes_of(private_key):
@@ -152,6 +252,36 @@ def test_real_blind_key_equals_the_24_round_keygen(real, monkeypatch):
     assert _rsa_keygen.__wrapped__(seed, 2048) == pair  # the private key is p and q
 
 
+@pytest.mark.parametrize("seed", REAL_BLIND_SEEDS)
+def test_real_blind_key_equals_the_reference_keygen(real, seed):
+    assert real.blind_keygen(seed) == reference_keygen(seed, 2048)
+
+
+def test_toy_keys_equal_the_reference_keygen(toy):
+    seeds = [b"reference-keygen:%d" % i for i in range(100)]
+    assert [toy.keygen(seed) for seed in seeds] == [reference_keygen(seed, 256) for seed in seeds]
+
+
+def test_every_toy_key_of_the_bundled_scenarios_and_tables_equals_the_reference(monkeypatch):
+    made = set()
+    keygen = crypto._rsa_keygen
+
+    def recording_keygen(seed, modulus_bits):
+        made.add((seed, modulus_bits))
+        return keygen(seed, modulus_bits)
+
+    monkeypatch.setattr(crypto, "_rsa_keygen", recording_keygen)
+    scenarios = resources.files("ledgerlab") / "scenarios"
+    commands = [["run", str(path)] for path in sorted(map(str, scenarios.iterdir()))
+                if path.endswith(".json")]
+    for argv in commands + [["tables"]]:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert {bits for _, bits in made} == {256} and len(made) >= 30
+    for seed, bits in sorted(made):
+        assert keygen(seed, bits) == reference_keygen(seed, bits), seed
+
+
 def test_address_is_hex_digest_of_public_key(toy):
     pair = toy.keygen(b"addr")
     assert address_of(pair.public_key) == hashlib.sha256(pair.public_key).hexdigest()
@@ -164,6 +294,13 @@ def test_check_amount():
     for bad in (-1, 1.5, "3", True):
         with pytest.raises(FormatError):
             check_amount(bad)
+
+
+def test_check_amount_names_its_lower_bound():
+    # -10**5000 has too many digits to print, so the refusal names the bound.
+    with pytest.raises(FormatError) as refusal:
+        check_amount(-(10**5000), context="nonce")
+    assert str(refusal.value) == "nonce must be non-negative"
 
 
 def test_check_amount_stops_at_64_bits():

@@ -52,8 +52,6 @@ def test_int_packing_widths():
     assert u64(1) == b"\x00" * 7 + b"\x01"
     with pytest.raises(OverflowError):
         u8(256)
-    with pytest.raises(OverflowError):
-        u64(-1)
 
 
 def test_u64_rejects_values_past_64_bits():
@@ -61,6 +59,19 @@ def test_u64_rejects_values_past_64_bits():
     for value in (1 << 64, 1 << 200):
         with pytest.raises(FormatError, match="exceeds the 64-bit range"):
             u64(value)
+
+
+def test_u64_names_its_upper_bound_past_the_integer_string_limit():
+    # 10**5000 has too many digits to print, so the refusal names the bound.
+    with pytest.raises(FormatError) as refusal:
+        u64(10**5000)
+    assert str(refusal.value) == "value exceeds the 64-bit range (at most 18446744073709551615)"
+
+
+@pytest.mark.parametrize("value", [-1, -(10**5000)], ids=["-1", "-10**5000"])
+def test_u64_refuses_a_negative_value_with_format_error(value):
+    with pytest.raises(FormatError, match="must be non-negative"):
+        u64(value)
 
 
 def wire(script):

@@ -62,8 +62,10 @@ LAYER_RUNS = 10
 # (the fastest pass counts, as timeit advises).
 LAYER_TXS = 400
 LAYER_PASSES = 5
-# Fresh toy keys generated per pass: each is a miss of the keygen LRU.
+# Fresh toy keys and fresh 2048-bit blind keys generated per pass: each is
+# a miss of the keygen LRU.
 LAYER_KEYGENS = 40
+LAYER_BLIND_KEYGENS = 2
 # Forks of one state digested per pass, one per replica of a round.
 LAYER_FORKS = 8
 
@@ -176,9 +178,11 @@ def measure_layers() -> dict[str, float]:
     final state, each one spend ahead, after the state's own digest, as
     the replicas of a round digest theirs: each edits the sorted base
     rows the forks share. Toy keygen runs on LAYER_KEYGENS seeds no pass
-    has used. Sign and verify run in both crypto modes on messages no pass
-    has signed: each signature is verified once with a cold cache, then
-    once warm.
+    has used, and real blind keygen (`crypto.real.blind_keygen`, a
+    2048-bit RSA key) on LAYER_BLIND_KEYGENS; the seeds differ from pass
+    to pass and are the same on both sides. Sign and verify run in both
+    crypto modes on messages no pass has signed: each signature is
+    verified once with a cold cache, then once warm.
     """
     from ledgerlab import crypto, encoding, replica, scripts, utxo
 
@@ -240,6 +244,8 @@ def measure_layers() -> dict[str, float]:
             raise RuntimeError("a layers-leg p2pkh input failed its script")
         seeds = [b"layers-keygen:%d:%d" % (run, i) for i in range(LAYER_KEYGENS)]
         timed("crypto.toy.keygen", toy.keygen, seeds)
+        blind_seeds = [b"layers-blind-keygen:%d:%d" % (run, i) for i in range(LAYER_BLIND_KEYGENS)]
+        timed("crypto.real.blind_keygen", crypto.get_scheme("real").blind_keygen, blind_seeds)
         raws = timed("utxo.encode_utxo_tx", utxo.encode_utxo_tx, log)
         timed("utxo.decode_utxo_tx", utxo.decode_utxo_tx, raws)
         fresh = [utxo.UtxoTx(tx.kind, tx.inputs, tx.outputs, tx.issuer_signature) for tx in log]
