@@ -100,6 +100,19 @@ def check_address(address: Address) -> Address:
     return address
 
 
+def from_hex(text: str) -> bytes:
+    """Decode exactly what `bytes.hex` writes: lowercase hex digits and no
+    separator, the rule `check_address` applies to addresses."""
+    try:
+        raw = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raw = None
+    # fromhex also reads uppercase digits and whitespace; hex() writes neither.
+    if raw is None or raw.hex() != text:
+        raise FormatError("expected lowercase hex digits without separators")
+    return raw
+
+
 def check_amount(value: int, *, context: str = "amount") -> int:
     """The one amount rule of every kernel: an int, not a bool, from 0 to MAX_AMOUNT."""
     if isinstance(value, bool) or not isinstance(value, int):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .crypto import DIGEST_SIZE, CryptoScheme, digest as _digest
+from .crypto import DIGEST_SIZE, CryptoScheme, digest as _digest, from_hex
 from .errors import FormatError
 
 
@@ -247,14 +247,16 @@ def script_to_text(script: Script) -> str:
 
 
 def script_from_text(text: str) -> Script:
-    """Parse the fixture notation; inverse of script_to_text."""
+    """Parse the fixture notation; inverse of script_to_text. Strict: only
+    what script_to_text writes parses (one space between tokens, operands
+    in lowercase hex), so script_to_text(script_from_text(t)) == t."""
     ops: list[Op] = []
-    for token in text.split():
+    for token in text.split(" ") if text else ():
         if token.startswith("PUSH:"):
             hex_part = token[len("PUSH:") :]
             try:
-                operand = bytes.fromhex(hex_part)
-            except ValueError as exc:
+                operand = from_hex(hex_part)
+            except FormatError as exc:
                 raise FormatError(f"bad PUSH operand {hex_part!r}") from exc
             ops.append(push(operand))
         elif token == "PUSH":

@@ -81,6 +81,21 @@ hashing, replace(), asdict(), copies and pickles never see them:
 A replica round therefore checks a transaction's state-free half once,
 however many replicas validate it.
 
+A transaction's canonical bytes name one live object: while a
+transaction that `decode_utxo_tx` built is held anywhere, decoding equal
+bytes returns it, memos included, so an audit or a trace of a log that
+replay has just checked reuses the rows replay decoded and validated.
+The table is weak: an entry lives only as long as its transaction, so
+it has no size to tune and keeps nothing alive. Sharing is safe in any
+memo state:
+only the strict decoder fills the table, so an interned object is
+exactly what decoding its bytes would build; its txid and payload derive
+from those bytes; and every other memo is keyed by all else it reads
+(the p2h policy, the scheme, the locking script met, the outpoint a row
+was rendered at), which replicas sharing one transaction already rely
+on. A mutable buffer is copied to bytes before the lookup, so changing
+it afterwards cannot change an entry.
+
 replace() builds a new object with empty memos, so a memo never passes
 from a transaction to an altered copy.
 """
@@ -88,12 +103,22 @@ from a transaction to an altered copy.
 from __future__ import annotations
 
 import json
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Literal, Mapping, NamedTuple, Sequence
 
-from .crypto import MAX_AMOUNT, Amount, CryptoScheme, KeyPair, Wallet, check_amount, digest
+from .crypto import (
+    MAX_AMOUNT,
+    Amount,
+    CryptoScheme,
+    KeyPair,
+    Wallet,
+    check_amount,
+    digest,
+    from_hex,
+)
 from .encoding import MAX_FIELD_BYTES, item_count, read_script, varbytes, write_script
 from .errors import AuthError, FormatError, NotFoundError, TxRejected
 from .scripts import (
@@ -143,18 +168,23 @@ class UtxoId(NamedTuple):
 
     @staticmethod
     def parse(text: str) -> "UtxoId":
+        """Strict inverse of render(): 64 lowercase hex digits, a colon and
+        an ASCII decimal index with no sign, separator or leading zero."""
+        if not isinstance(text, str):
+            raise FormatError(f"bad outpoint {text!r}")
         txid_hex, _, index_str = text.partition(":")
         try:
-            txid = bytes.fromhex(txid_hex)
-            index = int(index_str)
+            outpoint = UtxoId(bytes.fromhex(txid_hex), int(index_str))
         except ValueError as exc:
             raise FormatError(f"bad outpoint {text!r}") from exc
-        if len(txid) != TXID_BYTES or index < 0:
+        # int() and fromhex() read more than render() writes: "+1", " 1",
+        # "01", "1_0", non-ASCII digits, uppercase and spaced hex.
+        if len(outpoint.txid) != TXID_BYTES or outpoint.index < 0 or outpoint.render() != text:
             raise FormatError(f"bad outpoint {text!r}")
-        return UtxoId(txid, index)
+        return outpoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxInput:
     outpoint: UtxoId
     unlocking: Script
@@ -178,7 +208,7 @@ class _TxMemo:
     """Slots for the txid, signing-payload, verdict and script-result
     memos, outside the fields."""
 
-    __slots__ = ("_txid", "_payload", "_verdict", "_scripts")
+    __slots__ = ("_txid", "_payload", "_verdict", "_scripts", "__weakref__")
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,11 +383,42 @@ def encode_utxo_tx(tx: UtxoTx, *, for_signing: bool = False) -> bytes:
     return b"".join(parts)
 
 
-def decode_utxo_tx(data: bytes) -> UtxoTx:
+class _Interned(weakref.ref):
+    """A weak reference to a decoded transaction, holding its table key
+    for `_forget`. A key slot is made faster than WeakValueDictionary's
+    KeyedRef and held in less memory than a callback bound to the key."""
+
+    __slots__ = ("key",)
+
+
+# Canonical bytes -> the live transaction that decode_utxo_tx built from
+# them; see the module doc.
+_live: dict[bytes, _Interned] = {}
+
+
+def _forget(ref: _Interned) -> None:
+    """Drop the entry of a transaction that has died, unless a later
+    decode of the same bytes has already replaced it."""
+    if _live.get(ref.key) is ref:
+        del _live[ref.key]
+
+
+def decode_utxo_tx(data: bytes | bytearray | memoryview) -> UtxoTx:
     """Strictly decode canonical bytes in one pass (a field cut short
     leaves the offset past the end, which a later check refuses). The
     decoded tx carries its txid and signing payload, both derived from
-    `data` (see the module doc)."""
+    `data`, and while it is alive, decoding equal bytes returns it (see
+    the module doc). A mutable buffer is copied first."""
+    if type(data) is not bytes:
+        try:
+            data = bytes(memoryview(data))
+        except TypeError:
+            raise FormatError(f"cannot decode a {type(data).__name__}") from None
+    ref = _live.get(data)
+    if ref is not None:
+        tx = ref()
+        if tx is not None:
+            return tx
     if len(data) < _HEAD:
         raise FormatError(f"truncated input: {len(data)} bytes")
     if data[:4] != _MAGIC:
@@ -395,6 +456,8 @@ def decode_utxo_tx(data: bytes) -> UtxoTx:
     tx = UtxoTx("coinbase" if data[4] else "normal", tuple(inputs), tuple(outputs), data[at:])
     object.__setattr__(tx, "_txid", digest(data))
     object.__setattr__(tx, "_payload", b"".join(payload))
+    ref = _live[data] = _Interned(tx, _forget)
+    ref.key = data
     return tx
 
 
@@ -964,17 +1027,17 @@ def decode_log_entries(doc: dict) -> tuple[bytes, bool, list[LogEntry]]:
     if not isinstance(allow_p2h, bool):
         raise FormatError("allow_p2h must be a boolean")
     try:
-        issuer_public_key = bytes.fromhex(issuer_hex)
-    except ValueError as exc:
+        issuer_public_key = from_hex(issuer_hex)
+    except FormatError as exc:
         raise FormatError(f"malformed issuer key: {exc}") from exc
     entries = []
     for position, row in enumerate(rows):
         if not isinstance(row, dict):
             raise FormatError(f"malformed log row {position}")
         try:
-            recorded = bytes.fromhex(row["txid"])
-            raw = bytes.fromhex(row["raw"])
-        except (KeyError, TypeError, ValueError) as exc:
+            recorded = from_hex(row["txid"])
+            raw = from_hex(row["raw"])
+        except (KeyError, FormatError) as exc:
             raise FormatError(f"malformed log row {position}: {exc}") from exc
         if len(recorded) != TXID_BYTES:
             raise FormatError(f"malformed log row {position}: bad txid length")

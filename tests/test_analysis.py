@@ -1,6 +1,10 @@
 """Lineage, metrics, growth curves, fraud probes, the claim matrix."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import reference_backward_chain
 from ledgerlab.accounts import AccountState, account_mint
@@ -18,8 +22,10 @@ from ledgerlab.analysis import (
     traceability_report,
 )
 from ledgerlab.crypto import derive_wallet, digest
-from ledgerlab.errors import ConfigError, NotFoundError
+from ledgerlab.errors import ConfigError, LedgerError, NotFoundError
+from ledgerlab.replica import state_digest
 from ledgerlab.rng import SeededStream
+from ledgerlab.scripts import compile_p2h, push
 from ledgerlab.tokens import TokenRegistry, token_issue
 from ledgerlab.utxo import (
     Chainstate,
@@ -30,9 +36,12 @@ from ledgerlab.utxo import (
     UtxoTx,
     coinbase_issue,
     decode_log_entries,
+    encode_utxo_tx,
     export_log,
+    import_log,
     lock_to_wallet,
     merge_payment,
+    replay_log,
     split_payment,
     txid_of,
     utxo_apply,
@@ -374,6 +383,102 @@ def test_audit_replay_flags_an_honest_row_whose_txid_an_earlier_row_claimed(toy)
     assert [step.position for step in trace.steps] == [2, 0]
     assert not trace.ok and trace.first_failure == 0
     assert trace.steps[0].problems == ("duplicate-txid",)
+
+
+@pytest.fixture(scope="module")
+def intern_parties(toy, real):
+    """Per crypto mode: the scheme, an issuer, a payer and a payee."""
+    return {
+        mode: (
+            scheme, scheme.keygen(b"intern-issuer"),
+            derive_wallet(scheme, "intern-payer"), derive_wallet(scheme, "intern-payee"),
+        )
+        for mode, scheme in (("toy", toy), ("real", real))
+    }
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the LedgerError it raises."""
+    try:
+        return call()
+    except LedgerError as exc:
+        return type(exc), str(exc)
+
+
+@given(data=st.data())
+def test_interned_rows_audit_as_memo_free_copies(intern_parties, data):
+    """Decoding hands import_log, audit_replay and audit_trace the live
+    transactions that earlier passes over the same bytes validated, memos
+    and all. On a random split chain with tampered rows, under either p2h
+    policy and either scheme, in any order of passes, each must report
+    what it reports on memo-free copies of the transactions built and
+    forged here, which the table never saw."""
+    scheme, issuer, payer, payee = intern_parties[data.draw(st.sampled_from(["toy", "real"]))]
+    allow_p2h = data.draw(st.booleans())
+    state = coinbase_issue(
+        Chainstate.genesis(issuer.public_key), [(10_000, lock_to_wallet(payer))], issuer, scheme
+    )
+    change = tip(state)
+    for step in range(data.draw(st.integers(1, 6))):
+        to_hash = data.draw(st.booleans())
+        payee_lock = compile_p2h(digest(b"intern-%d" % step)) if to_hash else lock_to_wallet(payee)
+        tx = split_payment(scheme, state, payer, change, data.draw(st.integers(1, 99)), payee_lock)
+        state = utxo_apply(state, tx, scheme)
+        change = tip(state, 1)
+    built = list(state.log)
+    forged = list(built)
+    for row in data.draw(st.sets(st.integers(1, len(built) - 1), min_size=1)):
+        tx_in = built[row].inputs[0]
+        signature = bytearray(tx_in.unlocking[0].operand)
+        signature[data.draw(st.integers(0, len(signature) - 1))] ^= 0x01
+        unlocking = (push(bytes(signature)),) + tx_in.unlocking[1:]
+        forged[row] = dataclasses.replace(
+            built[row], inputs=(dataclasses.replace(tx_in, unlocking=unlocking),)
+        )
+    doc = dict(export_log(state), allow_p2h=allow_p2h)
+    tampered = dict(
+        doc, txs=[dict(row, raw=encode_utxo_tx(tx).hex()) for row, tx in zip(doc["txs"], forged)]
+    )
+    targets = [UtxoId(txid_of(tx), 0) for tx in built] + [change]
+    target = data.draw(st.sampled_from(targets))
+    settings = (issuer.public_key, scheme)
+
+    def decoded(log):
+        return decode_log_entries(log)[2]
+
+    def copies(txs):
+        return [LogEntry(txid_of(b), dataclasses.replace(tx)) for b, tx in zip(built, txs)]
+
+    def audit(entries):
+        return audit_replay(entries, *settings, allow_p2h=allow_p2h)
+
+    def trace(entries):
+        return audit_trace(entries, *settings, target, allow_p2h=allow_p2h)
+
+    passes = {
+        "import": (
+            lambda: state_digest(import_log(doc, scheme)),
+            lambda: state_digest(
+                replay_log(
+                    [dataclasses.replace(tx) for tx in built], *settings, allow_p2h=allow_p2h
+                )
+            ),
+        ),
+        "audit-honest": (lambda: audit(decoded(doc)), lambda: audit(copies(built))),
+        "audit-tampered": (lambda: audit(decoded(tampered)), lambda: audit(copies(forged))),
+        "trace-honest": (lambda: trace(decoded(doc)), lambda: trace(copies(built))),
+        "trace-tampered": (lambda: trace(decoded(tampered)), lambda: trace(copies(forged))),
+    }
+    # Held throughout, so every later decode of these bytes is a hit.
+    live = decoded(doc) + decoded(tampered)
+    for entry, tx in zip(live, built + forged):
+        assert encode_utxo_tx(entry.tx) == encode_utxo_tx(tx)
+    for name in data.draw(st.permutations(list(passes))):
+        interned, memo_free = passes[name]
+        assert _outcome(interned) == _outcome(memo_free), name
+    flagged = {step.position for step in audit(decoded(tampered)) if not step.ok}
+    assert flagged >= {row for row, tx in enumerate(forged) if tx is not built[row]}
+    assert all(a.tx is b.tx for a, b in zip(live, decoded(doc) + decoded(tampered)))
 
 
 def test_audit_trace_ok_and_failure(toy, three_step_chain):

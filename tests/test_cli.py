@@ -456,6 +456,41 @@ def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, cap
         assert captured.out == ""
 
 
+def _non_canonical_outpoints(outpoint):
+    """What int() and bytes.fromhex() read of an outpoint but render() never writes."""
+    txid_hex, index = outpoint.txid.hex(), str(outpoint.index)
+    return {
+        "uppercase-and-signed": f"{txid_hex.upper()}:+0{index}",
+        "uppercase": f"{txid_hex.upper()}:{index}",
+        "spaced-hex": f"{txid_hex[:32]} {txid_hex[32:]}:{index}",
+        "signed": f"{txid_hex}:+{index}",
+        "leading-zero": f"{txid_hex}:0{index}",
+        "underscore": f"{txid_hex}:{index}_0",
+        "arabic-indic-digit": txid_hex + ":" + chr(0x660 + outpoint.index),
+    }
+
+
+@pytest.mark.parametrize("rewrite", list(_non_canonical_outpoints(UtxoId(bytes(32), 1))))
+def test_inspect_refuses_an_outpoint_key_render_never_writes(toy, tmp_path, capsys, rewrite):
+    owner = derive_wallet(toy, "inspect-owner")
+    issuer = toy.keygen(b"inspect-issuer")
+    chain = coinbase_issue(
+        Chainstate.genesis(issuer.public_key), [(5, lock_to_wallet(owner))] * 2, issuer, toy
+    )
+    doc = chainstate_snapshot(chain)
+    outpoint = UtxoId(txid_of(chain.log[-1]), 1)
+    doc["active"][_non_canonical_outpoints(outpoint)[rewrite]] = doc["active"].pop(
+        outpoint.render()
+    )
+    path = tmp_path / "rewritten.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    for fmt in ("table", "json"):
+        assert main(["inspect", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert "bad outpoint" in captured.err and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+
 # -- trace -------------------------------------------------------------------
 
 
@@ -501,6 +536,15 @@ def test_trace_malformed_target_exits_2(traced_log, capsys):
     path, _, _, _ = traced_log
     assert main(["trace", str(path), "zz:0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("rewrite", list(_non_canonical_outpoints(UtxoId(bytes(32), 0))))
+def test_trace_target_render_never_writes_exits_2(traced_log, capsys, rewrite):
+    path, _, leaf, _ = traced_log
+    target = _non_canonical_outpoints(UtxoId.parse(leaf))[rewrite]
+    assert main(["trace", str(path), target]) == 2
+    captured = capsys.readouterr()
+    assert "bad outpoint" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("defect", ["cyclic-links", "input-less-row", "allow-p2h-string"])

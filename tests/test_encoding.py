@@ -282,8 +282,56 @@ def test_txid_is_digest_of_canonical_bytes():
 def test_utxo_id_render_parse():
     outpoint = UtxoId(txid=digest(b"t"), index=5)
     assert UtxoId.parse(outpoint.render()) == outpoint
+    assert UtxoId.parse(UtxoId(digest(b"t"), 0).render()).index == 0
     with pytest.raises(FormatError):
         UtxoId.parse("nonsense")
+
+
+_TXID_HEX = digest(b"t").hex()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _TXID_HEX.upper() + ":1",
+        _TXID_HEX[:32] + " " + _TXID_HEX[32:] + ":1",
+        " " + _TXID_HEX + ":1",
+        *(
+            _TXID_HEX + ":" + index
+            for index in ("+1", " 1", "1 ", "01", "00", "1_0", "\u0663", "-1", "-0", "")
+        ),
+        _TXID_HEX,
+        _TXID_HEX + ":1:2",
+        _TXID_HEX[:-2] + ":1",
+        (_TXID_HEX + ":1").encode(),
+    ],
+)
+def test_utxo_id_parse_refuses_what_render_never_writes(text):
+    """int() and bytes.fromhex() read signs, separators, leading zeros,
+    non-ASCII digits, uppercase and spaced hex; an outpoint reads none."""
+    with pytest.raises(FormatError, match="bad outpoint"):
+        UtxoId.parse(text)
+
+
+@given(
+    st.one_of(
+        st.text(max_size=70),
+        st.tuples(
+            st.one_of(
+                st.binary(min_size=32, max_size=32).map(bytes.hex),
+                st.text(alphabet="0123456789abcdefABCDEF _", min_size=62, max_size=66),
+            ),
+            st.sampled_from([":", "", "::", ": "]),
+            st.text(alphabet="0123456789+-_ \u0663x", max_size=4),
+        ).map("".join),
+    )
+)
+def test_utxo_id_parse_raises_or_round_trips(text):
+    try:
+        outpoint = UtxoId.parse(text)
+    except FormatError:
+        return
+    assert outpoint.render() == text
 
 
 # Any transaction encode_utxo_tx accepts, whether or not it would validate.

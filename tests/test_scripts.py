@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ledgerlab.crypto import digest
 from ledgerlab.errors import FormatError
@@ -215,6 +217,33 @@ def test_text_notation_rejects_unknown_tokens():
         script_from_text("DUP FLY")
     with pytest.raises(FormatError):
         script_from_text("PUSH:zz")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "PUSH:AB", "PUSH:a", "PUSH:ab cd", "PUSH",
+        "DUP  HASH", " DUP", "DUP ", "DUP\tHASH", "DUP\nHASH",
+    ],
+)
+def test_text_notation_rejects_what_script_to_text_never_writes(text):
+    with pytest.raises(FormatError):
+        script_from_text(text)
+
+
+_TEXT_TOKENS = [
+    "DUP", "HASH", "EQUALVERIFY", "CHECKSIG", "PUSH:", "PUSH:ab", "PUSH:AB", "PUSH:a", ""
+]
+
+
+@given(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=5), st.sampled_from([" ", "  ", "\t"]))
+def test_text_notation_parses_or_raises_and_round_trips(tokens, separator):
+    text = separator.join(tokens)
+    try:
+        script = script_from_text(text)
+    except FormatError:
+        return
+    assert script_to_text(script) == text
 
 
 def test_small_fuzz_never_raises(toy, ctx):

@@ -2,9 +2,12 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
+import pickle
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given
@@ -33,6 +36,7 @@ from ledgerlab.utxo import (
     UtxoTx,
     ValidationReport,
     _advance,
+    _live,
     chainstate_snapshot,
     coinbase_issue,
     decode_log_entries,
@@ -853,6 +857,87 @@ def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
         assert not any(hasattr(clone, name) for name in memos)
 
 
+def test_inputs_are_slotted_values(toy, chain, wallets):
+    """An input is one object, with no instance dict, and keeps the value
+    semantics of a frozen dataclass."""
+    tx = split_payment(toy, chain, wallets[0], tip(chain), 3, lock_to_wallet(wallets[1]))
+    tx_in, decoded = tx.inputs[0], decode_utxo_tx(encode_utxo_tx(tx)).inputs[0]
+    assert not hasattr(tx_in, "__dict__") and not hasattr(decoded, "__dict__")
+    assert decoded == tx_in and hash(decoded) == hash(tx_in)
+    assert [f.name for f in dataclasses.fields(tx_in)] == ["outpoint", "unlocking"]
+    assert dataclasses.asdict(tx_in) == {"outpoint": tx_in.outpoint, "unlocking": tx_in.unlocking}
+    assert dataclasses.replace(tx_in, unlocking=()) == TxInput(tx_in.outpoint, ())
+    for clone in (
+        dataclasses.replace(tx_in), copy.copy(tx_in), copy.deepcopy(tx_in),
+        pickle.loads(pickle.dumps(tx_in)),
+    ):
+        assert type(clone) is TxInput and clone == tx_in
+    assert pickle.loads(pickle.dumps(tx)) == tx
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx_in.unlocking = ()
+
+
+def test_equal_bytes_decode_to_one_live_transaction(toy, chain, wallets):
+    """While a transaction decoded from some bytes is held, decoding equal
+    bytes returns it, memos and all; once the last reference is gone the
+    entry goes with it and the next decode builds a new object. A builder
+    or an encoder never fills the table."""
+    built = split_payment(toy, chain, wallets[0], tip(chain), 3, lock_to_wallet(wallets[1]))
+    raw = encode_utxo_tx(built)
+    first = decode_utxo_tx(raw)
+    assert first is not built and first == built
+    assert utxo_validate(chain, first, toy).valid
+    again = decode_utxo_tx(bytes(bytearray(raw)))
+    assert again is first and again._scripts[0] is toy
+    gone = weakref.ref(first)
+    del first, again
+    gc.collect()
+    assert gone() is None and raw not in _live
+    fresh = decode_utxo_tx(raw)
+    assert fresh == built and not hasattr(fresh, "_scripts") and not hasattr(fresh, "_verdict")
+
+
+def test_a_decode_that_raises_registers_nothing(toy, chain, wallets):
+    raw = encode_utxo_tx(
+        split_payment(toy, chain, wallets[0], tip(chain), 3, lock_to_wallet(wallets[1]))
+    )
+    gc.collect()
+    before = set(_live)
+    for bad in (raw + b"x", raw[:-1], b"UTX2" + raw[4:], raw[:4] + b"\x07" + raw[5:], b""):
+        with pytest.raises(FormatError):
+            decode_utxo_tx(bad)
+    for not_a_buffer in (raw.hex(), 5, None):
+        with pytest.raises(FormatError, match="cannot decode"):
+            decode_utxo_tx(not_a_buffer)
+    assert set(_live) <= before
+
+
+def test_buffers_decode_as_bytes_do_and_are_copied(toy, chain, wallets):
+    """A bytearray or memoryview decodes to exactly what its bytes decode
+    to, and the table keeps a copy: changing the buffer afterwards
+    changes no entry."""
+    raw = encode_utxo_tx(
+        split_payment(toy, chain, wallets[0], tip(chain), 3, lock_to_wallet(wallets[1]))
+    )
+    expected = dataclasses.replace(decode_utxo_tx(raw))
+    gc.collect()
+    assert raw not in _live
+    buffer = bytearray(raw)
+    for data in (buffer, memoryview(buffer), memoryview(raw)):
+        tx = decode_utxo_tx(data)
+        assert tx == expected and hash(tx) == hash(expected)
+        assert (tx._txid, tx._payload) == (txid_of(expected), utxo_signing_payload(expected))
+        assert type(tx.inputs[0].outpoint.txid) is bytes and type(tx.issuer_signature) is bytes
+        assert decode_utxo_tx(raw) is tx and encode_utxo_tx(tx) == raw
+        del tx
+        gc.collect()
+    tx = decode_utxo_tx(buffer)
+    keys = set(_live)
+    buffer[:] = bytes(len(buffer))
+    assert set(_live) == keys and all(type(key) is bytes for key in keys)
+    assert decode_utxo_tx(raw) is tx
+
+
 def test_log_export_import_roundtrip(toy, issuer):
     parties = [derive_wallet(toy, f"log-party-{i}") for i in range(2)]
     state = random_ledger(toy, "log-roundtrip", 12, issuer, parties)
@@ -880,6 +965,28 @@ def test_decode_log_entries_is_lenient_about_ids(toy, issuer, wallets):
     _, _, entries = decode_log_entries(doc)
     assert entries[0].recorded_txid == b"\x00" * 32
     assert txid_of(entries[0].tx) != entries[0].recorded_txid
+
+
+@pytest.mark.parametrize("field", ["txid", "raw", "issuer_public_key"])
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        str.upper, lambda text: text[:2] + " " + text[2:],
+        lambda text: " " + text, lambda text: text + "\n",
+    ],
+    ids=["uppercase", "inner-space", "leading-space", "trailing-newline"],
+)
+def test_decode_log_entries_reads_only_lowercase_hex(toy, issuer, wallets, field, rewrite):
+    """bytes.fromhex reads uppercase digits and whitespace; export_log
+    writes neither, so a log carrying them is refused."""
+    state = Chainstate.genesis(issuer.public_key)
+    state = coinbase_issue(state, [(4, lock_to_wallet(wallets[0]))], issuer, toy)
+    doc = export_log(state)
+    holder = doc if field == "issuer_public_key" else doc["txs"][0]
+    holder[field] = rewrite(holder[field])
+    for read in (decode_log_entries, lambda doc: import_log(doc, toy)):
+        with pytest.raises(FormatError, match="lowercase hex"):
+            read(doc)
 
 
 def test_make_coinbase_signature_covers_outputs(toy, issuer, wallets):

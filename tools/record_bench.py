@@ -42,6 +42,7 @@ Progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -68,6 +69,8 @@ LAYER_KEYGENS = 40
 LAYER_BLIND_KEYGENS = 2
 # Forks of one state digested per pass, one per replica of a round.
 LAYER_FORKS = 8
+# Log rows whose signature `utxo.log_first_pass` flips in its audited copy.
+LAYER_TAMPERED = (1, LAYER_TXS // 2, LAYER_TXS)
 
 
 def git(*args: str) -> str:
@@ -171,8 +174,18 @@ def measure_layers() -> dict[str, float]:
     pass signs and verifies anew. `scripts.execute` then
     reruns each spend's p2pkh input against the output it spends (verify
     cache warm). The chain's log times `encode_utxo_tx`, `decode_utxo_tx`
-    of its bytes and `txid_of` on fresh copies that carry no memo, and its
-    final state `canonical_json` of its snapshot and
+    of its bytes, `decode_utxo_tx_live`, decoding those bytes again while
+    the pass holds what the first decode returned, and `txid_of` on fresh
+    copies that carry no memo. `decode_utxo_tx` and the copy that
+    `utxo_validate_decoded` validates are first decodes: no transaction
+    decoded from those bytes is alive, as none outlives the step or row
+    that made it. `log_first_pass` is the per-row cost of what a log
+    auditor runs on a log exported from this pass's chain, which nothing
+    holds decoded: `import_log`, then `decode_log_entries` and
+    `analysis.audit_replay` of a copy whose LAYER_TAMPERED rows carry a
+    flipped signature bit, then `decode_log_entries` and
+    `analysis.audit_trace` of the final change output, as `utxo-ledger`
+    runs them. The final state times `canonical_json` of its snapshot and
     `replica.state_digest`, which sorts every row of a head ledger.
     `replica.state_digest_fork` digests LAYER_FORKS forks of the replayed
     final state, each one spend ahead, after the state's own digest, as
@@ -184,7 +197,7 @@ def measure_layers() -> dict[str, float]:
     crypto modes on messages no pass has signed: each signature is
     verified once with a cold cache, then once warm.
     """
-    from ledgerlab import crypto, encoding, replica, scripts, utxo
+    from ledgerlab import analysis, crypto, encoding, replica, scripts, utxo
 
     now = time.perf_counter
     best: dict[str, float] = {}
@@ -197,6 +210,33 @@ def measure_layers() -> dict[str, float]:
         results = [fn(item) for item in items]
         record(name, now() - start, len(items))
         return results
+
+    def flip(tx):
+        """`tx` with one bit of its first input's signature flipped."""
+        tx_in = tx.inputs[0]
+        signature = bytearray(tx_in.unlocking[0].operand)
+        signature[0] ^= 1
+        unlocking = (scripts.push(bytes(signature)),) + tx_in.unlocking[1:]
+        return dataclasses.replace(tx, inputs=(dataclasses.replace(tx_in, unlocking=unlocking),))
+
+    def first_pass(built, doc: dict, forged: dict, target) -> None:
+        """Time replaying `doc`, auditing `forged` and tracing `target`
+        through `doc`, as `utxo-ledger` does, and check the results. The
+        replayed state and the decoded rows die on return, so no later
+        pass finds their transactions alive."""
+        start = now()
+        replayed = utxo.import_log(doc, toy)
+        key, allow_p2h, entries = utxo.decode_log_entries(forged)
+        audits = analysis.audit_replay(entries, key, toy, allow_p2h=allow_p2h)
+        _, _, honest = utxo.decode_log_entries(doc)
+        trace = analysis.audit_trace(honest, key, toy, target, allow_p2h=allow_p2h)
+        record("utxo.log_first_pass", now() - start, len(entries))
+        flagged = [audit.position for audit in audits if not audit.ok]
+        if (
+            flagged != list(LAYER_TAMPERED) or not trace.ok
+            or replica.state_digest(replayed) != replica.state_digest(built)
+        ):
+            raise RuntimeError("a layers-leg log replay, audit or trace went wrong")
 
     toy = crypto.get_scheme("toy")
     issuer = toy.keygen(b"layers-issuer")
@@ -232,6 +272,7 @@ def measure_layers() -> dict[str, float]:
             spent["utxo.utxo_validate_decoded"] += t5 - t4
             spent["utxo.utxo_apply"] += now() - t5
             outpoint = utxo.UtxoId(utxo.txid_of(tx), 1)
+        del decoded_tx
         for name, seconds in spent.items():
             record(name, seconds, LAYER_TXS)
         log = state.log
@@ -247,7 +288,15 @@ def measure_layers() -> dict[str, float]:
         blind_seeds = [b"layers-blind-keygen:%d:%d" % (run, i) for i in range(LAYER_BLIND_KEYGENS)]
         timed("crypto.real.blind_keygen", crypto.get_scheme("real").blind_keygen, blind_seeds)
         raws = timed("utxo.encode_utxo_tx", utxo.encode_utxo_tx, log)
-        timed("utxo.decode_utxo_tx", utxo.decode_utxo_tx, raws)
+        held = timed("utxo.decode_utxo_tx", utxo.decode_utxo_tx, raws)
+        timed("utxo.decode_utxo_tx_live", utxo.decode_utxo_tx, raws)
+        del held
+        doc = utxo.export_log(state)
+        forged = dict(doc, txs=list(doc["txs"]))
+        for row in LAYER_TAMPERED:
+            raw = utxo.encode_utxo_tx(flip(log[row])).hex()
+            forged["txs"][row] = dict(doc["txs"][row], raw=raw)
+        first_pass(state, doc, forged, outpoint)
         fresh = [utxo.UtxoTx(tx.kind, tx.inputs, tx.outputs, tx.issuer_signature) for tx in log]
         timed("utxo.txid_of", utxo.txid_of, fresh)
         snapshot = utxo.chainstate_snapshot(state)
