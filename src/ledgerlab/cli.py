@@ -7,7 +7,8 @@ Four commands:
 * ``inspect <snapshot.json>`` renders a state snapshot as a sorted table
   or as canonical JSON.
 * ``trace <log.json> <txid:index>`` follows an output's inheritance
-  chain through an exported log, re-verifying every step.
+  chain through an exported log, re-verifying every step under the
+  crypto mode its keys were made in.
 * ``tables`` runs the full fraud and traceability battery and prints the
   property matrix.
 
@@ -179,9 +180,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             raise FormatError("log must be a JSON object")
         target = UtxoId.parse(args.utxo_id)
         issuer_public_key, allow_p2h, entries = decode_log_entries(doc)
-        scheme = get_scheme(args.crypto)
+        # RealScheme.verify checks each key by its tag, RSA keys as ToyScheme does.
         audit = audit_trace(
-            entries, issuer_public_key, scheme, target, allow_p2h=allow_p2h
+            entries, issuer_public_key, get_scheme("real"), target, allow_p2h=allow_p2h
         )
     except (FormatError, NotFoundError) as exc:
         _diag(str(exc))
@@ -249,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario file")
     run.add_argument("scenario", help="path to a scenario JSON file")
-    run.add_argument("--seed", type=int, default=None, help="override the run seed")
-    run.add_argument("--out", default=None, help="directory for report files")
+    run.add_argument("--seed", type=int, metavar="N", help="override the run seed")
+    run.add_argument("--out", metavar="DIR", help="directory for report files")
     run.add_argument(
         "--crypto", choices=["toy", "real"], default=None,
         help="override the scenario's crypto mode",
@@ -265,18 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect.set_defaults(func=_cmd_inspect)
 
-    trace = sub.add_parser("trace", help="trace an output back to its coinbase")
+    trace = sub.add_parser(
+        "trace",
+        help="trace an output back to its coinbase, verifying each step in either crypto mode",
+    )
     trace.add_argument("log", help="path to an exported log JSON file")
     trace.add_argument("utxo_id", help="target outpoint as txid:index")
-    trace.add_argument(
-        "--crypto", choices=["toy", "real"], default="toy",
-        help="crypto mode the log was produced under (default toy)",
-    )
     trace.set_defaults(func=_cmd_trace)
 
     tables = sub.add_parser("tables", help="emit the property matrix report")
-    tables.add_argument("--seed", type=int, default=None, help="experiment seed")
-    tables.add_argument("--out", default=None, help="directory for report files")
+    tables.add_argument("--seed", type=int, metavar="N", help="experiment seed")
+    tables.add_argument("--out", metavar="DIR", help="directory for report files")
     tables.add_argument(
         "--crypto", choices=["toy", "real"], default="toy",
         help="crypto mode (default toy)",

@@ -22,10 +22,9 @@ division runs in stages sized to the candidate: one gcd with the product
 of the odd primes below 1 000, and for the 1 024-bit primes of a blind
 key two more, with the primes in [1 000, 10 000) and in [10 000, 2^15)
 (built on first use), as FIPS 186-4 Appendix C.3 sieves before it tests.
-A stage only drops a composite before the probable-prime test would. A
-survivor below 1 024 bits gets the Baillie-PSW test, and a wider one a
-base-2 Fermat test and 5 Miller-Rabin rounds; see `_is_probable_prime`
-for why neither changes a key.
+A stage only drops a composite before the probable-prime test would.
+Every survivor, whatever its size, gets one test, Baillie-PSW; see
+`_is_probable_prime` for why it does not change a key.
 
 An RSA private key is its two primes (``RPRV || p || q``), the CRT form
 of PKCS #1 v2.2, section 3.2; the exponent is always 65537. Every private
@@ -325,40 +324,26 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _is_probable_prime(n: int) -> bool:
-    """A pure function of n: no state, no randomness beyond n itself.
+    """The Baillie-PSW test, for every size: a pure function of n, with no
+    state and no randomness beyond n itself.
 
-    Below 1 024 bits (the toy keys' 128-bit primes) it is the Baillie-PSW
-    test (Baillie and Wagstaff, Math. Comp. 35, 1980): a strong base-2
-    test, then a strong Lucas test with Selfridge's parameters. Each half
-    passes composites the other refuses (8321 is a strong base-2
-    pseudoprime, 5459 a strong Lucas one), and no composite is known to
-    pass both; none exists below 2^64. It replaces 24 Miller-Rabin rounds
-    with bases drawn from n, at about a fifth of their cost on a prime.
-    The two can disagree only on a composite that one of them passes: none
-    is known to pass Baillie-PSW, and one passes 24 rounds with chance
-    below 4^-24, so the keys stay the 24-round ones.
-
-    From 1 024 bits on (the primes of a 2048-bit blind key) a base-2
-    Fermat test, which rejects nearly every composite for one cheap
-    exponentiation, comes before 5 Miller-Rabin rounds whose bases are
-    drawn from n: FIPS 186-4 Appendix C.3, Table C.3, asks for 5 rounds
-    for the 1024-bit p and q of a 2048-bit modulus, a count that rests on
-    the Damgard-Landrock-Pomerance bounds for random candidates. A prime
-    passes both, so a key differs from the 24-round one only where the
-    two disagree on a composite.
+    After the small primes, a strong base-2 test, then a strong Lucas test
+    with Selfridge's parameters (Baillie and Wagstaff, Math. Comp. 35,
+    1980; FIPS 186-4 Appendix C.3.3 lists the Lucas test beside
+    Miller-Rabin). Each half passes composites the other refuses (8321 is
+    a strong base-2 pseudoprime, 5459 a strong Lucas one), no composite is
+    known to pass both, and none exists below 2^64. A key is the first
+    pair of primes in its seed's candidate stream, so it can differ from
+    the one 24 Miller-Rabin rounds pick only where the two tests disagree
+    on a composite that the stream draws: none is known to pass
+    Baillie-PSW, and one passes 24 rounds with chance below 4^-24.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d, s = _odd_part(n - 1)
-    if n.bit_length() < _WIDE_BITS:
-        return _strong_round(n, 2, d, s) and _is_strong_lucas_probable_prime(n)
-    if pow(2, n - 1, n) != 1:
-        return False
-    base_stream = SeededStream(b"miller-rabin:" + n.to_bytes((n.bit_length() + 7) // 8, "big"))
-    return all(_strong_round(n, base_stream.randbelow(n - 3) + 2, d, s) for _ in range(5))
+    return _strong_round(n, 2, *_odd_part(n - 1)) and _is_strong_lucas_probable_prime(n)
 
 
 def _gen_prime(stream: SeededStream, bits: int) -> int:

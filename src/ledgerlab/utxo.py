@@ -169,7 +169,8 @@ class UtxoId(NamedTuple):
     @staticmethod
     def parse(text: str) -> "UtxoId":
         """Strict inverse of render(): 64 lowercase hex digits, a colon and
-        an ASCII decimal index with no sign, separator or leading zero."""
+        an ASCII decimal index below 2^32 with no sign, separator or
+        leading zero, so only an outpoint the wire can carry."""
         if not isinstance(text, str):
             raise FormatError(f"bad outpoint {text!r}")
         txid_hex, _, index_str = text.partition(":")
@@ -179,7 +180,7 @@ class UtxoId(NamedTuple):
             raise FormatError(f"bad outpoint {text!r}") from exc
         # int() and fromhex() read more than render() writes: "+1", " 1",
         # "01", "1_0", non-ASCII digits, uppercase and spaced hex.
-        if len(outpoint.txid) != TXID_BYTES or outpoint.index < 0 or outpoint.render() != text:
+        if not _on_wire(outpoint) or outpoint.render() != text:
             raise FormatError(f"bad outpoint {text!r}")
         return outpoint
 

@@ -1,11 +1,13 @@
 """Command-line behaviour: exit codes, output shapes, file handling."""
 
+import argparse
 import contextlib
 import copy
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from ledgerlab.accounts import (
     account_snapshot,
     make_account_tx,
 )
-from ledgerlab.cli import main
+from ledgerlab.cli import build_parser, main
 from ledgerlab.crypto import derive_wallet
 from ledgerlab.encoding import canonical_json
 from ledgerlab.scenario import MAX_COUNT
@@ -457,7 +459,8 @@ def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, cap
 
 
 def _non_canonical_outpoints(outpoint):
-    """What int() and bytes.fromhex() read of an outpoint but render() never writes."""
+    """What int() and bytes.fromhex() read of an outpoint but render() never
+    writes for one the wire can carry."""
     txid_hex, index = outpoint.txid.hex(), str(outpoint.index)
     return {
         "uppercase-and-signed": f"{txid_hex.upper()}:+0{index}",
@@ -467,6 +470,7 @@ def _non_canonical_outpoints(outpoint):
         "leading-zero": f"{txid_hex}:0{index}",
         "underscore": f"{txid_hex}:{index}_0",
         "arabic-indic-digit": txid_hex + ":" + chr(0x660 + outpoint.index),
+        "index-2^32": f"{txid_hex}:{outpoint.index + (1 << 32)}",
     }
 
 
@@ -502,6 +506,20 @@ def test_trace_happy_path(traced_log, capsys):
     assert len(steps) == 3
     assert all("verified" in line for line in steps)
     assert lines[-1] == "terminal: coinbase at log position 0"
+
+
+def test_trace_verifies_a_log_written_with_real_crypto(tmp_path):
+    """trace takes no crypto mode: it verifies each key by its own tag."""
+    out = tmp_path / "real"
+    argv = ["run", scenario_path("utxo_basic.json"), "--crypto", "real", "--out", str(out)]
+    assert run_main(argv)[0] == 0
+    doc = json.loads((out / "log.json").read_text(encoding="utf-8"))
+    leaf = doc["txs"][-1]["txid"] + ":0"
+    code, stdout, stderr = run_main(["trace", str(out / "log.json"), leaf])
+    assert (code, stderr) == (0, "")
+    steps = [line for line in stdout.splitlines() if line.startswith("step ")]
+    assert len(steps) > 1 and all(line.split()[2] == "verified" for line in steps)
+    assert stdout.splitlines()[-1] == "terminal: coinbase at log position 0"
 
 
 def test_trace_coinbase_target_is_a_single_step(traced_log, capsys):
@@ -855,6 +873,49 @@ def test_explicit_seed_beats_env(monkeypatch, capsys):
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_synopsis():
+    """{command: (positional count, {option: value word or None})} read from
+    the fenced `ledgerlab ...` block under "## Command line"."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1]
+    synopsis = {}
+    for line in block.strip().splitlines():
+        program, command, rest = line.split(" ", 2)
+        assert program == "ledgerlab", line
+        options = dict(re.findall(r"\[(--[a-z-]+)(?: ([^\]]+))?\]", rest))
+        synopsis[command] = (len(re.findall(r"<[^>]+>", rest)), options)
+    return synopsis
+
+
+def parser_synopsis():
+    """The same shape built from each subparser of cli.build_parser(): an
+    option's word is its choices joined by "|", or its metavar or dest."""
+    (commands,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    synopsis = {}
+    for command, parser in commands.choices.items():
+        positionals = [action for action in parser._actions if not action.option_strings]
+        options = {
+            action.option_strings[-1]: "|".join(action.choices) if action.choices
+            else (action.metavar or action.dest.upper())
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        }
+        synopsis[command] = (len(positionals), options)
+    return synopsis
+
+
+def test_readme_synopsis_matches_the_parser():
+    """Every command, positional count, option and option value the README
+    lists is the parser's, and no more: `trace` takes no --crypto."""
+    assert readme_synopsis() == parser_synopsis()
 
 
 def run_tables_seed_3(command, env=None):

@@ -233,11 +233,11 @@ REAL_BLIND_SEEDS = [b"denomination:%d:issuer:15:bank" % d for d in (1, 5, 10)] +
 
 @pytest.mark.parametrize("seed", REAL_BLIND_SEEDS)
 def test_real_blind_key_primes_pass_all_24_rounds(real, seed):
-    """A 1024-bit candidate gets a base-2 pre-test and 5 of the 24 rounds,
-    which no prime fails. The key is the 24-round one unless they pass a
-    composite that a later round rejects, or reject one that all 24 rounds
-    pass. This key's p and q pass all 24 rounds, which rules out the
-    first; the next test compares one whole key."""
+    """A 1024-bit candidate gets Baillie-PSW, which no prime fails. The key
+    is the 24-round one unless it passes a composite that the 24 rounds
+    reject, or rejects one that all 24 rounds pass. This key's p and q pass
+    all 24 rounds, which rules out the first; the next test compares one
+    whole key."""
     pair = real.blind_keygen(seed)
     p, q = primes_of(pair.private_key)
     n, _ = _decode_rsa_public(pair.public_key)

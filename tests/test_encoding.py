@@ -298,7 +298,9 @@ _TXID_HEX = digest(b"t").hex()
         " " + _TXID_HEX + ":1",
         *(
             _TXID_HEX + ":" + index
-            for index in ("+1", " 1", "1 ", "01", "00", "1_0", "\u0663", "-1", "-0", "")
+            for index in (
+                "+1", " 1", "1 ", "01", "00", "1_0", "\u0663", "-1", "-0", "", "4294967296"
+            )
         ),
         _TXID_HEX,
         _TXID_HEX + ":1:2",
@@ -308,7 +310,8 @@ _TXID_HEX = digest(b"t").hex()
 )
 def test_utxo_id_parse_refuses_what_render_never_writes(text):
     """int() and bytes.fromhex() read signs, separators, leading zeros,
-    non-ASCII digits, uppercase and spaced hex; an outpoint reads none."""
+    non-ASCII digits, uppercase and spaced hex; an outpoint reads none, nor
+    an index past the wire's u32 field."""
     with pytest.raises(FormatError, match="bad outpoint"):
         UtxoId.parse(text)
 
