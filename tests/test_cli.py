@@ -879,8 +879,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_synopsis():
-    """{command: (positional count, {option: value word or None})} read from
-    the fenced `ledgerlab ...` block under "## Command line"."""
+    """{command: (positional count, {option: its value word})} read from the
+    fenced `ledgerlab ...` block under "## Command line"."""
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     block = section.split("```", 2)[1]
     synopsis = {}
