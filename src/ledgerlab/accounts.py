@@ -225,6 +225,8 @@ def account_snapshot(state: AccountState) -> dict:
 def account_from_snapshot(doc: dict) -> AccountState:
     if doc.get("kernel") != "account":
         raise FormatError("not an account snapshot")
+    if extra := doc.keys() - {"kernel", "balances", "nonces"}:
+        raise FormatError(f"account snapshot has unknown keys {sorted(extra)}")
     balances = doc.get("balances")
     nonces = doc.get("nonces", {})
     if not isinstance(balances, dict) or not isinstance(nonces, dict):

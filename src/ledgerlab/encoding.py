@@ -127,14 +127,27 @@ def canonical_json(obj: Any) -> str:
     """Render JSON with sorted keys and fixed separators; ends in newline.
 
     Identical objects give identical bytes, so snapshots and reports are
-    diffable and golden-testable.
+    diffable and golden-testable. NaN and the infinities raise ValueError.
     """
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False) + "\n"
+
+
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _distinct_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("an object repeats a key")
+    return obj
 
 
 def parse_json(text: str, *, context: str = "document") -> Any:
-    # ValueError covers JSONDecodeError and CPython's integer-digit limit.
+    # ValueError covers JSONDecodeError, CPython's integer-digit limit and
+    # the refusals of what canonical_json never writes: NaN, the infinities
+    # and an object that repeats a key.
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant, object_pairs_hook=_distinct_keys)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"malformed {context}: {exc}") from exc

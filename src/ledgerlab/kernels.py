@@ -215,9 +215,6 @@ class UtxoKernel(Kernel):
     def snapshot(self, state) -> dict:
         return utxo.chainstate_snapshot(state)
 
-    def snapshot_text(self, state) -> str:
-        return utxo.snapshot_text(state)
-
     def decode(self, doc: dict):
         """The active set alone: a snapshot carries no log."""
         return utxo.active_from_snapshot(doc)

@@ -22,7 +22,8 @@ free; everything is a pure function of (transaction set, seed, rule), so
 every divergence is replayable from its seed.
 
 Settlement finality is modeled as log depth: an entry is confirmed once
-a configured number of later entries has accumulated on top of it.
+it is a configured number of entries deep, counting itself as Bitcoin
+counts confirmations, so at depth 6 it needs 5 later entries on top.
 """
 
 from __future__ import annotations

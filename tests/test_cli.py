@@ -20,6 +20,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import ledgerlab
 from conftest import json_slots
+from oracles import reference_snapshot
 from ledgerlab.accounts import (
     AccountState,
     account_apply,
@@ -37,7 +38,6 @@ from ledgerlab.utxo import (
     TxOutput,
     UtxoId,
     UtxoTx,
-    chainstate_snapshot,
     coinbase_issue,
     encode_utxo_tx,
     export_log,
@@ -378,7 +378,7 @@ def test_inspect_token_and_utxo_tables(toy, tmp_path, capsys):
         toy,
     )
     utxo_path = tmp_path / "utxo.json"
-    utxo_path.write_text(canonical_json(chainstate_snapshot(chain)), encoding="utf-8")
+    utxo_path.write_text(canonical_json(reference_snapshot(chain)), encoding="utf-8")
     assert main(["inspect", str(utxo_path)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["outpoint", "value", "locking"]
@@ -387,7 +387,7 @@ def test_inspect_token_and_utxo_tables(toy, tmp_path, capsys):
 
 def test_inspect_empty_chainstate_renders(toy, tmp_path, capsys):
     issuer = toy.keygen(b"inspect-empty")
-    snapshot = chainstate_snapshot(Chainstate.genesis(issuer.public_key))
+    snapshot = reference_snapshot(Chainstate.genesis(issuer.public_key))
     path = tmp_path / "empty.json"
     path.write_text(canonical_json(snapshot), encoding="utf-8")
     assert main(["inspect", str(path)]) == 0
@@ -432,6 +432,15 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         {"kernel": "account", "balances": {"a" * 64: TWO_TO_THE_64}},
         {"kernel": "account", "balances": {"a" * 64: 1}, "nonces": {"a" * 64: TWO_TO_THE_64}},
         {"kernel": "token", "objects": {"t": {"value": TWO_TO_THE_64, "owner": "a" * 64}}},
+        {"kernel": "account", "balances": {}, "junk": 1},
+        {"kernel": "token", "objects": {}, "junk": 1},
+        {"kernel": "utxo", "active": {}, "junk": [1]},
+        {"kernel": "utxo", "active": {}, "log_length": "abc"},
+        {"kernel": "utxo", "active": {}, "log_length": -1},
+        {"kernel": "utxo", "active": {}, "log_length": True},
+        {"kernel": "utxo", "active": {}, "allow_p2h": 5},
+        {"kernel": "utxo", "active": {}, "issuer_public_key": 7},
+        {"kernel": "utxo", "active": {}, "issuer_public_key": "AB"},
     ],
     ids=[
         "account-balances-list",
@@ -445,6 +454,15 @@ def test_inspect_rejects_corrupt_and_unknown(tmp_path, capsys):
         "account-balance-2^64",
         "account-nonce-2^64",
         "token-value-2^64",
+        "account-unknown-key",
+        "token-unknown-key",
+        "utxo-unknown-key",
+        "utxo-log-length-string",
+        "utxo-log-length-negative",
+        "utxo-log-length-bool",
+        "utxo-allow-p2h-int",
+        "utxo-issuer-key-int",
+        "utxo-issuer-key-uppercase",
     ],
 )
 def test_inspect_malformed_snapshot_exits_2_without_traceback(doc, tmp_path, capsys):
@@ -481,7 +499,7 @@ def test_inspect_refuses_an_outpoint_key_render_never_writes(toy, tmp_path, caps
     chain = coinbase_issue(
         Chainstate.genesis(issuer.public_key), [(5, lock_to_wallet(owner))] * 2, issuer, toy
     )
-    doc = chainstate_snapshot(chain)
+    doc = reference_snapshot(chain)
     outpoint = UtxoId(txid_of(chain.log[-1]), 1)
     doc["active"][_non_canonical_outpoints(outpoint)[rewrite]] = doc["active"].pop(
         outpoint.render()
@@ -617,7 +635,7 @@ def fuzz_documents(toy, traced_log):
     return {
         "account": account_snapshot(accounts),
         "token": token_snapshot(tokens),
-        "utxo": chainstate_snapshot(import_log(log, toy)),
+        "utxo": reference_snapshot(import_log(log, toy)),
         "log": log,
     }
 
@@ -682,12 +700,18 @@ def every_reader(path, target):
     return [["inspect", str(path)], ["trace", str(path), target], ["run", str(path)]]
 
 
-# Inputs that no JSON reader accepts: bytes that are not UTF-8, nesting
-# past the recursion limit, and an integer literal past CPython's digit limit.
+# Inputs that the strict JSON reader refuses: bytes that are not UTF-8,
+# nesting past the recursion limit, an integer literal past CPython's digit
+# limit, the constants json.dumps writes for NaN and the infinities, and an
+# object that repeats a key.
 UNREADABLE = {
     "not-utf-8": b"\xff\xfe{}",
     "nested-100000-deep": b"[" * 100_000,
     "5000-digit-literal": b'{"kernel": "account", "seed": ' + b"7" * 5000 + b"}",
+    "nan": b'{"kernel": "account", "balances": {}, "junk": NaN}',
+    "infinity": b'{"kernel": "account", "balances": {}, "junk": Infinity}',
+    "negative-infinity": b'{"kernel": "account", "balances": {}, "junk": [-Infinity]}',
+    "repeated-key": b'{"kernel": "account", "balances": {}, "kernel": "account"}',
 }
 
 

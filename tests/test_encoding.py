@@ -186,6 +186,20 @@ def test_canonical_json_stability():
     assert parse_json(a) == {"a": [2, 1], "b": 1}
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_refuses_what_json_has_no_number_for(value):
+    with pytest.raises(ValueError):
+        canonical_json({"a": [value]})
+
+
+@pytest.mark.parametrize(
+    "text", ['{"a": NaN}', "[Infinity]", "-Infinity", '{"a": 1, "a": 1}', '[{"b": {}, "b": 2}]']
+)
+def test_parse_json_refuses_what_canonical_json_never_writes(text):
+    with pytest.raises(FormatError, match="malformed document"):
+        parse_json(text)
+
+
 def test_account_tx_roundtrip(toy, wallets):
     payer, payee = wallets[0], wallets[1]
     tx = make_account_tx(toy, payer, payee.address, 7, nonce=3)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import consumed_outpoints, reference_active_set
+from oracles import consumed_outpoints, reference_active_set, reference_snapshot
 from ledgerlab.analysis import audit_replay
 from ledgerlab.crypto import derive_wallet, digest
 from ledgerlab.encoding import canonical_json
@@ -23,6 +23,7 @@ from ledgerlab.errors import (
     NotFoundError,
     TxRejected,
 )
+from ledgerlab.kernels import KERNEL_TABLE
 from ledgerlab.replica import state_digest
 from ledgerlab.rng import SeededStream
 from ledgerlab.scripts import BARE_OPS, ExecResult, ExecutionContext, compile_p2h, execute, push
@@ -50,7 +51,6 @@ from ledgerlab.utxo import (
     merge_payment,
     replay_log,
     snapshot_bytes,
-    snapshot_text,
     split_payment,
     txid_of,
     utxo_apply,
@@ -671,7 +671,7 @@ def test_replay_and_audit_keep_no_undo_journal(toy, issuer, wallets):
 @pytest.mark.parametrize("allow_p2h", [True, False])
 def test_snapshot_text_of_empty_genesis(issuer, allow_p2h):
     genesis = Chainstate.genesis(issuer.public_key, allow_p2h=allow_p2h)
-    assert '"active": {}' in snapshot_text(genesis)
+    assert b'"active": {}' in snapshot_bytes(genesis)
     assert_canonical_snapshot(genesis)
 
 
@@ -710,16 +710,19 @@ def digests_through_shared_rows(state, filled):
 
 
 def assert_canonical_snapshot(state):
-    """snapshot_text, snapshot_bytes and state_digest agree with
-    canonical_json(chainstate_snapshot(state)) and its SHA-256."""
-    text = canonical_json(chainstate_snapshot(state))
-    assert snapshot_text(state) == text
+    """snapshot_bytes, chainstate_snapshot, the kernel's snapshot text and
+    state_digest agree with canonical_json(reference_snapshot(state)) and
+    its SHA-256."""
+    expected = reference_snapshot(state)
+    text = canonical_json(expected)
     assert snapshot_bytes(state) == text.encode()
+    assert chainstate_snapshot(state) == expected
+    assert KERNEL_TABLE["utxo"].snapshot_text(state) == text
     assert state_digest(state) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_snapshot_text_matches_canonical_snapshot(toy, wallets, snapshot_root):
-    """snapshot_text is canonical_json(chainstate_snapshot) for branching
+    """snapshot_bytes is canonical_json(reference_snapshot) for branching
     states rendered before and after they fork, including states carried
     past an invalid row by _advance, as audit_replay carries them; some of
     them render through a base their family shares."""
@@ -771,7 +774,7 @@ def test_snapshot_text_matches_canonical_snapshot(toy, wallets, snapshot_root):
 def test_forks_digest_through_the_shared_base_in_any_order(toy, wallets, snapshot_root, data):
     """Once the base is filled, forks of one state digest in any order as
     canonical_json renders them, and the state's own digest is unchanged."""
-    before = snapshot_text(snapshot_root)
+    before = snapshot_bytes(snapshot_root)
     signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
     spendable = sorted(
         (op for op, out in snapshot_root.active.items() if out.locking in signers),
@@ -789,14 +792,14 @@ def test_forks_digest_through_the_shared_base_in_any_order(toy, wallets, snapsho
                 extra = split_payment(toy, fork, signers[held.locking], change, 1, payee)
                 fork = utxo_apply(fork, extra, toy)
         forks.append(fork)
-    snapshot_text(forks[0])
+    snapshot_bytes(forks[0])
     assert forks[0]._ledger.rows is not None
     for index in data.draw(st.permutations(range(len(forks))), label="read order"):
         fork = forks[index]
         assert_canonical_snapshot(fork)
         assert fork._ledger.rows is forks[0]._ledger.rows
-    assert snapshot_text(snapshot_root) == before
-    assert before == canonical_json(chainstate_snapshot(snapshot_root))
+    assert snapshot_bytes(snapshot_root) == before
+    assert before == canonical_json(reference_snapshot(snapshot_root)).encode()
 
 
 @pytest.mark.parametrize("root", ["genesis-family", "shared-base"])
@@ -821,7 +824,7 @@ def test_snapshot_text_with_one_output_object_at_two_outpoints(
     )
     twice = utxo_apply(once, again, toy)
     for branch in (state, once, twice, once):
-        assert snapshot_text(branch) == canonical_json(chainstate_snapshot(branch))
+        assert_canonical_snapshot(branch)
 
 
 def test_snapshot_memo_is_invisible_to_value_semantics(toy, issuer, wallets):
@@ -892,7 +895,7 @@ def test_equal_bytes_decode_to_one_live_transaction(toy, chain, wallets):
     gone = weakref.ref(first)
     del first, again
     gc.collect()
-    assert gone() is None and raw not in _live
+    assert gone() is None and digest(raw) not in _live
     fresh = decode_utxo_tx(raw)
     assert fresh == built and not hasattr(fresh, "_scripts") and not hasattr(fresh, "_verdict")
 
@@ -914,14 +917,14 @@ def test_a_decode_that_raises_registers_nothing(toy, chain, wallets):
 
 def test_buffers_decode_as_bytes_do_and_are_copied(toy, chain, wallets):
     """A bytearray or memoryview decodes to exactly what its bytes decode
-    to, and the table keeps a copy: changing the buffer afterwards
-    changes no entry."""
+    to, and its fields are copies: changing the buffer afterwards changes
+    neither the transaction nor the table."""
     raw = encode_utxo_tx(
         split_payment(toy, chain, wallets[0], tip(chain), 3, lock_to_wallet(wallets[1]))
     )
     expected = dataclasses.replace(decode_utxo_tx(raw))
     gc.collect()
-    assert raw not in _live
+    assert digest(raw) not in _live
     buffer = bytearray(raw)
     for data in (buffer, memoryview(buffer), memoryview(raw)):
         tx = decode_utxo_tx(data)
@@ -935,7 +938,20 @@ def test_buffers_decode_as_bytes_do_and_are_copied(toy, chain, wallets):
     keys = set(_live)
     buffer[:] = bytes(len(buffer))
     assert set(_live) == keys and all(type(key) is bytes for key in keys)
-    assert decode_utxo_tx(raw) is tx
+    assert decode_utxo_tx(raw) is tx and tx == expected
+
+
+def test_the_live_table_is_keyed_by_each_transactions_own_txid(toy, chain, wallets):
+    """An entry's key is the very txid object its transaction stores, so
+    the table holds no copy of the bytes a transaction was decoded from."""
+    lock = lock_to_wallet(wallets[1])
+    built = [
+        split_payment(toy, chain, wallets[0], tip(chain), amount, lock) for amount in (1, 2, 3)
+    ]
+    held = [decode_utxo_tx(encode_utxo_tx(tx)) for tx in built + [chain.log[0]]]
+    entries = list(_live.items())
+    assert {id(tx) for tx in held} <= {id(live) for _, live in entries}
+    assert all(key is live._txid for key, live in entries)
 
 
 def test_log_export_import_roundtrip(toy, issuer):

@@ -27,25 +27,29 @@ summarized like a metric.
 The file written at the repository root holds the commits (with the tree
 ids of their `src/`, and the newline count of their `src/**/*.py` as
 `wc -l` gives it), the change's net `src/` line delta, the environment,
-every run's end-to-end metrics and output digest, and per workload and
-metric each side's median, quartiles and n, plus the number of pairs the
-change won (ties count for neither) and `resolved`, the test a claimed
-gain must pass: true only when the change won at least nine tenths of the
-pairs and the two medians differ by more than the base's interquartile
-range. A pair counts as digest-identical only when both runs printed a
-digest and the two agree. `all_runs_ok` is false, and the exit status 1,
-when any run exited non-zero, printed no summary, failed a correctness
-check or failed an operation, or when a tier-1 run exited non-zero.
-Progress goes to stderr.
+every run's end-to-end metrics, output digest and `detail` metrics (the
+workload's own, such as `utxo-ledger`'s `export_s`, with their
+directions), and per workload and metric each side's median, quartiles
+and n (`summary` for the end-to-end metrics, `detail_summary` for the
+rest), plus the number of pairs the change won (ties count for neither)
+and `resolved`, the test a claimed gain must pass: true only when the
+change won at least nine tenths of the pairs and the two medians differ
+by more than the base's interquartile range. A pair counts as
+digest-identical only when both runs printed a digest and the two agree.
+`all_runs_ok` is false, and the exit status 1, when any run exited
+non-zero, printed no summary, failed a correctness check or failed an
+operation, or when a tier-1 run exited non-zero. Progress goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -71,6 +75,8 @@ LAYER_BLIND_KEYGENS = 2
 LAYER_FORKS = 8
 # Log rows whose signature `utxo.log_first_pass` flips in its audited copy.
 LAYER_TAMPERED = (1, LAYER_TXS // 2, LAYER_TXS)
+# Calls of the `control.stdlib` work per pass.
+LAYER_CONTROLS = 20
 
 
 def git(*args: str) -> str:
@@ -119,11 +125,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
     except (IndexError, json.JSONDecodeError):
         run["error"] = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return run
+    run["detail"], run["detail_better"] = {}, {}
     for line in lines:
+        words = line.split()
         if line.startswith("output_digest "):
-            run["output_digest"] = line.split()[1]
+            run["output_digest"] = words[1]
         elif line.startswith("env "):
-            run["env"] = dict(field.split("=", 1) for field in line.split()[1:5])
+            run["env"] = dict(field.split("=", 1) for field in words[1:5])
+        elif words[:1] == [workload] and words[2:3] == ["="]:
+            # "<workload> <name> = <value> <unit> (<better> is better, n=<k>)"
+            run["detail"][words[1]] = float(words[3])
+            run["detail_better"][words[1]] = words[5].lstrip("(")
     run.update(
         correct=summary["correct"],
         attempted=summary["attempted"],
@@ -196,6 +208,12 @@ def measure_layers() -> dict[str, float]:
     to pass and are the same on both sides. Sign and verify run in both
     crypto modes on messages no pass has signed: each signature is
     verified once with a cold cache, then once warm.
+
+    `control.stdlib` opens each pass with LAYER_CONTROLS calls of fixed
+    work that uses no ledgerlab code (a SHA-256 of 16 KiB and a sort of
+    10 000 shuffled ints), so it is the same program on both sides: where
+    it differs between the two runs of a pair, one of them ran slow for a
+    reason outside `src/`.
     """
     from ledgerlab import analysis, crypto, encoding, replica, scripts, utxo
 
@@ -238,6 +256,13 @@ def measure_layers() -> dict[str, float]:
         ):
             raise RuntimeError("a layers-leg log replay, audit or trace went wrong")
 
+    control_bytes = bytes(range(256)) * 64
+    control_ints = random.Random(LAYER_TXS).sample(range(1 << 20), 10_000)
+
+    def control(_) -> list[int]:
+        hashlib.sha256(control_bytes).digest()
+        return sorted(control_ints)
+
     toy = crypto.get_scheme("toy")
     issuer = toy.keygen(b"layers-issuer")
     payer = crypto.derive_wallet(toy, "layers-payer")
@@ -245,6 +270,7 @@ def measure_layers() -> dict[str, float]:
     lock = utxo.lock_to_wallet(payer)
     coinbase = utxo.make_coinbase(toy, issuer, [(1 << 40, lock)])
     for run in range(LAYER_PASSES):
+        timed("control.stdlib", control, range(LAYER_CONTROLS))
         state = utxo.replay_log([coinbase], issuer.public_key, toy)
         outpoint = utxo.UtxoId(utxo.txid_of(coinbase), 0)
         spent = dict.fromkeys(
@@ -379,12 +405,14 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
+    """Per metric: each side's spread over the pairs whose runs both
+    measured it, and the change's wins."""
     summary = {}
     for name, better in directions.items():
         scored = [
             (pair["base"]["metrics"][name], pair["change"]["metrics"][name])
             for pair in pairs
-            if "metrics" in pair["base"] and "metrics" in pair["change"]
+            if all(name in pair[side].get("metrics", {}) for side in SIDES)
         ]
         wins = sum(
             (change > base) if better == "higher" else (change < base)
@@ -445,9 +473,18 @@ def main(argv=None) -> int:
                 lambda side, i: run_bench(sides[side], workload, args.seeds[i], seconds, 0),
                 lambda i: {"seed": args.seeds[i], "first": SIDES[i % 2]},
             )
+            detail = {
+                name: better for pair in pairs for side in SIDES
+                for name, better in pair[side].get("detail_better", {}).items()
+            }
+            detail_pairs = [
+                {side: {"metrics": pair[side].get("detail", {})} for side in SIDES}
+                for pair in pairs
+            ]
             doc["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summarize(pairs, directions),
+                "detail_summary": summarize(detail_pairs, detail),
                 "digests_identical": all(
                     p["base"].get("output_digest") is not None
                     and p["base"].get("output_digest") == p["change"].get("output_digest")
