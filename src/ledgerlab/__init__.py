@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "analysis": (
         "FraudReport", "LineageChain", "StateMetrics", "TraceabilityReport",
-        "audit_trace", "lineage_dag", "matrix_report", "measure_state",
+        "audit_trace", "matrix_report", "measure_state",
         "pseudonym_growth_experiment", "render_tables_text", "run_fraud_scenario",
         "trace_lineage", "traceability_report",
     ),
@@ -43,9 +43,8 @@ _EXPORTS = {
         "ScenarioError", "TxRejected",
     ),
     "replica": (
-        "OrderingRule", "Replica", "RoundReport", "broadcast",
-        "confirmation_depth_check", "make_replicas", "run_round", "settle_round",
-        "state_digest",
+        "OrderingRule", "Replica", "RoundReport", "broadcast", "make_replicas",
+        "run_round", "settle_round", "state_digest",
     ),
     "rng": ("SeededStream",),
     "scenario": ("ScenarioResult", "execute_scenario", "validate_scenario"),

@@ -76,18 +76,11 @@ class AccountState:
     balances: dict[Address, Amount] = field(default_factory=dict)
     nonces: dict[Address, int] = field(default_factory=dict)
 
-    @staticmethod
-    def empty() -> "AccountState":
-        return AccountState()
-
     def balance(self, address: Address) -> Amount:
         return self.balances.get(address, 0)
 
     def nonce(self, address: Address) -> int:
         return self.nonces.get(address, 0)
-
-    def total(self) -> Amount:
-        return sum(self.balances.values())
 
 
 # ---------------------------------------------------------------------------

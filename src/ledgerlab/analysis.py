@@ -72,10 +72,6 @@ class LineageChain:
     target: UtxoId
     steps: tuple[LineageStep, ...]
 
-    @property
-    def terminal_txid(self) -> bytes:
-        return self.steps[-1].txid
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -140,46 +136,14 @@ def trace_lineage(txs: Sequence[UtxoTx], target: UtxoId) -> LineageChain:
     """Follow first inputs from the target back to its coinbase origin.
 
     Merges make full ancestry a DAG; the chain takes each step's first
-    input (lineage_dag exports the rest). Raises NotFoundError if the
-    target was never created in this log.
+    input. Raises NotFoundError if the target was never created in this
+    log.
     """
     steps = tuple(
         LineageStep(txid=produced.txid, consumed=consumed, produced=produced)
         for _, produced, consumed, _ in _walk(_index_by_txid(txs), target)
     )
     return LineageChain(target=target, steps=steps)
-
-
-def lineage_dag(txs: Sequence[UtxoTx], target: UtxoId) -> dict:
-    """Full ancestry of the target across all inputs, as nodes and edges."""
-    index = _index_by_txid(txs)
-    if target.txid not in index:
-        raise NotFoundError(f"no transaction {target.txid.hex()} in the log")
-    seen: set[UtxoId] = set()
-    edges: list[dict] = []
-    frontier = [target]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        _, tx = index[current.txid]
-        consumed = [tx_in.outpoint for tx_in in tx.inputs]
-        edges.append(
-            {
-                "txid": current.txid.hex(),
-                "produced": current.render(),
-                "consumed": [outpoint.render() for outpoint in consumed],
-                "kind": tx.kind,
-            }
-        )
-        frontier.extend(consumed)
-    edges.sort(key=lambda e: e["produced"])
-    return {
-        "target": target.render(),
-        "nodes": sorted(outpoint.render() for outpoint in seen),
-        "edges": edges,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +440,8 @@ class FraudReport:
 
 # What each kernel's probes move: the double spend's stake, the replay's.
 _FRAUD_STAKES = {"account": (8, 3), "token": ("token-0", "token-0"), "utxo": (10, 10)}
+# How often the replay probe resubmits an accepted account transfer.
+_REPLAYS = 2
 
 
 def run_fraud_scenario(
@@ -483,13 +449,11 @@ def run_fraud_scenario(
     kernel: FraudKernel,
     seed: int,
     scheme: CryptoScheme,
-    *,
-    replays: int = 2,
 ) -> FraudReport:
     """Stage the canonical attack against a kernel and report the outcome.
 
     The attack runs through the kernel table's double-spend or replay
-    step (a replay resubmits `replays` times on the account kernels, once
+    step (a replay resubmits `_REPLAYS` times on the account kernels, once
     elsewhere); the evidence is read from the step's attempts.
 
     Deterministic in (scenario, kernel, seed): identical inputs yield
@@ -543,7 +507,7 @@ def run_fraud_scenario(
     # Replay: the intermediary resubmits one accepted transfer verbatim.
     tx = ops.transfer(state, payer, payee, replay_stake, mode, scheme)
     once = ops.apply(state, tx, mode, scheme)
-    after, outcomes = ops.replay(once, tx, replays if name == "account" else 1, mode, scheme)
+    after, outcomes = ops.replay(once, tx, _REPLAYS if name == "account" else 1, mode, scheme)
     refusals = [attempt for attempt in outcomes if not attempt["accepted"]]
     applied = 1 + len(outcomes) - len(refusals)
     outcome = OUTCOME_SUCCEEDED if applied > 1 else OUTCOME_PREVENTED
@@ -555,7 +519,7 @@ def run_fraud_scenario(
             "final_payer_balance": after.balance(payer.address),
             "final_payee_balance": after.balance(payee.address),
             "times_applied": applied,
-            "replays_attempted": replays,
+            "replays_attempted": _REPLAYS,
         }
         if refusals:
             evidence["rejection"] = refusals[0]["error"]

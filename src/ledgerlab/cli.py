@@ -13,9 +13,10 @@ Four commands:
   property matrix.
 
 Exit codes: 0 success; 2 for unreadable, unparseable, or schema-invalid
-input; 3 for execution failures (the failing action index) and for trace
-steps that fail re-verification (the failing step index). Diagnostics go
-to stderr; data goes to stdout or to files, never mixed.
+input; 3 for execution failures (the failing action index), for trace
+steps that fail re-verification (the failing step index) and for stdout
+that cannot be written. Diagnostics go to stderr; data goes to stdout or
+to files, never mixed.
 
 Determinism contract: with toy crypto, identical inputs and seed produce
 byte-identical outputs. The seed comes from ``--seed``, else the
@@ -45,6 +46,24 @@ _ENV_SEED = "LEDGERLAB_SEED"
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _emit(text: str) -> int:
+    """Write and flush `text`. A failed write is one stderr line and exit 3,
+    and fd 1 moves to os.devnull, so the flush at exit cannot fail (120)."""
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        _diag(f"cannot write output: {exc}")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        if devnull != 1:  # with descriptor 1 closed, the open took it
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        return EXIT_EXECUTION
+    return EXIT_OK
 
 
 def _read_document(path: str, context: str) -> object:
@@ -105,8 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "seed": result.seed,
             "reports": result.reports,
         }
-        sys.stdout.write(canonical_json(bundle))
-        return EXIT_OK
+        return _emit(canonical_json(bundle))
 
     return _write_reports(args.out, result.reports)
 
@@ -160,8 +178,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     except FormatError as exc:
         _diag(str(exc))
         return EXIT_INVALID
-    sys.stdout.write(canonical_json(doc) if args.format == "json" else table)
-    return EXIT_OK
+    return _emit(canonical_json(doc) if args.format == "json" else table)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +205,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         _diag(str(exc))
         return EXIT_INVALID
 
+    lines = []
     for position, step in enumerate(audit.steps):
         status = "verified" if step.verified else "FAILED"
         consumed = "-" if step.consumed is None else step.consumed.render()
@@ -197,9 +215,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         if step.problems:
             line += " problems=" + ",".join(step.problems)
-        print(line)
+        lines.append(line)
     terminal = audit.steps[-1]
-    print(f"terminal: {terminal.kind} at log position {terminal.position}")
+    lines.append(f"terminal: {terminal.kind} at log position {terminal.position}")
+    if _emit("\n".join(lines) + "\n") != EXIT_OK:
+        return EXIT_EXECUTION
     if not audit.ok:
         _diag(f"verification failed at step {audit.first_failure}")
         return EXIT_EXECUTION
@@ -224,10 +244,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     scheme = get_scheme(args.crypto)
     doc = matrix_report(seed if seed is not None else 0, scheme)
     text = render_tables_text(doc)
-    if args.format == "json":
-        sys.stdout.write(canonical_json(doc))
-    else:
-        sys.stdout.write(text)
+    if _emit(canonical_json(doc) if args.format == "json" else text) != EXIT_OK:
+        return EXIT_EXECUTION
     if args.out is not None:
         return _write_reports(args.out, {"matrix": doc, "tables": text})
     return EXIT_OK

@@ -51,11 +51,6 @@ class IssuerKeys:
 
     per_denomination: dict[Amount, KeyPair]
 
-    def public_key(self, denomination: Amount) -> bytes:
-        if denomination not in self.per_denomination:
-            raise NotFoundError(f"no key for denomination {denomination}")
-        return self.per_denomination[denomination].public_key
-
     def public_keys(self) -> dict[Amount, bytes]:
         return {d: kp.public_key for d, kp in self.per_denomination.items()}
 
@@ -83,10 +78,6 @@ class WithdrawalTranscript:
     def entries(self) -> list[TranscriptEntry]:
         with self._lock:
             return list(self._entries)
-
-    def withdrawals_of(self, denomination: Amount) -> int:
-        with self._lock:
-            return sum(1 for e in self._entries if e.denomination == denomination)
 
     def all_bytes(self) -> set[bytes]:
         """Every byte string the issuer observed; for disjointness checks."""
@@ -116,14 +107,6 @@ class SpentList:
                 return False
             self._serials.add(serial)
             return True
-
-    def __contains__(self, serial: bytes) -> bool:
-        with self._lock:
-            return serial in self._serials
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._serials)
 
     def snapshot(self) -> list[str]:
         with self._lock:

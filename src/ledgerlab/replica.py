@@ -20,10 +20,6 @@ isolates exactly one property, that a shared total order is what makes
 the double-spend decision unanimous. Delivery is reliable and duplicate-
 free; everything is a pure function of (transaction set, seed, rule), so
 every divergence is replayable from its seed.
-
-Settlement finality is modeled as log depth: an entry is confirmed once
-it is a configured number of entries deep, counting itself as Bitcoin
-counts confirmations, so at depth 6 it needs 5 later entries on top.
 """
 
 from __future__ import annotations
@@ -81,15 +77,6 @@ def broadcast(
             replica.deliver(tx)
         deliveries[replica.replica_id] = order
     return deliveries
-
-
-def deliver_explicit(replicas: Sequence[Replica], orders: Sequence[Sequence[UtxoTx]]) -> None:
-    """Deliver caller-chosen permutations; for exhaustive schedule search."""
-    if len(orders) != len(replicas):
-        raise ConfigError("one delivery order per replica required")
-    for replica, order in zip(replicas, orders):
-        for tx in order:
-            replica.deliver(tx)
 
 
 @dataclass(frozen=True)
@@ -184,17 +171,3 @@ def run_round(
     report = settle_round(replicas, rule, scheme)
     return replicas, report
 
-
-def confirmation_depth_check(
-    log_length: int, log_position: int, depth_param: int
-) -> bool:
-    """Is the entry at log_position buried at least depth_param entries deep?
-
-    Depth 0 means confirmed as soon as logged; an unlogged position is
-    never confirmed.
-    """
-    if depth_param < 0:
-        raise ConfigError("confirmation depth must be non-negative")
-    if log_position < 0 or log_position >= log_length:
-        return False
-    return (log_length - log_position) >= depth_param

@@ -71,8 +71,3 @@ class SeededStream:
             j = self.randbelow(i + 1)
             out[i], out[j] = out[j], out[i]
         return out
-
-    def choice(self, items: list):
-        if not items:
-            raise ValueError("choice from empty sequence")
-        return items[self.randbelow(len(items))]

@@ -39,17 +39,10 @@ class TokenRegistry:
     objects: dict[TokenId, TokenObject] = field(default_factory=dict)
     authoritative: ClassVar[bool] = False
 
-    @staticmethod
-    def empty() -> "TokenRegistry":
-        return TokenRegistry()
-
     def owner_of(self, token: TokenId) -> Address:
         if token not in self.objects:
             raise NotFoundError(f"unknown token {token!r}")
         return self.objects[token].owner
-
-    def value_multiset(self) -> list[tuple[TokenId, Amount]]:
-        return sorted((tid, obj.value) for tid, obj in self.objects.items())
 
 
 def token_issue(

@@ -273,9 +273,6 @@ class Chainstate:
     def log(self) -> tuple[UtxoTx, ...]:
         return tuple(self._ledger.log[: self._length])
 
-    def total_active_value(self) -> Amount:
-        return sum(out.value for out in _own(self).active.values())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chainstate):
             return NotImplemented
@@ -401,16 +398,16 @@ def decode_utxo_tx(data: bytes | bytearray | memoryview) -> UtxoTx:
             data = bytes(memoryview(data))
         except TypeError:
             raise FormatError(f"cannot decode a {type(data).__name__}") from None
-    txid = digest(data)
-    tx = _live.get(txid)
-    if tx is not None:
-        return tx
     if len(data) < _HEAD:
         raise FormatError(f"truncated input: {len(data)} bytes")
     if data[:4] != _MAGIC:
         raise FormatError(f"bad magic: expected {_MAGIC!r}, got {data[:4]!r}")
     if data[4] > 1:
         raise FormatError(f"bad tx kind tag {data[4]}")
+    txid = digest(data)
+    tx = _live.get(txid)
+    if tx is not None:
+        return tx
     # The signing payload is `data` with an empty field spliced over every
     # unlocking script and over the issuer signature.
     payload = []

@@ -5,10 +5,15 @@ deliberately different route: plain set arithmetic instead of stateful
 bookkeeping, linear rescans instead of indexes, struct-by-hand instead
 of the shared encoder. Agreement between the two routes is the evidence
 the tests rest on.
+
+The rest are test-side helpers the product never calls: a uniform pick
+from a seeded stream, a full-ancestry walk, explicit delivery schedules
+for the replica harness and a confirmation-depth rule.
 """
 
 import struct
 
+from ledgerlab.errors import ConfigError, NotFoundError
 from ledgerlab.scripts import Opcode, script_to_text
 from ledgerlab.utxo import UtxoId, txid_of
 
@@ -91,6 +96,71 @@ def reference_backward_chain(log, target):
         tx = producer_of(tx.inputs[0].outpoint.txid)
         if tx is None:
             return None
+
+
+def choice(stream, items):
+    """One of `items`, picked by a single `stream.randbelow` draw."""
+    return items[stream.randbelow(len(items))]
+
+
+def token_values(registry):
+    """A registry's sorted (token id, value) pairs: what transfers keep."""
+    return sorted((token, obj.value) for token, obj in registry.objects.items())
+
+
+def lineage_dag(txs, target):
+    """Full ancestry of the target across all inputs, as nodes and edges."""
+    index = {txid_of(tx): tx for tx in txs}
+    if target.txid not in index:
+        raise NotFoundError(f"no transaction {target.txid.hex()} in the log")
+    seen = set()
+    edges = []
+    frontier = [target]
+    while frontier:
+        current = frontier.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        tx = index[current.txid]
+        consumed = [tx_in.outpoint for tx_in in tx.inputs]
+        edges.append(
+            {
+                "txid": current.txid.hex(),
+                "produced": current.render(),
+                "consumed": [outpoint.render() for outpoint in consumed],
+                "kind": tx.kind,
+            }
+        )
+        frontier.extend(consumed)
+    edges.sort(key=lambda e: e["produced"])
+    return {
+        "target": target.render(),
+        "nodes": sorted(outpoint.render() for outpoint in seen),
+        "edges": edges,
+    }
+
+
+def deliver_explicit(replicas, orders):
+    """Deliver caller-chosen permutations; for exhaustive schedule search."""
+    if len(orders) != len(replicas):
+        raise ConfigError("one delivery order per replica required")
+    for replica, order in zip(replicas, orders):
+        for tx in order:
+            replica.deliver(tx)
+
+
+def confirmation_depth_check(log_length, log_position, depth_param):
+    """Is the entry at log_position buried at least depth_param entries deep?
+
+    Depth counts the entry itself, as Bitcoin counts confirmations: at
+    depth 6 it needs 5 later entries on top. Depth 0 means confirmed as
+    soon as logged; an unlogged position is never confirmed.
+    """
+    if depth_param < 0:
+        raise ConfigError("confirmation depth must be non-negative")
+    if log_position < 0 or log_position >= log_length:
+        return False
+    return (log_length - log_position) >= depth_param
 
 
 def _ref_script(script):

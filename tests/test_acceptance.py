@@ -14,7 +14,13 @@ import time
 from collections import Counter
 from importlib import resources
 
-from oracles import reference_active_set, reference_snapshot
+from oracles import (
+    choice,
+    deliver_explicit,
+    reference_active_set,
+    reference_snapshot,
+    token_values,
+)
 
 from ledgerlab.accounts import AccountState, account_apply, account_mint, make_account_tx
 from ledgerlab.analysis import pseudonym_growth_experiment
@@ -23,12 +29,7 @@ from ledgerlab.crypto import derive_wallet, digest
 from ledgerlab.ecash import SpentList, issuer_setup, redeem, withdraw
 from ledgerlab.encoding import canonical_json
 from ledgerlab.errors import TxRejected
-from ledgerlab.replica import (
-    deliver_explicit,
-    make_replicas,
-    run_round,
-    settle_round,
-)
+from ledgerlab.replica import make_replicas, run_round, settle_round
 from ledgerlab.rng import SeededStream
 from ledgerlab.scenario import execute_scenario
 from ledgerlab.scripts import (
@@ -116,30 +117,30 @@ def test_criterion_2_conservation(toy):
     # account kernel: total balance is invariant under every transfer
     stream = SeededStream("criterion-2-account")
     wallets = [derive_wallet(toy, f"c2-acct-{i}") for i in range(6)]
-    state = AccountState.empty()
+    state = AccountState()
     for wallet in wallets:
         state = account_mint(state, wallet.address, 50)
-    total = state.total()
+    total = sum(state.balances.values())
     for _ in range(1000):
-        payer = stream.choice(wallets)
-        payee = stream.choice(wallets)
+        payer = choice(stream, wallets)
+        payee = choice(stream, wallets)
         amount = stream.randbelow(state.balance(payer.address) + 1)
         tx = make_account_tx(toy, payer, payee.address, amount, nonce=None)
         state = account_apply(state, tx, "naive", toy)
-        assert state.total() == total
+        assert sum(state.balances.values()) == total
 
     # token kernel: the (id, value) multiset never changes hands' shape
     stream = SeededStream("criterion-2-token")
     addresses = [derive_wallet(toy, f"c2-token-{i}").address for i in range(5)]
-    registry = TokenRegistry.empty()
+    registry = TokenRegistry()
     for i in range(12):
-        registry = token_issue(registry, f"tok-{i}", i + 1, stream.choice(addresses))
-    multiset = registry.value_multiset()
+        registry = token_issue(registry, f"tok-{i}", i + 1, choice(stream, addresses))
+    multiset = token_values(registry)
     for _ in range(1000):
         token = f"tok-{stream.randbelow(12)}"
-        payee = stream.choice(addresses)
+        payee = choice(stream, addresses)
         registry = token_transfer(registry, registry.owner_of(token), payee, token)
-        assert registry.value_multiset() == multiset
+        assert token_values(registry) == multiset
 
     # utxo kernel: per-tx value in equals value out; split and merge shapes
     stream = SeededStream("criterion-2-utxo")
@@ -154,9 +155,9 @@ def test_criterion_2_conservation(toy):
         owners[UtxoId(txid=txid_of(chain.log[-1]), index=0)] = wallet
     splits = merges = 0
     while splits + merges < 1000:
-        outpoint = stream.choice(sorted(owners, key=lambda o: (o.txid, o.index)))
+        outpoint = choice(stream, sorted(owners, key=lambda o: (o.txid, o.index)))
         wallet = owners.pop(outpoint)
-        payee = stream.choice(parties)
+        payee = choice(stream, parties)
         held = chain.active[outpoint].value
         mergeable = [o for o, w in owners.items() if w is wallet]
         if held == 1 or (mergeable and stream.randbelow(3) == 0):

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_backward_chain
+from oracles import lineage_dag, reference_backward_chain
 from ledgerlab.accounts import AccountState, account_mint
 from ledgerlab.analysis import (
     audit_replay,
     audit_trace,
     growth_report,
-    lineage_dag,
     matrix_report,
     measure_state,
     pseudonym_growth_experiment,
@@ -23,6 +22,7 @@ from ledgerlab.analysis import (
 )
 from ledgerlab.crypto import derive_wallet, digest
 from ledgerlab.errors import ConfigError, LedgerError, NotFoundError
+from ledgerlab.kernels import KERNEL_TABLE
 from ledgerlab.replica import state_digest
 from ledgerlab.rng import SeededStream
 from ledgerlab.scripts import compile_p2h, push
@@ -75,7 +75,7 @@ def test_three_step_lineage(three_step_chain):
     assert len(chain) == 3
     assert chain.steps[0].produced == leaf
     assert chain.steps[-1].consumed is None
-    assert chain.terminal_txid == coinbase_out.txid
+    assert chain.steps[-1].txid == coinbase_out.txid
     # adjacent steps link consumed-to-produced
     for earlier, later in zip(chain.steps, chain.steps[1:]):
         assert earlier.consumed == later.produced
@@ -85,7 +85,7 @@ def test_coinbase_output_traces_to_itself(three_step_chain):
     state, _, coinbase_out = three_step_chain
     chain = trace_lineage(state.log, coinbase_out)
     assert len(chain) == 1
-    assert chain.terminal_txid == coinbase_out.txid
+    assert chain.steps[-1].txid == coinbase_out.txid
 
 
 def test_unknown_target_rejected(three_step_chain):
@@ -135,12 +135,12 @@ def test_measure_state_counts(toy, three_step_chain):
     assert metrics.entry_count == len(state.active) == 3
     assert metrics.log_length == 3
 
-    accounts = AccountState.empty()
+    accounts = AccountState()
     for name in ("x", "y", "z"):
         accounts = account_mint(accounts, derive_wallet(toy, name).address, 1)
     assert measure_state(accounts).entry_count == 3
 
-    registry, owner = TokenRegistry.empty(), derive_wallet(toy, "x").address
+    registry, owner = TokenRegistry(), derive_wallet(toy, "x").address
     for i in range(5):
         registry = token_issue(registry, f"t{i}", 1, owner)
     assert measure_state(registry).entry_count == 5
@@ -215,13 +215,18 @@ def test_fraud_replay_outcomes(toy):
 
 
 def test_naive_replays_past_the_balance_are_refused_not_raised(toy):
-    """10 units pay 3 three times (the original and two replays); the
-    last two replays fail the funds check, the first refusal reported."""
-    naive = run_fraud_scenario("replay", "account-naive", 1, toy, replays=4)
-    assert naive.outcome == "succeeded"
-    assert naive.evidence["times_applied"] == 3
-    assert naive.evidence["final_payer_balance"] == 1
-    assert naive.evidence["rejection"] == "payer holds 1, cannot send 3"
+    """10 units pay 3 three times (the original and two of four replays);
+    the last two replays fail the funds check and are refused, not raised."""
+    ops = KERNEL_TABLE["account"]
+    payer, payee = (derive_wallet(toy, f"replays-{role}") for role in ("payer", "payee"))
+    state, issuer = ops.genesis(toy, b"replays-issuer")
+    state = ops.mint(state, payer, 10, "token-0", issuer, toy)
+    tx = ops.transfer(state, payer, payee, 3, "naive", toy)
+    once = ops.apply(state, tx, "naive", toy)
+    after, outcomes = ops.replay(once, tx, 4, "naive", toy)
+    assert [attempt["accepted"] for attempt in outcomes] == [True, True, False, False]
+    assert after.balance(payer.address) == 1
+    assert outcomes[2]["error"] == "payer holds 1, cannot send 3"
 
 
 def test_fraud_rejects_unknown_pairs(toy):

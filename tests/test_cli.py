@@ -345,7 +345,7 @@ def test_run_exits_0_2_or_3_on_mutated_scenarios(data, tmp_path_factory):
 
 
 def test_inspect_account_table_is_sorted(toy, tmp_path, capsys):
-    state = AccountState.empty()
+    state = AccountState()
     wallets = sorted(
         (derive_wallet(toy, f"inspect-{i}").address for i in range(3)), reverse=True
     )
@@ -362,7 +362,7 @@ def test_inspect_account_table_is_sorted(toy, tmp_path, capsys):
 
 def test_inspect_token_and_utxo_tables(toy, tmp_path, capsys):
     owner = derive_wallet(toy, "inspect-owner")
-    registry = token_issue(TokenRegistry.empty(), "tok-1", 9, owner.address)
+    registry = token_issue(TokenRegistry(), "tok-1", 9, owner.address)
     token_path = tmp_path / "token.json"
     token_path.write_text(canonical_json(token_snapshot(registry)), encoding="utf-8")
     assert main(["inspect", str(token_path)]) == 0
@@ -396,7 +396,7 @@ def test_inspect_empty_chainstate_renders(toy, tmp_path, capsys):
 
 
 def test_inspect_json_format_echoes_canonically(toy, tmp_path, capsys):
-    state = account_mint(AccountState.empty(), derive_wallet(toy, "echo").address, 3)
+    state = account_mint(AccountState(), derive_wallet(toy, "echo").address, 3)
     doc = account_snapshot(state)
     path = tmp_path / "echo.json"
     path.write_text(json.dumps(doc), encoding="utf-8")  # non-canonical spacing
@@ -626,11 +626,11 @@ def fuzz_documents(toy, traced_log):
     """A valid snapshot of each kernel, and the traced log, to mutate."""
     log = traced_log[1]
     payer, payee = (derive_wallet(toy, f"fuzz-{i}") for i in range(2))
-    accounts = account_mint(AccountState.empty(), payer.address, 9)
+    accounts = account_mint(AccountState(), payer.address, 9)
     accounts = account_mint(accounts, payee.address, 2)
     transfer = make_account_tx(toy, payer, payee.address, 4, nonce=0)
     accounts = account_apply(accounts, transfer, "nonce-protected", toy)
-    tokens = token_issue(TokenRegistry.empty(), "tok-1", 9, payer.address)
+    tokens = token_issue(TokenRegistry(), "tok-1", 9, payer.address)
     tokens = token_issue(tokens, "tok-2", 3, payee.address)
     return {
         "account": account_snapshot(accounts),
@@ -889,6 +889,92 @@ def test_explicit_seed_beats_env(monkeypatch, capsys):
     monkeypatch.setenv("LEDGERLAB_SEED", "5")
     assert main(["run", scenario_path("token_basic.json"), "--seed", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+
+# -- output ------------------------------------------------------------------
+
+
+def cli_child(argv, stdout, unbuffered, hash_seed=None):
+    """`python -m ledgerlab.cli argv` as a child process with the given
+    stdout, returning its exit code, stdout (if piped) and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ledgerlab.__file__).resolve().parents[1])}
+    env.pop("LEDGERLAB_SEED", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    result = subprocess.run(
+        argv, stdout=stdout, stderr=subprocess.PIPE, timeout=120, env=env
+    )
+    return result.returncode, result.stdout, result.stderr.decode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def command_argv(traced_log, tmp_path_factory):
+    """One argv per command, each of which prints to stdout on success."""
+    snapshot = tmp_path_factory.mktemp("emit") / "account.json"
+    snapshot.write_text(
+        canonical_json(account_snapshot(account_mint(AccountState(), "00" * 32, 3))),
+        encoding="utf-8",
+    )
+    path, _, leaf, _ = traced_log
+    return {
+        "run": ["run", scenario_path("utxo_basic.json")],
+        "inspect": ["inspect", str(snapshot)],
+        "trace": ["trace", str(path), leaf],
+        "tables": ["tables"],
+    }
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "command, sink",
+    [
+        ("run", "closed-pipe"),
+        ("inspect", "closed-pipe"),
+        ("trace", "closed-pipe"),
+        ("run", "full-device"),
+        ("tables", "full-device"),
+        ("tables", "closed-stdout"),
+    ],
+)
+def test_unwritable_stdout_exits_3_with_one_line(command, sink, unbuffered, command_argv):
+    """Whatever the buffering, a write that cannot land is one stderr line
+    and exit 3: not a traceback (exit 1), nor a failed final flush (120)."""
+    argv = [sys.executable, "-m", "ledgerlab.cli", *command_argv[command]]
+    if sink == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = cli_child(argv, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+    elif sink == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system to fill stdout with")
+        with open("/dev/full", "wb") as full:
+            code, _, err = cli_child(argv, full, unbuffered)
+    else:
+        # The shell starts the child with descriptor 1 closed.
+        code, _, err = cli_child(["/bin/sh", "-c", 'exec "$@" >&-', "sh", *argv], None, unbuffered)
+    assert "Traceback" not in err
+    assert code == 3, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cannot write output: ")
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed():
+    """Every bundled scenario and `tables` print the same bytes under two
+    string-hash seeds, so no output order rests on set or dict hashing."""
+    commands = [["run", scenario_path(path.name)] for path in sorted(SCENARIO_DIR.iterdir())]
+    commands.append(["tables"])
+    assert len(commands) == 8
+    for command in commands:
+        argv = [sys.executable, "-m", "ledgerlab.cli", *command]
+        outputs = [cli_child(argv, subprocess.PIPE, True, seed) for seed in (0, 987654)]
+        assert outputs[0][0] == 0, outputs[0][2]
+        assert outputs[0] == outputs[1], command
 
 
 # -- wiring ------------------------------------------------------------------

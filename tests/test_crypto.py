@@ -315,13 +315,13 @@ def test_check_amount_stops_at_64_bits():
 WIDE = 1 << 64
 # Each kernel's amounts, and each snapshot decoder, go through check_amount.
 WIDE_AMOUNTS = {
-    "account-mint": lambda toy, w: account_mint(AccountState.empty(), w.address, WIDE),
+    "account-mint": lambda toy, w: account_mint(AccountState(), w.address, WIDE),
     "account-tx-amount": lambda toy, w: make_account_tx(toy, w, w.address, WIDE),
     "account-tx-nonce": lambda toy, w: make_account_tx(toy, w, w.address, 1, nonce=WIDE),
     "account-snapshot": lambda toy, w: account_from_snapshot(
         {"kernel": "account", "balances": {w.address: WIDE}}
     ),
-    "token-issue": lambda toy, w: token_issue(TokenRegistry.empty(), "t", WIDE, w.address),
+    "token-issue": lambda toy, w: token_issue(TokenRegistry(), "t", WIDE, w.address),
     "token-snapshot": lambda toy, w: token_from_snapshot(
         {"kernel": "token", "objects": {"t": {"value": WIDE, "owner": w.address}}}
     ),

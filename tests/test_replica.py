@@ -4,13 +4,12 @@ import itertools
 
 import pytest
 
+from oracles import confirmation_depth_check, deliver_explicit
 from ledgerlab.crypto import derive_wallet
 from ledgerlab.errors import ConfigError
 from ledgerlab.replica import (
     Replica,
     broadcast,
-    confirmation_depth_check,
-    deliver_explicit,
     make_replicas,
     run_round,
     settle_round,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import choice
 from ledgerlab.crypto import digest
 from ledgerlab.errors import FormatError
 from ledgerlab.rng import SeededStream
@@ -253,7 +254,7 @@ def test_small_fuzz_never_raises(toy, ctx):
     for _ in range(300):
         ops = []
         for _ in range(stream.randbelow(8)):
-            opcode = stream.choice(opcodes)
+            opcode = choice(stream, opcodes)
             if opcode is Opcode.PUSH:
                 ops.append(push(stream.randbytes(stream.randbelow(6))))
             else:

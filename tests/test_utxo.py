@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import consumed_outpoints, reference_active_set, reference_snapshot
+from oracles import choice, consumed_outpoints, reference_active_set, reference_snapshot
 from ledgerlab.analysis import audit_replay
 from ledgerlab.crypto import derive_wallet, digest
 from ledgerlab.encoding import canonical_json
@@ -77,7 +77,7 @@ def tip(state, index=0):
 
 def test_coinbase_creates_active_output(chain, wallets):
     assert len(chain.active) == 1
-    assert chain.total_active_value() == 12
+    assert sum(out.value for out in chain.active.values()) == 12
     outpoint = tip(chain)
     assert chain.active[outpoint].value == 12
 
@@ -97,7 +97,7 @@ def test_split_pays_index_zero_change_index_one(toy, chain, wallets):
     assert tx.outputs[1].value == 7
     assert tx.outputs[1].locking == lock_to_wallet(alice)
     after = utxo_apply(chain, tx, toy)
-    assert after.total_active_value() == 12
+    assert sum(out.value for out in after.active.values()) == 12
 
 
 def test_exact_split_degenerates_to_one_output(toy, chain, wallets):
@@ -125,7 +125,7 @@ def test_merge_combines_outpoints(toy, chain, wallets):
     assert len(merged.outputs) == 1
     assert merged.outputs[0].value == 12
     after = utxo_apply(state, merged, toy)
-    assert after.total_active_value() == 12
+    assert sum(out.value for out in after.active.values()) == 12
     assert len(after.active) == 1
     with pytest.raises(FormatError):
         merge_payment(toy, after, bob, [tip(after)], lock_to_wallet(alice))
@@ -177,7 +177,7 @@ def test_replaying_a_coinbase_is_refused_whether_spent_or_not(toy, chain, wallet
         utxo_apply(state, coinbase, toy)
     assert excinfo.value.report.reasons == ("duplicate-txid",)
     assert chainstate_snapshot(state) == before
-    assert state.total_active_value() == 12
+    assert sum(out.value for out in state.active.values()) == 12
 
 
 def test_rejection_leaves_state_untouched(toy, chain, wallets):
@@ -429,7 +429,7 @@ def test_p2h_output_spendable_by_preimage(toy, chain, wallets):
         preimages={locked: secret},
     )
     after = utxo_apply(state, claim, toy)
-    assert after.total_active_value() == 12
+    assert sum(out.value for out in after.active.values()) == 12
 
 
 def test_p2h_policy_gate(toy, issuer, wallets):
@@ -454,9 +454,9 @@ def random_ledger(toy, seed, steps, issuer, parties):
         )
         owners[tip(state)] = wallet
     for _ in range(steps):
-        outpoint = stream.choice(sorted(owners, key=lambda o: (o.txid, o.index)))
+        outpoint = choice(stream, sorted(owners, key=lambda o: (o.txid, o.index)))
         wallet = owners.pop(outpoint)
-        payee = stream.choice(parties)
+        payee = choice(stream, parties)
         held = state.active[outpoint].value
         mergeable = [o for o, w in owners.items() if w is wallet]
         if held == 1 or (mergeable and stream.randbelow(3) == 0):
@@ -601,7 +601,7 @@ def test_apply_trees_with_replays_mint_once_and_log_distinct_txids(toy, wallets,
         txids = {txid_of(tx) for tx in state.log}
         assert len(txids) == len(state.log)
         minted = sum(o.value for tx in state.log if tx.kind == "coinbase" for o in tx.outputs)
-        assert state.total_active_value() == minted
+        assert sum(out.value for out in state.active.values()) == minted
         for tx in logged:
             if txid_of(tx) in txids:
                 expected = ("duplicate-txid",) if not tx.inputs else ("spent-input",)
@@ -914,6 +914,21 @@ def test_a_decode_that_raises_registers_nothing(toy, chain, wallets):
             decode_utxo_tx(not_a_buffer)
     assert set(_live) <= before
 
+
+
+def test_header_checks_run_before_the_input_is_hashed(toy, chain, wallets, monkeypatch):
+    """Bytes refused at their length, magic or kind tag are never hashed."""
+    raw = encode_utxo_tx(
+        split_payment(toy, chain, wallets[0], tip(chain), 3, lock_to_wallet(wallets[1]))
+    )
+    monkeypatch.setattr("ledgerlab.utxo.digest", None)  # hashing would raise TypeError
+    for bad, message in (
+        (raw[:8], "truncated input: 8 bytes"),
+        (b"UTX2" + raw[4:], "bad magic"),
+        (raw[:4] + b"\x07" + raw[5:], "bad tx kind tag 7"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            decode_utxo_tx(bad)
 
 def test_buffers_decode_as_bytes_do_and_are_copied(toy, chain, wallets):
     """A bytearray or memoryview decodes to exactly what its bytes decode
