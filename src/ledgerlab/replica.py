@@ -170,4 +170,3 @@ def run_round(
     broadcast(txs, replicas, seed)
     report = settle_round(replicas, rule, scheme)
     return replicas, report
-

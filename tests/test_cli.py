@@ -966,15 +966,20 @@ def test_unwritable_stdout_exits_3_with_one_line(command, sink, unbuffered, comm
 
 def test_output_bytes_do_not_depend_on_the_hash_seed():
     """Every bundled scenario and `tables` print the same bytes under two
-    string-hash seeds, so no output order rests on set or dict hashing."""
+    string-hash seeds, so no output order rests on set or dict hashing.
+    One child per seed runs the eight commands in turn."""
     commands = [["run", scenario_path(path.name)] for path in sorted(SCENARIO_DIR.iterdir())]
     commands.append(["tables"])
     assert len(commands) == 8
-    for command in commands:
-        argv = [sys.executable, "-m", "ledgerlab.cli", *command]
-        outputs = [cli_child(argv, subprocess.PIPE, True, seed) for seed in (0, 987654)]
-        assert outputs[0][0] == 0, outputs[0][2]
-        assert outputs[0] == outputs[1], command
+    script = (
+        "import json, sys\n"
+        "from ledgerlab.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n"
+    )
+    argv = [sys.executable, "-c", script, json.dumps(commands)]
+    outputs = [cli_child(argv, subprocess.PIPE, True, seed) for seed in (0, 987654)]
+    assert outputs[0][0] == 0, outputs[0][2]
+    assert outputs[0] == outputs[1]
 
 
 # -- wiring ------------------------------------------------------------------
