@@ -72,9 +72,6 @@ class LineageChain:
     target: UtxoId
     steps: tuple[LineageStep, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def doc(self) -> dict:
         return {
             "target": self.target.render(),

@@ -13,10 +13,11 @@ Four commands:
   property matrix.
 
 Exit codes: 0 success; 2 for unreadable, unparseable, or schema-invalid
-input; 3 for execution failures (the failing action index), for trace
-steps that fail re-verification (the failing step index) and for stdout
-that cannot be written. Diagnostics go to stderr; data goes to stdout or
-to files, never mixed.
+input, a path that is not a regular file, or one over MAX_DOCUMENT_BYTES;
+3 for execution failures (the failing action index), for trace steps
+that fail re-verification (the failing step index) and for stdout or
+report files that cannot be written. Diagnostics go to stderr; data goes
+to stdout or to files, never mixed.
 
 Determinism contract: with toy crypto, identical inputs and seed produce
 byte-identical outputs. The seed comes from ``--seed``, else the
@@ -26,8 +27,11 @@ byte-identical outputs. The seed comes from ``--seed``, else the
 from __future__ import annotations
 
 import argparse
+import io
 import os
+import stat
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from .errors import FormatError, LedgerError, NotFoundError, ScenarioError
@@ -42,6 +46,9 @@ EXIT_INVALID = 2
 EXIT_EXECUTION = 3
 
 _ENV_SEED = "LEDGERLAB_SEED"
+
+# The largest document read; the largest one written here is a 1.85 MB log.
+MAX_DOCUMENT_BYTES = 64 << 20
 
 
 def _diag(message: str) -> None:
@@ -69,10 +76,19 @@ def _emit(text: str) -> int:
 def _read_document(path: str, context: str) -> object:
     from .encoding import parse_json
 
+    where = f"cannot read {context} {path!r}"
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        info = os.stat(path)  # before opening: a FIFO blocks, a device may never end
+        if not stat.S_ISREG(info.st_mode):
+            raise FormatError(f"{where}: not a regular file")
+        text = None
+        if info.st_size <= MAX_DOCUMENT_BYTES:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read(MAX_DOCUMENT_BYTES + 1)  # the file may have grown
     except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {context} {path!r}: {exc}") from exc
+        raise FormatError(f"{where}: {exc}") from exc
+    if text is None or len(text) > MAX_DOCUMENT_BYTES:
+        raise FormatError(f"{where}: larger than {MAX_DOCUMENT_BYTES} bytes")
     return parse_json(text, context=context)
 
 
@@ -131,7 +147,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _write_reports(out: str, reports: dict[str, object]) -> int:
     """Write each report under `out`: `<name>.txt` for a text document
-    (only `tables`), `<name>.json` in canonical JSON for the rest."""
+    (only `tables`), `<name>.json` in canonical JSON for the rest, each
+    renamed over its target once whole, so no reader meets a partial one."""
     from .encoding import canonical_json
 
     out_dir = Path(out)
@@ -139,11 +156,17 @@ def _write_reports(out: str, reports: dict[str, object]) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, document in sorted(reports.items()):
             if isinstance(document, str):
-                target = out_dir / f"{name}.txt"
-                target.write_text(document, encoding="utf-8")
+                target, text = out_dir / f"{name}.txt", document
             else:
-                target = out_dir / f"{name}.json"
-                target.write_text(canonical_json(document), encoding="utf-8")
+                target, text = out_dir / f"{name}.json", canonical_json(document)
+            temporary = out_dir / f".{target.name}.{os.getpid()}.tmp"
+            try:
+                with open(temporary, "x", encoding="utf-8") as handle:
+                    handle.write(text)
+                os.replace(temporary, target)
+            except OSError:
+                temporary.unlink(missing_ok=True)
+                raise
             _diag(f"wrote {target}")
     except OSError as exc:
         _diag(f"cannot write reports: {exc}")
@@ -308,7 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse's help text goes out through _emit, so a failed write is exit 3.
+    printed = io.StringIO()
+    try:
+        with redirect_stdout(printed):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        if printed.getvalue() and _emit(printed.getvalue()) != EXIT_OK:
+            return EXIT_EXECUTION
+        raise
     return args.func(args)
 
 

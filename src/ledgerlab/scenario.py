@@ -339,11 +339,6 @@ class _Runner:
 
     # -- helpers -----------------------------------------------------------
 
-    def wallet(self, name: str, index: int) -> Wallet:
-        if name not in self.wallets:
-            raise ScenarioError(f"unknown participant {name!r}", action_index=index)
-        return self.wallets[name]
-
     def _token(self, index: int, action: dict) -> str:
         token = action.get("token")
         if token is None:
@@ -389,7 +384,7 @@ class _Runner:
             ) from exc
 
     def _do_issue(self, index: int, action: dict) -> None:
-        to = self.wallet(action["to"], index)
+        to = self.wallets[action["to"]]
         amount = action["amount"]
         token = self._token(index, action) if self.kernel == "token" else None
         self.state = self.ops.mint(self.state, to, amount, token, self.issuer, self.scheme)
@@ -404,8 +399,8 @@ class _Runner:
         self._event(index, action, **details)
 
     def _do_pay(self, index: int, action: dict) -> None:
-        payer = self.wallet(action["from"], index)
-        payee = self.wallet(action["to"], index)
+        payer = self.wallets[action["from"]]
+        payee = self.wallets[action["to"]]
         entry = self.ops.transfer(
             self.state, payer, payee, self._stake(index, action),
             self.account_mode, self.scheme, action.get("nonce"),
@@ -418,8 +413,8 @@ class _Runner:
         self._event(index, action, **details)
 
     def _do_split(self, index: int, action: dict) -> None:
-        payer = self.wallet(action["from"], index)
-        payee = self.wallet(action["to"], index)
+        payer = self.wallets[action["from"]]
+        payee = self.wallets[action["to"]]
         amount = action["amount"]
         if "outpoint" in action:
             outpoint = UtxoId.parse(action["outpoint"])
@@ -445,8 +440,8 @@ class _Runner:
         )
 
     def _do_merge(self, index: int, action: dict) -> None:
-        payer = self.wallet(action["from"], index)
-        payee = self.wallet(action["to"], index) if "to" in action else payer
+        payer = self.wallets[action["from"]]
+        payee = self.wallets[action["to"]] if "to" in action else payer
         if "outpoints" in action:
             outpoints = [UtxoId.parse(text) for text in action["outpoints"]]
         else:
@@ -502,8 +497,8 @@ class _Runner:
                 f"action {index}: double-spend requires from and to",
                 action_index=index,
             )
-        payer = self.wallet(payer_name, index)
-        targets = [self.wallet(name, index) for name in pair]
+        payer = self.wallets[payer_name]
+        targets = [self.wallets[name] for name in pair]
         stake = self._stake(index, action)
         self.state, tried = self.ops.double_spend(
             self.state, payer, targets, stake, self.account_mode, self.scheme
@@ -523,8 +518,8 @@ class _Runner:
         self._event(index, action, **details, attempts=attempts)
 
     def _do_broadcast_round(self, index: int, action: dict) -> None:
-        payer = self.wallet(action["from"], index)
-        targets = [self.wallet(name, index) for name in action["to"]]
+        payer = self.wallets[action["from"]]
+        targets = [self.wallets[name] for name in action["to"]]
         txs = self.ops.spends(self.state, payer, targets, action["amount"], self.scheme)
         rule = action.get("rule", "canonical-txid-order")
         round_seed = action.get("round_seed", self.seed)
@@ -545,7 +540,6 @@ class _Runner:
 
     def _do_withdraw(self, index: int, action: dict) -> None:
         wallet_name = action["wallet"]
-        self.wallet(wallet_name, index)
         denomination = action["denomination"]
         count = action.get("count", 1)
         rng = self.serial_streams[wallet_name]
@@ -565,7 +559,6 @@ class _Runner:
         """Redeem one of a wallet's coins `times` times, logging each outcome;
         a single redemption that is refused fails the action."""
         wallet_name = action["wallet"]
-        self.wallet(wallet_name, index)
         stash = self.coins.get(wallet_name, [])
         if not stash:
             raise ScenarioError(

@@ -19,11 +19,10 @@ an issuer signature over the canonical serialization, and the root every
 lineage chain terminates at.
 
 Validation is total and pure: `utxo_validate` never raises and never
-mutates, it returns a report listing every failed check by name, plus a
-per-input account of outpoint presence and script execution. `utxo_apply`
-accepts exactly the transactions validation calls valid and rejects the
-rest atomically (the prior state object is returned unshared and
-untouched).
+mutates, it returns a report listing every failed check by name.
+`utxo_apply` accepts exactly the transactions validation calls valid and
+rejects the rest atomically (the prior state object is returned unshared
+and untouched).
 
 Double-spend protection is structural: applying a transaction removes its
 inputs from the active set, so a second transaction consuming any of the
@@ -67,11 +66,11 @@ hashing, replace(), asdict(), copies and pickles never see them:
   whether its values are in range. Only the p2h policy of a state can
   change them, so the memo keeps the policy it was found under. A clean
   verdict is one shared constant per policy.
-* `utxo_validate` stores each input's script result, `(ok, fault)`,
-  with the locking script it ran against and the scheme that ran it: an
-  input meets another locking script in another history (two forks can
-  hold different outputs at one outpoint), and a toy result must not
-  answer for a real-crypto check. A locking script matches by identity
+* `utxo_validate` stores each input's script result, `ok`, with the
+  locking script it ran against and the scheme that ran it: an input
+  meets another locking script in another history (two forks can hold
+  different outputs at one outpoint), and a toy result must not answer
+  for a real-crypto check. A locking script matches by identity
   first, then by equality, as `_row`'s outpoint does. The issuer check,
   presence, the spent and duplicate-txid checks and conservation read
   the state and run on every call.
@@ -273,19 +272,6 @@ class Chainstate:
     def log(self) -> tuple[UtxoTx, ...]:
         return tuple(self._ledger.log[: self._length])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chainstate):
-            return NotImplemented
-        return (
-            self.issuer_public_key == other.issuer_public_key
-            and self.allow_p2h == other.allow_p2h
-            and self._length == other._length
-            and self._ledger.log[: self._length] == other._ledger.log[: other._length]
-            and _own(self).active == _own(other).active
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 def _own(state: Chainstate) -> _Ledger:
     """The ledger with `state` at its head, forking it there if needed."""
@@ -475,21 +461,9 @@ def _signed(tx: UtxoTx, payload: bytes) -> UtxoTx:
 # ---------------------------------------------------------------------------
 
 
-class InputStatus(NamedTuple):
-    """Per-input findings: outpoint presence, script result, fault name."""
-
-    outpoint: UtxoId
-    present: bool
-    script_ok: bool
-    fault: str | None = None
-
-
 class ValidationReport(NamedTuple):
     valid: bool
     reasons: tuple[str, ...]
-    inputs: tuple[InputStatus, ...]
-    total_in: Amount | None = None
-    total_out: Amount | None = None
 
     def __bool__(self) -> bool:
         return self.valid
@@ -570,7 +544,7 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     out-of-range output value, an input outpoint too wide for the wire
     (which names no output, so it is an unknown input), or a kind other
     than normal or coinbase has no signing payload, so it gets no issuer
-    check and runs no script: its inputs report presence only.
+    check and runs no script: its inputs are checked for presence only.
 
     The checks that read no state run once per transaction (`_verdict`),
     and each input's script once per locking script it meets and scheme
@@ -604,55 +578,52 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
         if first in ledger.active or first in ledger.spent:
             reasons[REASON_DUPLICATE_TXID] = None
 
-    # Per-input presence and script checks against the active set; the
-    # input total is known only while every input is present. Input i's
-    # script result sits at ran[3 * i + 1 : 3 * i + 4] as (the locking
-    # script it met, ok, fault) after ran[0], the scheme that ran it.
+    # Presence and script checks against the active set; the input total
+    # is known only while every input is present. Input i's script result
+    # sits at ran[2 * i + 1 : 2 * i + 3] as (the locking script it met, ok)
+    # after ran[0], the scheme that ran it.
     ran = getattr(tx, "_scripts", ())
     if ran and ran[0] is not scheme:
         ran = ()
     rerun: list | None = None
     ctx = None
-    input_status: list[InputStatus] = []
     total_in: Amount | None = 0
     for at, tx_in in enumerate(tx.inputs):
-        outpoint = tx_in.outpoint
-        entry = ledger.active.get(outpoint)
-        script_ok, fault = False, None
+        entry = ledger.active.get(tx_in.outpoint)
         if entry is None:
             total_in = None
-            reasons[REASON_SPENT_INPUT if outpoint in ledger.spent else REASON_UNKNOWN_INPUT] = None
+            spent = tx_in.outpoint in ledger.spent
+            reasons[REASON_SPENT_INPUT if spent else REASON_UNKNOWN_INPUT] = None
+            continue
+        if total_in is not None:
+            total_in += entry.value
+        if not encodable:
+            continue
+        locking, key = entry.locking, 2 * at + 1
+        if ran and (ran[key] is locking or ran[key] == locking):
+            ok = ran[key + 1]
         else:
-            if total_in is not None:
-                total_in += entry.value
-            if encodable:
-                locking, key = entry.locking, 3 * at + 1
-                if ran and (ran[key] is locking or ran[key] == locking):
-                    script_ok, fault = ran[key + 1], ran[key + 2]
-                else:
-                    if ctx is None:
-                        ctx = ExecutionContext(utxo_signing_payload(tx), scheme)
-                    result = execute(tx_in.unlocking, locking, ctx)
-                    script_ok, fault = result.ok, result.fault
-                    if rerun is None:
-                        rerun = list(ran or (scheme, *(None, False, None) * len(tx.inputs)))
-                    rerun[key : key + 3] = (locking, script_ok, fault)
-                if not script_ok:
-                    reasons[REASON_BAD_SCRIPT] = None
-        input_status.append(InputStatus(outpoint, entry is not None, script_ok, fault))
+            if ctx is None:
+                ctx = ExecutionContext(utxo_signing_payload(tx), scheme)
+            ok = execute(tx_in.unlocking, locking, ctx).ok
+            if rerun is None:
+                rerun = list(ran or (scheme, *(None, False) * len(tx.inputs)))
+            rerun[key : key + 2] = (locking, ok)
+        if not ok:
+            reasons[REASON_BAD_SCRIPT] = None
     if rerun is not None:
         object.__setattr__(tx, "_scripts", tuple(rerun))
 
-    # Conservation, only meaningful when every input value is known.
-    total_out = sum(o.value for o in tx.outputs) if in_range else None
-    if tx.kind != "normal" or REASON_DUPLICATE_INPUT in found:
-        total_in = None
-    elif total_in is not None and total_out is not None and total_in != total_out:
+    # Conservation: a normal transaction with distinct inputs, every output
+    # value in range and every input present.
+    if (
+        tx.kind == "normal" and in_range and total_in is not None
+        and REASON_DUPLICATE_INPUT not in found
+        and total_in != sum(o.value for o in tx.outputs)
+    ):
         reasons[REASON_CONSERVATION] = None
 
-    return ValidationReport(
-        not (found or reasons), found + tuple(reasons), tuple(input_status), total_in, total_out
-    )
+    return ValidationReport(not (found or reasons), found + tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def three_step_chain(toy):
 def test_three_step_lineage(three_step_chain):
     state, leaf, coinbase_out = three_step_chain
     chain = trace_lineage(state.log, leaf)
-    assert len(chain) == 3
+    assert len(chain.steps) == 3
     assert chain.steps[0].produced == leaf
     assert chain.steps[-1].consumed is None
     assert chain.steps[-1].txid == coinbase_out.txid
@@ -84,7 +84,7 @@ def test_three_step_lineage(three_step_chain):
 def test_coinbase_output_traces_to_itself(three_step_chain):
     state, _, coinbase_out = three_step_chain
     chain = trace_lineage(state.log, coinbase_out)
-    assert len(chain) == 1
+    assert len(chain.steps) == 1
     assert chain.steps[-1].txid == coinbase_out.txid
 
 
@@ -108,7 +108,7 @@ def test_lineage_matches_brute_force_oracle(toy):
         expected = reference_backward_chain(state.log, outpoint)
         assert expected is not None
         assert [step.txid for step in chain.steps] == expected
-        assert len(chain) <= len(state.log)
+        assert len(chain.steps) <= len(state.log)
 
 
 def test_lineage_dag_includes_merge_parents(toy):

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -725,6 +726,62 @@ def test_unreadable_input_exits_2_with_one_line(name, tmp_path):
         assert len(err.splitlines()) == 1, err
 
 
+def test_a_fifo_exits_2_without_being_opened(tmp_path):
+    """Opening a FIFO blocks until a writer comes, so the reader refuses
+    any path that is not a regular file before it opens it. Run as a child
+    with a timeout: a reader that opened the FIFO would hang."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("os.mkfifo is not available on this system")
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    code, out, err = cli_child(
+        [sys.executable, "-m", "ledgerlab.cli", "inspect", str(fifo)], subprocess.PIPE, True
+    )
+    assert (code, out) == (2, b"")
+    assert err.splitlines() == [f"cannot read snapshot file {str(fifo)!r}: not a regular file"]
+
+
+def test_a_document_over_the_bound_exits_2_before_a_byte_is_decoded(monkeypatch, tmp_path):
+    """Every reader refuses a document over MAX_DOCUMENT_BYTES by its size,
+    so this one's bytes, which are not UTF-8, are never read."""
+    path = tmp_path / "big.json"
+    path.write_bytes(b"\xff" * 100)
+    monkeypatch.setattr("ledgerlab.cli.MAX_DOCUMENT_BYTES", 99)
+    for argv in every_reader(path, "00" * 32 + ":0"):
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1, err
+        assert err.endswith(f"{str(path)!r}: larger than 99 bytes\n"), err
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["at-stat", "grown-after-stat"])
+def test_a_document_one_byte_over_the_bound_exits_2(grown, monkeypatch, tmp_path):
+    """The bound is inclusive. A document that grew after its size was
+    read is refused by what the bounded read returns."""
+    path = tmp_path / "state.json"
+    path.write_text(
+        canonical_json(account_snapshot(account_mint(AccountState(), "00" * 32, 3))),
+        encoding="utf-8",
+    )
+    size = path.stat().st_size
+    if grown:
+        real_stat = os.stat
+
+        def stat_before_growth(target, **options):
+            before = real_stat(target, **options)
+            return os.stat_result((*before[:6], 0, *before[7:]))
+
+        monkeypatch.setattr(os, "stat", stat_before_growth)
+    monkeypatch.setattr("ledgerlab.cli.MAX_DOCUMENT_BYTES", size)
+    assert run_main(["inspect", str(path)])[0] == 0
+    monkeypatch.setattr("ledgerlab.cli.MAX_DOCUMENT_BYTES", size - 1)
+    code, out, err = run_main(["inspect", str(path)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"cannot read snapshot file {str(path)!r}: larger than {size - 1} bytes"
+    ]
+
+
 def test_deep_nesting_exits_2_from_the_installed_module(tmp_path):
     """Run as its own process, so the recursion limit meets a real stack."""
     path = tmp_path / "deep.json"
@@ -894,9 +951,10 @@ def test_explicit_seed_beats_env(monkeypatch, capsys):
 # -- output ------------------------------------------------------------------
 
 
-def cli_child(argv, stdout, unbuffered, hash_seed=None):
+def cli_child(argv, stdout, unbuffered, hash_seed=None, **options):
     """`python -m ledgerlab.cli argv` as a child process with the given
-    stdout, returning its exit code, stdout (if piped) and stderr."""
+    stdout and any further subprocess.run options, returning its exit
+    code, stdout (if piped) and stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(ledgerlab.__file__).resolve().parents[1])}
     env.pop("LEDGERLAB_SEED", None)
     env.pop("PYTHONUNBUFFERED", None)
@@ -905,7 +963,7 @@ def cli_child(argv, stdout, unbuffered, hash_seed=None):
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = str(hash_seed)
     result = subprocess.run(
-        argv, stdout=stdout, stderr=subprocess.PIPE, timeout=120, env=env
+        argv, stdout=stdout, stderr=subprocess.PIPE, timeout=120, env=env, **options
     )
     return result.returncode, result.stdout, result.stderr.decode("utf-8")
 
@@ -924,6 +982,8 @@ def command_argv(traced_log, tmp_path_factory):
         "inspect": ["inspect", str(snapshot)],
         "trace": ["trace", str(path), leaf],
         "tables": ["tables"],
+        "--help": ["--help"],
+        "run --help": ["run", "--help"],
     }
 
 
@@ -937,6 +997,8 @@ def command_argv(traced_log, tmp_path_factory):
         ("run", "full-device"),
         ("tables", "full-device"),
         ("tables", "closed-stdout"),
+        ("--help", "closed-pipe"),
+        ("run --help", "closed-pipe"),
     ],
 )
 def test_unwritable_stdout_exits_3_with_one_line(command, sink, unbuffered, command_argv):
@@ -962,6 +1024,39 @@ def test_unwritable_stdout_exits_3_with_one_line(command, sink, unbuffered, comm
     assert code == 3, err
     assert len(err.splitlines()) == 1
     assert err.startswith("cannot write output: ")
+
+
+def test_a_failed_report_write_keeps_every_report_whole(tmp_path):
+    """A report write that fails (here at a file-size limit set in the
+    child) leaves the reports written before it complete, the report it
+    would have replaced as it was, and no temporary file behind."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(signal, "SIGXFSZ"):
+        pytest.skip("no SIGXFSZ on this system to turn a size limit into an error")
+    scenario = scenario_path("utxo_basic.json")
+    whole = tmp_path / "whole"
+    assert run_main(["run", scenario, "--out", str(whole)])[0] == 0
+    first, failing = sorted(whole.iterdir())[:2]
+    limit = first.stat().st_size
+    assert failing.stat().st_size > limit
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / failing.name).write_text("an earlier report\n", encoding="utf-8")
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    argv = [sys.executable, "-m", "ledgerlab.cli", "run", scenario, "--out", str(out)]
+    code, _, err = cli_child(argv, subprocess.PIPE, True, preexec_fn=limit_file_size)
+    assert "Traceback" not in err
+    assert code == 3, err
+    assert err.splitlines()[0] == f"wrote {out / first.name}"
+    assert err.splitlines()[1].startswith("cannot write reports: ")
+    assert len(err.splitlines()) == 2
+    assert sorted(path.name for path in out.iterdir()) == [first.name, failing.name]
+    assert (out / first.name).read_bytes() == first.read_bytes()
+    assert (out / failing.name).read_text(encoding="utf-8") == "an earlier report\n"
 
 
 def test_output_bytes_do_not_depend_on_the_hash_seed():

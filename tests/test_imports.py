@@ -189,3 +189,56 @@ def unused_surface(root: Path) -> list[str]:
 
 def test_every_public_name_has_a_product_caller():
     assert sorted(unused_surface(REPO)) == sorted(SURFACE_ALLOWLIST)
+
+
+# Public fields kept although no code in src/, bench/ or tools/ reads them.
+FIELD_ALLOWLIST = {
+    "scripts.ExecResult.stack": (
+        "the engine's observable: the stack a script leaves is what the "
+        "script tests read to pin each opcode's effect"
+    ),
+}
+
+
+def unread_fields(root: Path) -> list[str]:
+    """Every public field of a public class under `root`/src (an annotated
+    name in the class body, not a ClassVar) that no attribute load in src/,
+    bench/ or tools/ reads, as `module.Class.field`.
+
+    The check is by name, so it has a blind spot: a field that shares its
+    name with an attribute read anywhere (`inputs`, read off transactions)
+    counts as read. A field read only through `getattr`, `asdict()` or
+    tuple unpacking counts as unread.
+    """
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "bench", "tools")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(root / "src"):
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            unread.extend(
+                f"{path.stem}.{cls.name}.{node.target.id}"
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and not node.target.id.startswith("_")
+                and "ClassVar" not in ast.unparse(node.annotation)
+                and node.target.id not in read
+            )
+    return unread
+
+
+def test_every_public_field_has_a_product_reader():
+    assert sorted(unread_fields(REPO)) == sorted(FIELD_ALLOWLIST)

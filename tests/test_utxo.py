@@ -29,7 +29,6 @@ from ledgerlab.rng import SeededStream
 from ledgerlab.scripts import BARE_OPS, ExecResult, ExecutionContext, compile_p2h, execute, push
 from ledgerlab.utxo import (
     Chainstate,
-    InputStatus,
     LogEntry,
     TxInput,
     TxOutput,
@@ -206,8 +205,6 @@ def test_conservation_is_enforced(toy, chain, wallets):
     report = utxo_validate(chain, unsigned, toy)
     assert not report.valid
     assert "conservation" in report.reasons
-    assert report.total_in == 12
-    assert report.total_out == 11
 
 
 def test_zero_value_outputs_rejected(toy, chain, wallets):
@@ -262,8 +259,8 @@ def test_duplicate_outpoint_within_one_tx(toy, chain, wallets):
 
 
 def test_multi_fault_reports_are_pinned_whole(toy, issuer, chain, wallets):
-    """Each reason appears once, in the order first found; every input
-    gets one status; the input total is known only when every input is."""
+    """Each reason appears once, in the order first found; conservation
+    is checked only when every input is present."""
     alice, bob = wallets[0], wallets[1]
     ghost = UtxoId(txid=digest(b"ghost"), index=0)
     p2pkh = lock_to_wallet(bob)
@@ -279,7 +276,6 @@ def test_multi_fault_reports_are_pinned_whole(toy, issuer, chain, wallets):
         ),
         issuer_signature=b"",
     )
-    absent = InputStatus(ghost, present=False, script_ok=False, fault=None)
     assert utxo_validate(gated, coinbase, toy) == ValidationReport(
         valid=False,
         reasons=(
@@ -291,9 +287,6 @@ def test_multi_fault_reports_are_pinned_whole(toy, issuer, chain, wallets):
             "missing-issuer-signature",
             "unknown-input",
         ),
-        inputs=(absent, absent),
-        total_in=None,
-        total_out=None,
     )
 
     state = utxo_apply(
@@ -308,22 +301,12 @@ def test_multi_fault_reports_are_pinned_whole(toy, issuer, chain, wallets):
     assert utxo_validate(state, mixed, toy) == ValidationReport(
         valid=False,
         reasons=("spent-input", "unknown-input", "bad-script"),
-        inputs=(
-            InputStatus(spent, False, False, None),
-            InputStatus(ghost, False, False, None),
-            InputStatus(five, True, False, "stack-underflow"),
-        ),
-        total_in=None,
-        total_out=4,
     )
 
     short = UtxoTx(kind="normal", inputs=(TxInput(five, ()),), outputs=(TxOutput(4, p2pkh),))
     assert utxo_validate(state, short, toy) == ValidationReport(
         valid=False,
         reasons=("bad-script", "conservation"),
-        inputs=(InputStatus(five, True, False, "stack-underflow"),),
-        total_in=5,
-        total_out=4,
     )
 
 
@@ -398,7 +381,6 @@ def test_utxo_validate_never_raises_on_well_typed_transactions(
     assert report.valid == (not report.reasons)
     out_of_range = any(not 0 <= value < 2**64 for value in values)
     assert ("value-range" in report.reasons) == out_of_range
-    assert [status.outpoint for status in report.inputs] == [i.outpoint for i in tx.inputs]
     off_wire = any(
         not isinstance(op, int) and (len(op.txid) != 32 or not 0 <= op.index < 2**32)
         for op, _ in inputs
@@ -410,9 +392,6 @@ def test_utxo_validate_never_raises_on_well_typed_transactions(
     if out_of_range or off_wire or unknown_kind:
         assert "issuer-auth" not in report.reasons
         assert "bad-script" not in report.reasons
-        assert not any(status.script_ok for status in report.inputs)
-    if out_of_range:
-        assert report.total_out is None
 
 
 def test_p2h_output_spendable_by_preimage(toy, chain, wallets):
@@ -1035,16 +1014,10 @@ def test_per_call_records_are_values(toy, chain, wallets):
     iff valid, and replaced field by field without touching the original."""
     tx = split_payment(toy, chain, wallets[0], tip(chain), 5, lock_to_wallet(wallets[1]))
     report = utxo_validate(chain, tx, toy)
-    assert report == ValidationReport(
-        valid=True,
-        reasons=(),
-        inputs=(InputStatus(tip(chain), present=True, script_ok=True),),
-        total_in=12,
-        total_out=12,
-    )
+    assert report == ValidationReport(valid=True, reasons=())
     assert report and report == utxo_validate(chain, dataclasses.replace(tx), toy)
     refused = report._replace(valid=False, reasons=("duplicate-txid",))
-    assert not refused and refused.inputs == report.inputs and report.valid
+    assert not refused and report.valid
     assert repr(refused).startswith("ValidationReport(valid=False, reasons=('duplicate-txid',)")
 
     ctx = ExecutionContext(signing_payload=utxo_signing_payload(tx), scheme=toy)
@@ -1078,8 +1051,8 @@ def test_script_memo_is_keyed_by_locking_script_and_scheme(toy, real, chain, wal
         return utxo_validate(state, dataclasses.replace(spend), scheme)
 
     assert fresh(passes, real).valid
-    assert fresh(fails, real).inputs[0].fault == "equalverify-failed"
-    assert fresh(passes, toy).inputs[0].fault == "checksig-malformed"
+    assert fresh(fails, real).reasons == ("bad-script",)
+    assert fresh(passes, toy).reasons == ("bad-script",)
     for order in ((passes, fails), (fails, passes)):
         tx = dataclasses.replace(spend)
         for state in order + order:
