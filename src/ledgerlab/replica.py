@@ -125,11 +125,21 @@ def settle_round(
     an expected rejection. Mempools are drained. The report carries each
     replica's acceptances, rejections with reasons, and a state digest;
     `divergent` is True iff any two replicas ended on different digests.
+
+    Each distinct end state is digested once per call. Apply is a pure
+    function of (state, tx) and a rejection leaves the state as it was,
+    so replicas that start from the same state object and accept the
+    same txids in the same order end bit-identical: a replica matching
+    one already settled reuses its digest. The memo dies with the call.
     """
     if rule not in ORDERING_RULES:
         raise ConfigError(f"unknown ordering rule {rule!r}")
     outcomes = []
+    # (start state, accepted txids) -> digest of the state they end on. A
+    # state hashes and compares by identity.
+    settled: dict[tuple[Chainstate, tuple[str, ...]], str] = {}
     for replica in replicas:
+        start = replica.chainstate
         pending = [(txid_of(tx), tx) for tx in replica.mempool]
         delivery = tuple(txid.hex() for txid, _ in pending)
         if rule == "canonical-txid-order":
@@ -144,13 +154,17 @@ def settle_round(
             except TxRejected as exc:
                 rejected.append((txid_hex, exc.report.reasons))
         replica.mempool.clear()
+        accepted_ids = tuple(accepted)
+        end_digest = settled.get((start, accepted_ids))
+        if end_digest is None:
+            end_digest = settled[start, accepted_ids] = state_digest(replica.chainstate)
         outcomes.append(
             ReplicaOutcome(
                 replica_id=replica.replica_id,
                 delivery=delivery,
-                accepted=tuple(accepted),
+                accepted=accepted_ids,
                 rejected=tuple(rejected),
-                state_digest=state_digest(replica.chainstate),
+                state_digest=end_digest,
             )
         )
     digests = {o.state_digest for o in outcomes}

@@ -37,11 +37,19 @@ from one genesis shares one private ledger, mutated in place, so an
 apply costs O(|tx|), not O(|state|). A state is its ledger's head iff
 their log lengths are equal; the head is advanced in place, recording
 one undo journal entry per transaction. Reading or applying to any
-other state forks it onto a new ledger: one copy of the head's
-containers, rewound through the journal to that state's length. Forks
-therefore happen only where histories branch (replicas starting from
-one state, a probe applying twice to one state). Since even a read may
-fork, the states of one family must be used from one thread at a time.
+other state forks it onto a new ledger whose base is that state's
+length. Forks therefore happen only where histories branch (replicas
+starting from one state, a probe applying twice to one state). A fork
+copies the head's containers and rewinds them through the journal to
+its length, except at a fork point: a state at its ledger's base, as
+the state a round's replicas start from is once one of them has forked
+it. There the first fork keeps a copy of the active and spent sets it
+rewound to, each table sized for its entries (a copy of the head would
+keep the head's grown tables), and every later fork clones that fork
+base in C, with no rewind. Forks made at one point share its base and
+never write to it, so a family keeps one fork base alive per fork point,
+as it keeps one list of sorted rows. Since even a read may fork, the
+states of one family must be used from one thread at a time.
 A replay or audit from genesis, whose intermediate states never escape,
 keeps no journal; the state a replay returns journals what follows it.
 
@@ -235,8 +243,11 @@ class _Ledger:
     no ledger refers to any chainstate, so a dead family is freed at once.
     The journal is None while only the head may be used (see
     `_unjournaled_genesis`). `rows` caches the sorted snapshot rows of the
-    active set at `base` for `snapshot_bytes`; forks made at `base` share
-    it, and whatever rebases a ledger clears it.
+    active set at `base` for `snapshot_bytes`, and `fork_base` the active
+    and spent dicts at `base` for `_own`: compact, filled by the first
+    fork made at `base` and cloned by every later one. Forks made at
+    `base` share both, nothing writes into either, and whatever rebases a
+    ledger clears both.
     """
 
     active: dict[UtxoId, TxOutput]
@@ -247,6 +258,7 @@ class _Ledger:
     base: int = 0
     journal: list[tuple] | None = field(default_factory=list)
     rows: list[bytes] | None = None
+    fork_base: tuple[dict[UtxoId, TxOutput], dict[UtxoId, None]] | None = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -278,19 +290,26 @@ def _own(state: Chainstate) -> _Ledger:
     ledger, length = state._ledger, state._length
     if length == len(ledger.log):
         return ledger
-    active = dict(ledger.active)
-    spent = dict(ledger.spent)
-    for undo in reversed(ledger.journal[length - ledger.base :]):
-        for at in range(len(undo) - 2, -1, -2):
-            outpoint, prior = undo[at], undo[at + 1]
-            if prior is _SPENT:
-                del spent[outpoint]
-            elif prior is None:
-                del active[outpoint]
-            else:
-                active[outpoint] = prior
+    fork_base = ledger.fork_base if length == ledger.base else None
+    if fork_base is not None:
+        active, spent = fork_base[0].copy(), fork_base[1].copy()
+    else:
+        active, spent = dict(ledger.active), dict(ledger.spent)
+        for undo in reversed(ledger.journal[length - ledger.base :]):
+            for at in range(len(undo) - 2, -1, -2):
+                outpoint, prior = undo[at], undo[at + 1]
+                if prior is _SPENT:
+                    del spent[outpoint]
+                elif prior is None:
+                    del active[outpoint]
+                else:
+                    active[outpoint] = prior
+        if length == ledger.base:
+            # dict() sizes each table for its entries, where a copy of the
+            # head would keep the head's grown table.
+            ledger.fork_base = fork_base = (dict(active), dict(spent))
     rows = ledger.rows if length == ledger.base else None
-    fork = _Ledger(active, ledger.log[:length], spent, base=length, rows=rows)
+    fork = _Ledger(active, ledger.log[:length], spent, base=length, rows=rows, fork_base=fork_base)
     object.__setattr__(state, "_ledger", fork)
     return fork
 
@@ -659,7 +678,8 @@ def replay_log(
         state = utxo_apply(state, tx, scheme)
     # Only the head escapes: journal the applies made to it from here on.
     ledger = state._ledger
-    ledger.base, ledger.journal, ledger.rows = state._length, [], None
+    ledger.base, ledger.journal = state._length, []
+    ledger.rows = ledger.fork_base = None
     return state
 
 

@@ -20,6 +20,8 @@ from ledgerlab.utxo import (
     UtxoId,
     coinbase_issue,
     lock_to_wallet,
+    replay_log,
+    snapshot_bytes,
     split_payment,
     txid_of,
 )
@@ -131,6 +133,66 @@ def test_state_digest_tracks_content(toy, conflict_setup):
 
     assert state_digest(state) == state_digest(state)
     assert state_digest(state) != state_digest(utxo_apply(state, to_bob, toy))
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts the snapshots state_digest renders."""
+    count = [0]
+
+    def counted(state):
+        count[0] += 1
+        return snapshot_bytes(state)
+
+    monkeypatch.setattr("ledgerlab.replica.snapshot_bytes", counted)
+    return count
+
+
+def assert_digests_fresh(replicas, report):
+    for replica, outcome in zip(replicas, report.outcomes):
+        assert outcome.state_digest == state_digest(replica.chainstate)
+
+
+def test_a_canonical_round_renders_its_one_end_state_once(toy, conflict_setup, renders):
+    state, to_bob, to_carol, _ = conflict_setup
+    replicas, report = run_round(state, [to_bob, to_carol], 5, 3, "canonical-txid-order", toy)
+    assert renders[0] == 1
+    assert_digests_fresh(replicas, report)
+
+
+def test_an_arrival_round_renders_each_acceptance_sequence_once(toy, conflict_setup, renders):
+    """Over every schedule of two conflicting txs at three replicas, a
+    round renders once per distinct acceptance sequence."""
+    state, to_bob, to_carol, _ = conflict_setup
+    for orders in itertools.product(list(itertools.permutations([to_bob, to_carol])), repeat=3):
+        replicas = make_replicas(3, state)
+        deliver_explicit(replicas, orders)
+        renders[0] = 0
+        report = settle_round(replicas, "arrival-order", toy)
+        assert renders[0] == len({outcome.accepted for outcome in report.outcomes})
+        assert_digests_fresh(replicas, report)
+
+
+def test_replicas_from_different_states_are_each_digested(toy, conflict_setup, renders):
+    """The digest of an end state is shared only between replicas that
+    started from one state object: the same acceptances from another
+    state, equal or not, are digested again."""
+    state, to_bob, _, (issuer, alice, _, _) = conflict_setup
+    richer = coinbase_issue(state, [(5, lock_to_wallet(alice))], issuer, toy)
+    equal = replay_log(state.log, state.issuer_public_key, toy)
+    replicas = [
+        Replica(replica_id=i, chainstate=start)
+        for i, start in enumerate([state, richer, equal, state])
+    ]
+    for replica in replicas:
+        replica.deliver(to_bob)
+    report = settle_round(replicas, "canonical-txid-order", toy)
+    assert renders[0] == 3
+    assert len({outcome.accepted for outcome in report.outcomes}) == 1
+    assert_digests_fresh(replicas, report)
+    digests = [outcome.state_digest for outcome in report.outcomes]
+    assert digests[0] == digests[2] == digests[3] != digests[1]
+    assert report.divergent
 
 
 def test_settle_round_rejects_unknown_rule(toy, conflict_setup):

@@ -27,6 +27,7 @@ from ledgerlab.kernels import KERNEL_TABLE
 from ledgerlab.replica import state_digest
 from ledgerlab.rng import SeededStream
 from ledgerlab.scripts import BARE_OPS, ExecResult, ExecutionContext, compile_p2h, execute, push
+import ledgerlab.utxo as utxo_module
 from ledgerlab.utxo import (
     Chainstate,
     LogEntry,
@@ -773,12 +774,105 @@ def test_forks_digest_through_the_shared_base_in_any_order(toy, wallets, snapsho
         forks.append(fork)
     snapshot_bytes(forks[0])
     assert forks[0]._ledger.rows is not None
+    assert forks[0]._ledger.fork_base is not None
     for index in data.draw(st.permutations(range(len(forks))), label="read order"):
         fork = forks[index]
         assert_canonical_snapshot(fork)
         assert fork._ledger.rows is forks[0]._ledger.rows
+        assert fork._ledger.fork_base is forks[0]._ledger.fork_base
     assert snapshot_bytes(snapshot_root) == before
     assert before == canonical_json(reference_snapshot(snapshot_root)).encode()
+
+
+def assert_holds_its_log(state):
+    """The state's active set is what its log creates and leaves unspent,
+    and it renders as canonical_json renders its reference snapshot."""
+    active = {outpoint: (out.value, out.locking) for outpoint, out in state.active.items()}
+    assert active == reference_active_set(state.log)
+    assert_canonical_snapshot(state)
+
+
+@given(data=st.data())
+def test_forks_share_one_base_per_fork_point_in_any_order(toy, wallets, snapshot_root, data):
+    """States branching from one root and from each other, applied to and
+    read in any order, each hold their log's active set and render it
+    canonically; the root's snapshot never changes; and every ledger
+    forked at the root's length holds the one fork base the first of them
+    built, which no fork writes into and no fork at another length uses."""
+    before = snapshot_bytes(snapshot_root)
+    length = len(snapshot_root.log)
+    signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
+    states, ledgers = [snapshot_root], []
+    for _ in range(data.draw(st.integers(2, 16), label="steps")):
+        state = data.draw(st.sampled_from(states), label="state")
+        if data.draw(st.booleans(), label="read"):
+            assert_holds_its_log(state)
+        else:
+            spendable = sorted(
+                (op for op, out in state.active.items() if out.locking in signers),
+                key=lambda o: (o.txid, o.index),
+            )
+            outpoint = data.draw(st.sampled_from(spendable), label="outpoint")
+            held = state.active[outpoint]
+            payee = data.draw(st.sampled_from(list(signers)), label="payee")
+            tx = split_payment(toy, state, signers[held.locking], outpoint, 1, payee)
+            states.append(utxo_apply(state, tx, toy))
+        ledgers.append(state._ledger)
+    for index in data.draw(st.permutations(range(len(states))), label="read order"):
+        assert_holds_its_log(states[index])
+        ledgers.append(states[index]._ledger)
+    assert snapshot_bytes(snapshot_root) == before
+    assert before == canonical_json(reference_snapshot(snapshot_root)).encode()
+    bases = {id(ledger.fork_base) for ledger in ledgers if ledger.base == length}
+    bases.discard(id(None))
+    assert len(bases) <= 1
+
+
+def test_a_rebased_ledger_drops_what_it_held_at_its_old_base(
+    toy, issuer, wallets, snapshot_root, monkeypatch
+):
+    """replay_log moves the base of the ledger it builds to the replayed
+    length, and with it drops the fork base and sorted rows the ledger
+    held at its old base. Here the replay starts from a genesis ledger
+    that holds another family's, as a ledger forked before it was rebased
+    would: forks of the replayed state still hold their own logs' active
+    sets and render them."""
+    signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
+    spendable = sorted(
+        (op for op, out in snapshot_root.active.items() if out.locking in signers),
+        key=lambda o: (o.txid, o.index),
+    )
+    for outpoint in spendable[:2]:
+        held = snapshot_root.active[outpoint]
+        payee = lock_to_wallet(wallets[2])
+        tx = split_payment(toy, snapshot_root, signers[held.locking], outpoint, 1, payee)
+        snapshot_bytes(utxo_apply(snapshot_root, tx, toy))
+    stale = snapshot_root._ledger
+    assert stale.fork_base is not None and stale.rows is not None
+    lock, payee = lock_to_wallet(wallets[0]), lock_to_wallet(wallets[1])
+    state = coinbase_issue(Chainstate.genesis(issuer.public_key), [(50, lock)], issuer, toy)
+    for step in range(3):
+        state = utxo_apply(
+            state, split_payment(toy, state, wallets[0], tip(state, step and 1), 1, payee), toy
+        )
+    unjournaled_genesis = utxo_module._unjournaled_genesis
+
+    def stale_genesis(issuer_public_key, allow_p2h):
+        genesis = unjournaled_genesis(issuer_public_key, allow_p2h)
+        genesis._ledger.fork_base, genesis._ledger.rows = stale.fork_base, stale.rows
+        return genesis
+
+    monkeypatch.setattr(utxo_module, "_unjournaled_genesis", stale_genesis)
+    replayed = replay_log(state.log, issuer.public_key, toy)
+    monkeypatch.undo()
+    branches = [
+        utxo_apply(
+            replayed, split_payment(toy, replayed, wallets[0], tip(replayed, 1), amount, lock), toy
+        )
+        for amount in (1, 2, 3)
+    ]
+    for branch in (replayed, *branches, replayed):
+        assert_holds_its_log(branch)
 
 
 @pytest.mark.parametrize("root", ["genesis-family", "shared-base"])

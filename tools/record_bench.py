@@ -73,6 +73,10 @@ LAYER_KEYGENS = 40
 LAYER_BLIND_KEYGENS = 2
 # Forks of one state digested per pass, one per replica of a round.
 LAYER_FORKS = 8
+# Double-spend pairs in the batch a replica round settles, and rounds per
+# ordering rule per pass.
+LAYER_PAIRS = 40
+LAYER_ROUNDS = 4
 # Log rows whose signature `utxo.log_first_pass` flips in its audited copy.
 LAYER_TAMPERED = (1, LAYER_TXS // 2, LAYER_TXS)
 # Calls of the `control.stdlib` work per pass.
@@ -202,8 +206,16 @@ def measure_layers() -> dict[str, float]:
     `replica.state_digest_fork` digests LAYER_FORKS forks of the replayed
     final state, each one spend ahead, after the state's own digest, as
     the replicas of a round digest theirs: each edits the sorted base
-    rows the forks share. Toy keygen runs on LAYER_KEYGENS seeds no pass
-    has used, and real blind keygen (`crypto.real.blind_keygen`, a
+    rows the forks share. `replica.run_round_canonical` and
+    `replica.run_round_arrival` are the per-round cost of `run_round` over
+    LAYER_FORKS replicas of the replayed final state, LAYER_ROUNDS rounds
+    per rule, each settling LAYER_PAIRS double-spend pairs of the chain's
+    payee outputs, one spend of each pair to the payer and one back to
+    the payee. Every round gets fresh `dataclasses.replace` copies of the
+    batch, which carry no memo, so no round reuses the txids, payloads,
+    verdicts or script results of the one before it; a canonical round
+    that diverges fails the run. Toy keygen runs on LAYER_KEYGENS seeds
+    no pass has used, and real blind keygen (`crypto.real.blind_keygen`, a
     2048-bit RSA key) on LAYER_BLIND_KEYGENS; the seeds differ from pass
     to pass and are the same on both sides. Sign and verify run in both
     crypto modes on messages no pass has signed: each signature is
@@ -266,7 +278,8 @@ def measure_layers() -> dict[str, float]:
     toy = crypto.get_scheme("toy")
     issuer = toy.keygen(b"layers-issuer")
     payer = crypto.derive_wallet(toy, "layers-payer")
-    payee = utxo.lock_to_wallet(crypto.derive_wallet(toy, "layers-payee"))
+    payee_wallet = crypto.derive_wallet(toy, "layers-payee")
+    payee = utxo.lock_to_wallet(payee_wallet)
     lock = utxo.lock_to_wallet(payer)
     coinbase = utxo.make_coinbase(toy, issuer, [(1 << 40, lock)])
     for run in range(LAYER_PASSES):
@@ -337,6 +350,26 @@ def measure_layers() -> dict[str, float]:
             for fork in range(LAYER_FORKS)
         ]
         timed("replica.state_digest_fork", replica.state_digest, forks)
+        batch = []
+        for tx in log[1 : LAYER_PAIRS + 1]:
+            held = utxo.UtxoId(utxo.txid_of(tx), 0)
+            value = root.active[held].value
+            batch += (
+                utxo.make_spend(
+                    toy, root, [held], [utxo.TxOutput(value, to)], signer=payee_wallet
+                )
+                for to in (lock, payee)
+            )
+        for rule in replica.ORDERING_RULES:
+            seconds = 0.0
+            for seed in range(LAYER_ROUNDS):
+                copies = [dataclasses.replace(tx) for tx in batch]
+                start = now()
+                _, report = replica.run_round(root, copies, LAYER_FORKS, seed, rule, toy)
+                seconds += now() - start
+                if rule == "canonical-txid-order" and report.divergent:
+                    raise RuntimeError("a layers-leg canonical round diverged")
+            record(f"replica.run_round_{rule.split('-')[0]}", seconds, LAYER_ROUNDS)
         for mode in ("toy", "real"):
             scheme = crypto.get_scheme(mode)
             pair = scheme.keygen(b"layers-signer:" + mode.encode())
