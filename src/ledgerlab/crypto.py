@@ -59,15 +59,13 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DomainError, FormatError
 from .rng import SeededStream
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 DIGEST_SIZE = 32
 
@@ -398,7 +396,11 @@ def _rsa_sign(private_key: bytes, message: bytes) -> bytes:
 
 @lru_cache(maxsize=1024)
 def _load_ed25519_private(raw: bytes) -> Ed25519PrivateKey:
-    """Loading costs more than half a signature; a loaded key signs alike."""
+    """Loading costs more than half a signature; a loaded key signs alike.
+    `cryptography` is imported on the first Ed25519 key use, here or in
+    `_ed25519_verify`, so a toy-crypto command never loads it."""
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
     return Ed25519PrivateKey.from_private_bytes(raw)
 
 
@@ -419,6 +421,9 @@ def _rsa_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 @lru_cache(maxsize=1 << 14)
 def _ed25519_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """`public_key` is a tagged EPUB key whose length the caller checked."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
     try:
         Ed25519PublicKey.from_public_bytes(public_key[4:]).verify(signature, message)
         return True
@@ -528,7 +533,8 @@ class RealScheme(CryptoScheme):
 
     def keygen(self, seed: bytes) -> KeyPair:
         private_bytes = hashlib.sha256(b"ed25519-keygen:" + seed).digest()
-        private = Ed25519PrivateKey.from_private_bytes(private_bytes)
+        # Loaded outside the cache: a key is cached by the first signature.
+        private = _load_ed25519_private.__wrapped__(private_bytes)
         public_raw = private.public_key().public_bytes_raw()
         return KeyPair(
             public_key=_TAG_ED_PUB + public_raw,

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from .crypto import CryptoScheme, digest
-from .errors import ConfigError, TxRejected
+from .errors import ConfigError
 from .rng import SeededStream
-from .utxo import Chainstate, UtxoTx, snapshot_bytes, txid_of, utxo_apply
+from .utxo import Chainstate, UtxoTx, _settle, snapshot_bytes, txid_of
 
 OrderingRule = Literal["arrival-order", "canonical-txid-order"]
 
@@ -130,7 +130,8 @@ def settle_round(
     function of (state, tx) and a rejection leaves the state as it was,
     so replicas that start from the same state object and accept the
     same txids in the same order end bit-identical: a replica matching
-    one already settled reuses its digest. The memo dies with the call.
+    one already settled reuses its digest. The memo dies with the call,
+    as does the hex of each txid, rendered once.
     """
     if rule not in ORDERING_RULES:
         raise ConfigError(f"unknown ordering rule {rule!r}")
@@ -138,26 +139,30 @@ def settle_round(
     # (start state, accepted txids) -> digest of the state they end on. A
     # state hashes and compares by identity.
     settled: dict[tuple[Chainstate, tuple[str, ...]], str] = {}
+    hexes: dict[bytes, str] = {}
     for replica in replicas:
-        start = replica.chainstate
+        start = state = replica.chainstate
         pending = [(txid_of(tx), tx) for tx in replica.mempool]
-        delivery = tuple(txid.hex() for txid, _ in pending)
+        for txid, _ in pending:
+            if txid not in hexes:
+                hexes[txid] = txid.hex()
+        delivery = tuple(hexes[txid] for txid, _ in pending)
         if rule == "canonical-txid-order":
             pending.sort(key=lambda item: item[0])
         accepted: list[str] = []
         rejected: list[tuple[str, tuple[str, ...]]] = []
         for txid, tx in pending:
-            txid_hex = txid.hex()
-            try:
-                replica.chainstate = utxo_apply(replica.chainstate, tx, scheme)
-                accepted.append(txid_hex)
-            except TxRejected as exc:
-                rejected.append((txid_hex, exc.report.reasons))
+            state, report = _settle(state, tx, scheme)
+            if report.valid:
+                accepted.append(hexes[txid])
+            else:
+                rejected.append((hexes[txid], report.reasons))
+        replica.chainstate = state
         replica.mempool.clear()
         accepted_ids = tuple(accepted)
         end_digest = settled.get((start, accepted_ids))
         if end_digest is None:
-            end_digest = settled[start, accepted_ids] = state_digest(replica.chainstate)
+            end_digest = settled[start, accepted_ids] = state_digest(state)
         outcomes.append(
             ReplicaOutcome(
                 replica_id=replica.replica_id,

@@ -40,16 +40,20 @@ one undo journal entry per transaction. Reading or applying to any
 other state forks it onto a new ledger whose base is that state's
 length. Forks therefore happen only where histories branch (replicas
 starting from one state, a probe applying twice to one state). A fork
-copies the head's containers and rewinds them through the journal to
-its length, except at a fork point: a state at its ledger's base, as
-the state a round's replicas start from is once one of them has forked
-it. There the first fork keeps a copy of the active and spent sets it
-rewound to, each table sized for its entries (a copy of the head would
-keep the head's grown tables), and every later fork clones that fork
-base in C, with no rewind. Forks made at one point share its base and
-never write to it, so a family keeps one fork base alive per fork point,
-as it keeps one list of sorted rows. Since even a read may fork, the
-states of one family must be used from one thread at a time.
+is an overlay: it holds only the outpoints it changed (marking an
+output of the base it spent) and the outpoints it spent, and reads all
+else through its fork base, the active and spent sets and the log at
+its base, which nothing writes into. The first fork made at a length
+builds that base by rewinding a copy of the head through the journal;
+every later fork there shares it, so a fork point pays one O(|state|)
+rewind and each fork made there O(1). `Chainstate.active` and the
+spend builders need the whole set, so they merge an overlay into a
+plain ledger once. What stays alive: every state keeps its ledger,
+with all the transactions applied to that ledger's head after it, and
+a ledger keeps the fork base it reads through or built, and the sorted
+rows of that base (see `_sorted_rows`): one of each per fork point,
+for as long as any ledger made there lives. Since even a read may
+fork, the states of one family must be used from one thread at a time.
 A replay or audit from genesis, whose intermediate states never escape,
 keeps no journal; the state a replay returns journals what follows it.
 
@@ -230,35 +234,49 @@ class UtxoTx(_TxMemo):
 
 # Journal marker: the outpoint was newly added to `spent`.
 _SPENT = object()
+# What a plain ledger reads through below its own dicts. Never written.
+_NOTHING: dict = {}
+
+# The active and spent sets at a ledger's base and the log before it.
+_Base = tuple[dict[UtxoId, TxOutput], dict[UtxoId, None], tuple[UtxoTx, ...]]
 
 
 @dataclass(eq=False, slots=True)
 class _Ledger:
     """Mutable storage behind a family of chainstates; see the module doc.
 
-    `journal[i]` undoes `log[base + i]`: one flat tuple of (outpoint, prior)
+    `log` holds the transactions after `base`, and `below` the state at
+    `base` that the ledger reads through: its active and spent sets, and
+    the log before it. A plain ledger's own `active` and `spent` hold
+    everything, and `below` only its log. An overlay, a fork made at its
+    base, holds in `active` only the outpoints it changed (None marks an
+    output of the base it spent) and in `spent` only what it spent, and
+    reads the rest from the base, which it shares with every fork made
+    at that length and never writes into. Merging an overlay's sets
+    (`_flatten`) makes it a plain ledger.
+
+    `journal[i]` undoes `log[i]`: one flat tuple of (outpoint, prior)
     pairs in the order they were written, where prior is the outpoint's
     previous active entry, None if it had none, or `_SPENT` if the pair
-    added it to `spent`. A fork starts its journal at its own length, and
-    no ledger refers to any chainstate, so a dead family is freed at once.
-    The journal is None while only the head may be used (see
-    `_unjournaled_genesis`). `rows` caches the sorted snapshot rows of the
-    active set at `base` for `snapshot_bytes`, and `fork_base` the active
-    and spent dicts at `base` for `_own`: compact, filled by the first
-    fork made at `base` and cloned by every later one. Forks made at
-    `base` share both, nothing writes into either, and whatever rebases a
-    ledger clears both.
+    added it to `spent`. No ledger refers to any chainstate, so a dead
+    family is freed at once. The journal is None while only the head may
+    be used (see `_unjournaled_genesis`). `fork_base` is the state at
+    `base` that forks made there read through, built by the first of
+    them, and `rows` the sorted snapshot rows of its active set for
+    `snapshot_bytes`. Forks made at `base` share both, and whatever
+    rebases a ledger clears both.
     """
 
-    active: dict[UtxoId, TxOutput]
+    active: dict[UtxoId, TxOutput | None]
     log: list[UtxoTx]
     # Every outpoint any logged tx names as an input, as dict keys, since a
     # copied set can take twice a dict's memory.
     spent: dict[UtxoId, None]
     base: int = 0
+    below: _Base = (_NOTHING, _NOTHING, ())
     journal: list[tuple] | None = field(default_factory=list)
     rows: list[bytes] | None = None
-    fork_base: tuple[dict[UtxoId, TxOutput], dict[UtxoId, None]] | None = None
+    fork_base: _Base | None = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -278,23 +296,24 @@ class Chainstate:
     def active(self) -> Mapping[UtxoId, TxOutput]:
         """Read-only view of the active set. It is live: copy it with
         dict() to keep it across an apply to this state."""
-        return MappingProxyType(_own(self).active)
+        return MappingProxyType(_flatten(_own(self)).active)
 
     @property
     def log(self) -> tuple[UtxoTx, ...]:
-        return tuple(self._ledger.log[: self._length])
+        ledger = self._ledger
+        return ledger.below[2] + tuple(ledger.log[: self._length - ledger.base])
 
 
 def _own(state: Chainstate) -> _Ledger:
-    """The ledger with `state` at its head, forking it there if needed."""
+    """The ledger with `state` at its head, forking it there if needed: a
+    fork reads through the state's fork base, which the first fork made
+    at that length builds by rewinding a copy of the sets."""
     ledger, length = state._ledger, state._length
-    if length == len(ledger.log):
+    if length == ledger.base + len(ledger.log):
         return ledger
     fork_base = ledger.fork_base if length == ledger.base else None
-    if fork_base is not None:
-        active, spent = fork_base[0].copy(), fork_base[1].copy()
-    else:
-        active, spent = dict(ledger.active), dict(ledger.spent)
+    if fork_base is None:
+        active, spent = dict(_flatten(ledger).active), dict(ledger.spent)
         for undo in reversed(ledger.journal[length - ledger.base :]):
             for at in range(len(undo) - 2, -1, -2):
                 outpoint, prior = undo[at], undo[at + 1]
@@ -304,14 +323,32 @@ def _own(state: Chainstate) -> _Ledger:
                     del active[outpoint]
                 else:
                     active[outpoint] = prior
+        # Compact copies: the rewind leaves holes, and dict.copy() clones a
+        # table without holes in one memcpy.
+        fork_base = (dict(active), dict(spent), state.log)
         if length == ledger.base:
-            # dict() sizes each table for its entries, where a copy of the
-            # head would keep the head's grown table.
-            ledger.fork_base = fork_base = (dict(active), dict(spent))
+            ledger.fork_base = fork_base
     rows = ledger.rows if length == ledger.base else None
-    fork = _Ledger(active, ledger.log[:length], spent, base=length, rows=rows, fork_base=fork_base)
+    fork = _Ledger({}, [], {}, length, fork_base, rows=rows, fork_base=fork_base)
     object.__setattr__(state, "_ledger", fork)
     return fork
+
+
+def _flatten(ledger: _Ledger) -> _Ledger:
+    """`ledger`, made a plain ledger if it is an overlay. Its sets keep the
+    order a copy of the base's, changed in place, would have: the base's
+    outpoints first, then the new ones in the order they were added."""
+    base_active, base_spent, log = ledger.below
+    if base_active is not _NOTHING:
+        active = base_active.copy()
+        for outpoint, entry in ledger.active.items():
+            if entry is None:
+                del active[outpoint]
+            else:
+                active[outpoint] = entry
+        ledger.active, ledger.spent = active, {**base_spent, **ledger.spent}
+        ledger.below = (_NOTHING, _NOTHING, log)
+    return ledger
 
 
 def _unjournaled_genesis(issuer_public_key: bytes, allow_p2h: bool) -> Chainstate:
@@ -330,18 +367,27 @@ def _advance(state: Chainstate, tx: UtxoTx, txid: bytes) -> Chainstate:
     """
     ledger = _own(state)
     active, spent = ledger.active, ledger.spent
+    base_active, base_spent, _ = ledger.below
     undo: list[object] = []
     for tx_in in tx.inputs:
         outpoint = tx_in.outpoint
-        prior = active.pop(outpoint, None)
+        prior = active.get(outpoint, base_active.get(outpoint))
         if prior is not None:
             undo += (outpoint, prior)
-        if outpoint not in spent:
+            if outpoint in base_active:
+                active[outpoint] = None
+            else:
+                del active[outpoint]
+        if outpoint not in spent and outpoint not in base_spent:
             spent[outpoint] = None
             undo += (outpoint, _SPENT)
     for index, tx_out in enumerate(tx.outputs):
         outpoint = UtxoId(txid, index)
-        undo += (outpoint, active.get(outpoint))
+        prior = active.get(outpoint, base_active.get(outpoint))
+        if prior is None and outpoint in active:
+            # A spent output of the base made again goes last, as in a copy.
+            active, base_active = _flatten(ledger).active, _NOTHING
+        undo += (outpoint, prior)
         active[outpoint] = tx_out
     ledger.log.append(tx)
     if ledger.journal is not None:
@@ -592,9 +638,11 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     # one already logged would re-create its outputs (BIP 30). Every logged
     # transaction created an output 0, active or spent since.
     ledger = _own(state)
+    active, spent = ledger.active, ledger.spent
+    base_active, base_spent, _ = ledger.below
     if not tx.inputs and encodable:
         first = UtxoId(txid_of(tx), 0)
-        if first in ledger.active or first in ledger.spent:
+        if first in active or first in spent or first in base_active or first in base_spent:
             reasons[REASON_DUPLICATE_TXID] = None
 
     # Presence and script checks against the active set; the input total
@@ -608,11 +656,12 @@ def utxo_validate(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Valida
     ctx = None
     total_in: Amount | None = 0
     for at, tx_in in enumerate(tx.inputs):
-        entry = ledger.active.get(tx_in.outpoint)
+        outpoint = tx_in.outpoint
+        entry = active.get(outpoint, base_active.get(outpoint))
         if entry is None:
             total_in = None
-            spent = tx_in.outpoint in ledger.spent
-            reasons[REASON_SPENT_INPUT if spent else REASON_UNKNOWN_INPUT] = None
+            gone = outpoint in spent or outpoint in base_spent
+            reasons[REASON_SPENT_INPUT if gone else REASON_UNKNOWN_INPUT] = None
             continue
         if total_in is not None:
             total_in += entry.value
@@ -657,12 +706,21 @@ def utxo_apply(state: Chainstate, tx: UtxoTx, scheme: CryptoScheme) -> Chainstat
     validation disallows; the input state is returned to the caller's
     hands untouched either way.
     """
-    report = utxo_validate(state, tx, scheme)
+    after, report = _settle(state, tx, scheme)
     if not report.valid:
         raise TxRejected(
             "transaction rejected: " + ", ".join(report.reasons), report=report
         )
-    return _advance(state, tx, txid_of(tx))
+    return after
+
+
+def _settle(
+    state: Chainstate, tx: UtxoTx, scheme: CryptoScheme
+) -> tuple[Chainstate, ValidationReport]:
+    """The successor of `state` under `tx` if validation accepts it, else
+    `state` itself, with the report: utxo_apply without the raise."""
+    report = utxo_validate(state, tx, scheme)
+    return (_advance(state, tx, txid_of(tx)) if report.valid else state), report
 
 
 def replay_log(
@@ -678,7 +736,8 @@ def replay_log(
         state = utxo_apply(state, tx, scheme)
     # Only the head escapes: journal the applies made to it from here on.
     ledger = state._ledger
-    ledger.base, ledger.journal = state._length, []
+    ledger.below = (_NOTHING, _NOTHING, tuple(ledger.log))
+    ledger.log, ledger.base, ledger.journal = [], state._length, []
     ledger.rows = ledger.fork_base = None
     return state
 
@@ -746,7 +805,7 @@ def make_spend(
     covers every input), pay-to-hash inputs take their preimage from
     `preimages`.
     """
-    active = _own(state).active
+    active = _flatten(_own(state)).active
     for outpoint in outpoints:
         if outpoint not in active:
             raise NotFoundError(f"outpoint {outpoint.render()} is not active")
@@ -791,7 +850,7 @@ def split_payment(
     An exact-value payment degenerates to a single payee output.
     """
     check_amount(amount)
-    entry = _own(state).active.get(outpoint)
+    entry = _flatten(_own(state)).active.get(outpoint)
     if entry is None:
         raise NotFoundError(f"outpoint {outpoint.render()} is not active")
     held = entry.value
@@ -814,7 +873,7 @@ def merge_payment(
     """Combine several outpoints into one output carrying their total."""
     if len(outpoints) < 2:
         raise FormatError("merging needs at least two outpoints")
-    active = _own(state).active
+    active = _flatten(_own(state)).active
     for outpoint in outpoints:
         if outpoint not in active:
             raise NotFoundError(f"outpoint {outpoint.render()} is not active")
@@ -873,15 +932,15 @@ def _sorted_rows(ledger: _Ledger) -> list[bytes]:
     A ledger that has applied fewer transactions since its base than it
     holds before it (every replica forked from one history) edits a copy
     of the base's sorted rows, which its family computes once; any other
-    sorts them all."""
-    active = ledger.active
+    is flattened and sorts them all."""
     if ledger.journal is None or len(ledger.journal) >= ledger.base:
-        rows = [_row(outpoint, entry) for outpoint, entry in active.items()]
+        rows = [_row(outpoint, entry) for outpoint, entry in _flatten(ledger).active.items()]
         rows.sort()
         return rows
+    active, base_active = ledger.active, ledger.below[0]
     changed = _base_entries(ledger)
     if ledger.rows is None:
-        at_base = {**active, **changed}.items()
+        at_base = {**base_active, **active, **changed}.items()
         ledger.rows = sorted(
             _row(outpoint, entry) for outpoint, entry in at_base if entry is not None
         )
@@ -889,7 +948,10 @@ def _sorted_rows(ledger: _Ledger) -> list[bytes]:
     for outpoint, entry in changed.items():
         if entry is not None:
             del rows[bisect_left(rows, _row(outpoint, entry))]
-    rows += [_row(outpoint, active[outpoint]) for outpoint in changed if outpoint in active]
+    for outpoint in changed:
+        entry = active.get(outpoint, base_active.get(outpoint))
+        if entry is not None:
+            rows.append(_row(outpoint, entry))
     # Timsort finds the sorted base as one run and merges the new rows in.
     rows.sort()
     return rows

@@ -66,6 +66,22 @@ def reference_snapshot(state):
     }
 
 
+def reference_log_snapshot(state):
+    """The snapshot document of a state whose log holds only accepted
+    transactions, built from that log by reference_active_set: unlike
+    reference_snapshot, it reads nothing of the ledger behind the state."""
+    return {
+        "kernel": "utxo",
+        "issuer_public_key": state.issuer_public_key.hex(),
+        "allow_p2h": state.allow_p2h,
+        "log_length": len(state.log),
+        "active": {
+            outpoint.render(): {"value": value, "locking": script_to_text(locking)}
+            for outpoint, (value, locking) in sorted(reference_active_set(state.log).items())
+        },
+    }
+
+
 def consumed_outpoints(log):
     """Every outpoint any transaction in the log names as an input."""
     return {tx_in.outpoint for tx in log for tx_in in tx.inputs}

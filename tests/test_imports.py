@@ -91,6 +91,24 @@ def test_trace_and_tables_load_no_runner(command, utxo_run, tmp_path):
         assert f"ledgerlab.{name}" not in loaded
 
 
+@pytest.mark.parametrize("command", ["inspect", "trace", "tables", "run"])
+def test_toy_crypto_commands_load_no_cryptography(command, utxo_run, tmp_path):
+    """`cryptography` loads on the first Ed25519 key use, which no toy
+    command makes: a toy log's keys are RSA keys, whichever scheme
+    verifies them."""
+    out, target = utxo_run
+    scenario = resources.files("ledgerlab") / "scenarios" / "utxo_basic.json"
+    argv = {
+        "inspect": ["inspect", str(out / "state.json")],
+        "trace": ["trace", str(out / "log.json"), target],
+        "tables": ["tables"],
+        "run": ["run", str(scenario), "--out", str(tmp_path)],
+    }[command]
+    result = child_modules(CHILD, *argv)
+    assert result["code"] == 0
+    assert not [name for name in result["modules"] if name.partition(".")[0] == "cryptography"]
+
+
 def test_every_export_is_its_submodule_binding():
     assert sorted(ledgerlab.__all__) == sorted(
         name for names in ledgerlab._EXPORTS.values() for name in names

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import choice, consumed_outpoints, reference_active_set, reference_snapshot
+from oracles import (
+    choice,
+    consumed_outpoints,
+    reference_active_set,
+    reference_log_snapshot,
+    reference_snapshot,
+)
 from ledgerlab.analysis import audit_replay
 from ledgerlab.crypto import derive_wallet, digest
 from ledgerlab.encoding import canonical_json
@@ -875,6 +881,121 @@ def test_a_rebased_ledger_drops_what_it_held_at_its_old_base(
     ]
     for branch in (replayed, *branches, replayed):
         assert_holds_its_log(branch)
+
+
+@pytest.fixture(scope="module")
+def fork_pool(toy, wallets):
+    """A 13-row log and transactions to apply to states branching from
+    its replay: two rival splits of each of three outputs, a split of the
+    change of each of those, the log's coinbase and two of its spends.
+    Each is valid exactly where its inputs are active."""
+    issuer = toy.keygen(b"fork-pool-issuer")
+    signers = {lock_to_wallet(wallet): wallet for wallet in wallets[:2]}
+    outputs = [(10 + value, lock) for value in range(6) for lock in signers]
+    state = coinbase_issue(Chainstate.genesis(issuer.public_key), outputs, issuer, toy)
+    for index in range(12):
+        outpoint = UtxoId(txid_of(state.log[-1]), 0 if index else 11)
+        held = state.active[outpoint]
+        tx = split_payment(toy, state, signers[held.locking], outpoint, 1, held.locking)
+        state = utxo_apply(state, tx, toy)
+    log = state.log
+    pool = [log[0], log[1], log[5]]
+    for outpoint in sorted(state.active, key=lambda o: (o.txid, o.index))[:3]:
+        held = state.active[outpoint]
+        for amount in (1, 2):
+            tx = split_payment(toy, state, signers[held.locking], outpoint, amount, held.locking)
+            scratch = replay_log((*log, tx), issuer.public_key, toy)
+            change = UtxoId(txid_of(tx), 1)
+            child = split_payment(toy, scratch, signers[held.locking], change, 1, held.locking)
+            pool += (tx, child)
+    return issuer.public_key, log, pool
+
+
+def reference_reasons(tx, log):
+    """What validation refuses `tx` for after `log`, by reference_active_set:
+    nothing if every input is active (or, for a coinbase, if it is not
+    logged), else each input's spent-input or unknown-input."""
+    active, consumed = reference_active_set(log), consumed_outpoints(log)
+    if not tx.inputs:
+        return ("duplicate-txid",) if txid_of(tx) in {txid_of(t) for t in log} else ()
+    return tuple(dict.fromkeys(
+        "spent-input" if tx_in.outpoint in consumed else "unknown-input"
+        for tx_in in tx.inputs if tx_in.outpoint not in active
+    ))
+
+
+@given(data=st.data())
+def test_forks_at_a_fork_point_read_through_its_base(toy, fork_pool, data):
+    """States branching from one replayed root, and from each other,
+    validate, apply and render in any order as their logs dictate,
+    whether their ledger still reads through the root's fork base or has
+    been flattened by a read of `active`; a flattened fork lists the
+    base's outputs first, in its order, then its own in apply order; a
+    fork made at the root holds only what its transaction changed; and
+    nothing writes into the base."""
+    issuer_public_key, log, pool = fork_pool
+    root = replay_log(log, issuer_public_key, toy)
+    states = [root]
+    for _ in range(data.draw(st.integers(1, 14), label="steps")):
+        state = data.draw(st.sampled_from(states), label="state")
+        if data.draw(st.booleans(), label="read"):
+            ledger, base = state._ledger, root._ledger.fork_base
+            overlay = base is not None and ledger.below is base
+            assert snapshot_bytes(state) == canonical_json(reference_log_snapshot(state)).encode()
+            active = {outpoint: (out.value, out.locking) for outpoint, out in state.active.items()}
+            assert active == reference_active_set(state.log)
+            if overlay and state._length == ledger.base + len(ledger.log):
+                made = [UtxoId(txid_of(t), i) for t in ledger.log for i, _ in enumerate(t.outputs)]
+                assert list(active) == [o for o in (*base[0], *made) if o in active]
+            continue
+        tx = data.draw(st.sampled_from(pool), label="tx")
+        report = utxo_validate(state, tx, toy)
+        assert report.reasons == reference_reasons(tx, state.log)
+        if not report.valid:
+            continue
+        ledger = state._ledger
+        states.append(utxo_apply(state, tx, toy))
+        fork = states[-1]._ledger
+        if state is root and fork is not ledger:
+            inputs = [tx_in.outpoint for tx_in in tx.inputs]
+            made = {UtxoId(txid_of(tx), i): out for i, out in enumerate(tx.outputs)}
+            assert fork.below is fork.fork_base is root._ledger.fork_base
+            assert fork.active == {**dict.fromkeys(inputs), **made}
+            assert fork.spent == dict.fromkeys(inputs) and fork.log == [tx]
+    base = root._ledger.fork_base
+    if base is not None:
+        active, spent, prefix = base
+        entries = {outpoint: (out.value, out.locking) for outpoint, out in active.items()}
+        assert entries == reference_active_set(log)
+        assert spent.keys() == consumed_outpoints(log) and prefix == log
+    assert snapshot_bytes(root) == canonical_json(reference_log_snapshot(root)).encode()
+
+
+def test_a_fork_at_a_fork_point_allocates_per_transaction(toy, issuer, wallets):
+    """Once a state's first fork has built its fork base, a fork made
+    there copies neither the active set nor the log: it allocates less
+    than half a copy of the log alone."""
+    lock = lock_to_wallet(wallets[0])
+    state = Chainstate.genesis(issuer.public_key)
+    for value in range(2, 2002):
+        state = coinbase_issue(state, [(value, lock)] * 2, issuer, toy)
+    spends = [
+        split_payment(toy, state, wallets[0], tip(state, index), 1, lock) for index in (0, 1)
+    ]
+    rival = split_payment(toy, state, wallets[0], tip(state), 2, lock)
+    for tx in spends:
+        utxo_apply(state, tx, toy)
+    assert utxo_validate(state, rival, toy).valid
+    one_copy = sys.getsizeof(list(state.log))
+    tracemalloc.start()
+    try:
+        fork = utxo_apply(state, rival, toy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fork._ledger.below is state._ledger.fork_base
+    assert len(fork._ledger.active) == 3 and len(fork.active) == 4001
+    assert peak < one_copy / 2, (peak, one_copy)
 
 
 @pytest.mark.parametrize("root", ["genesis-family", "shared-base"])

@@ -26,7 +26,8 @@ summarized like a metric.
 
 The file written at the repository root holds the commits (with the tree
 ids of their `src/`, and the newline count of their `src/**/*.py` as
-`wc -l` gives it), the change's net `src/` line delta, the environment,
+`wc -l` gives it), the change's net `src/` line delta, the environment
+(with the ENV_VARIABLES it was recorded under),
 every run's end-to-end metrics, output digest and `detail` metrics (the
 workload's own, such as `utxo-ledger`'s `export_s`, with their
 directions), and per workload and metric each side's median, quartiles
@@ -81,6 +82,9 @@ LAYER_ROUNDS = 4
 LAYER_TAMPERED = (1, LAYER_TXS // 2, LAYER_TXS)
 # Calls of the `control.stdlib` work per pass.
 LAYER_CONTROLS = 20
+# Variables of the recording environment that change what a run measures
+# (null where unset): compiling at every import, and hashing order.
+ENV_VARIABLES = ("PYTHONDONTWRITEBYTECODE", "PYTHONUNBUFFERED", "PYTHONHASHSEED")
 
 
 def git(*args: str) -> str:
@@ -206,7 +210,11 @@ def measure_layers() -> dict[str, float]:
     `replica.state_digest_fork` digests LAYER_FORKS forks of the replayed
     final state, each one spend ahead, after the state's own digest, as
     the replicas of a round digest theirs: each edits the sorted base
-    rows the forks share. `replica.run_round_canonical` and
+    rows the forks share. `utxo.fork_apply` applies a spend to the replayed
+    final state once it is no longer its ledger's head, so each apply
+    forks it at its fork point; the spends, LAYER_PAIRS - 1 of them, were
+    validated before, so their signatures and scripts are memo hits.
+    `replica.run_round_canonical` and
     `replica.run_round_arrival` are the per-round cost of `run_round` over
     LAYER_FORKS replicas of the replayed final state, LAYER_ROUNDS rounds
     per rule, each settling LAYER_PAIRS double-spend pairs of the chain's
@@ -350,6 +358,14 @@ def measure_layers() -> dict[str, float]:
             for fork in range(LAYER_FORKS)
         ]
         timed("replica.state_digest_fork", replica.state_digest, forks)
+        spends = [
+            utxo.split_payment(toy, root, payer, outpoint, 1 + LAYER_FORKS + k, payee)
+            for k in range(LAYER_PAIRS)
+        ]
+        if not all(utxo.utxo_validate(root, tx, toy).valid for tx in spends):
+            raise RuntimeError("a layers-leg fork spend failed validation")
+        utxo.utxo_apply(root, spends[0], toy)
+        timed("utxo.fork_apply", lambda tx: utxo.utxo_apply(root, tx, toy), spends[1:])
         batch = []
         for tx in log[1 : LAYER_PAIRS + 1]:
             held = utxo.UtxoId(utxo.txid_of(tx), 0)
@@ -549,7 +565,10 @@ def main(argv=None) -> int:
                         *w["traced"].values()]
         ]
         envs = [run["env"] for run in runs if "env" in run]
-        doc["env"] = dict(envs[0] if envs else {}, platform=platform.platform(), cpu=cpu_model())
+        doc["env"] = dict(
+            envs[0] if envs else {}, platform=platform.platform(), cpu=cpu_model(),
+            **{name: os.environ.get(name) for name in ENV_VARIABLES},
+        )
     doc["all_runs_ok"] = all(run_ok(run) for run in runs) and all(
         pair[side]["exit"] == 0 and "error" not in pair[side]
         for pair in tier1 + layers for side in pair
