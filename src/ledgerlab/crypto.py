@@ -29,7 +29,13 @@ Every survivor, whatever its size, gets one test, Baillie-PSW; see
 An RSA private key is its two primes (``RPRV || p || q``), the CRT form
 of PKCS #1 v2.2, section 3.2; the exponent is always 65537. Every private
 operation, a signature or a blind signature, recombines its two half-size
-exponentiations by Garner's formula (section 5.1.2).
+exponentiations by Garner's formula (section 5.1.2). Those halves and the
+strong base-2 round of key search go through `_powmod`, which hands an
+exponent of 32 bits or more to GMP's mpz_powm when libgmp.so.10 loads
+(through ``ctypes``, at the first such call, never at import) and
+everything else to CPython's ``pow``. Both compute the same integer, so
+every key and byte is the same either way, and there is nothing to set;
+a BENCH file names the GMP version that ran, or null.
 
 The blind-signature suite is the classic multiplicative construction over
 the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
@@ -38,11 +44,12 @@ the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
 clear message.
 
 All operations are pure functions of their inputs; instances hold no
-mutable state and are safe for unrestricted concurrent use. The seven
-module-level ``functools.lru_cache``s (generated keys, the products of
-the wide trial-division stages, decoded RSA public keys, decoded RSA
-private keys with their CRT exponents, loaded Ed25519 private keys, and
-the RSA and the Ed25519 verification results, 2^14 triples each) hold only results of pure functions, so a hit returns
+mutable state and are safe for unrestricted concurrent use. The eight
+module-level ``functools.lru_cache``s (generated keys, the loaded GMP
+binding, the products of the wide trial-division stages, decoded RSA
+public keys, decoded RSA private keys with their CRT exponents, loaded
+Ed25519 private keys, and the RSA and the Ed25519 verification results,
+2^14 triples each) hold only results of pure functions, so a hit returns
 exactly what a recomputation would, each is bounded, and each reports
 through ``cache_info()``. A verification result is cached whether the signature
 is valid or not, so each triple is checked once per process whichever
@@ -56,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
@@ -208,6 +216,82 @@ def _decode_rsa_private(private_key: bytes) -> tuple[int, int, int, int, int, in
 
 
 # ---------------------------------------------------------------------------
+# Modular exponentiation
+# ---------------------------------------------------------------------------
+
+# From this exponent width on, libgmp's mpz_powm beat CPython's pow at
+# every modulus measured (32 to 2 048 bits), ctypes call included.
+_GMP_MIN_EXP_BITS = 32
+
+
+@lru_cache(maxsize=1)
+def _gmp_powm():
+    """mpz_powm of libgmp.so.10 as a function of three ints, loaded through
+    ctypes at the first call; None where the library or a symbol is
+    missing, or where its limbs are not 64-bit little-endian words.
+
+    The function takes 0 <= base < mod, exp >= 0 and mod >= 2, which
+    `_powmod` checks first: GMP divides by zero on a zero modulus. Each
+    call reads its operands through read-only views of their bytes
+    (mpz_roinit_n) and writes into an mpz of its own, so calls share
+    nothing and may run in any threads (ctypes releases the GIL).
+    """
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL("libgmp.so.10")
+        limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
+        init, clear, roinit, powm = (
+            getattr(lib, f"__gmpz_{name}") for name in ("init", "clear", "roinit_n", "powm")
+        )
+    except (OSError, AttributeError, ValueError):
+        return None
+    if limb_bits != 64 or sys.byteorder != "little":
+        return None
+
+    class Mpz(ctypes.Structure):
+        _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
+
+    ref = ctypes.POINTER(Mpz)
+    init.argtypes, init.restype = [ref], None
+    clear.argtypes, clear.restype = [ref], None
+    roinit.argtypes, roinit.restype = [ref, ctypes.c_char_p, ctypes.c_long], ref
+    powm.argtypes, powm.restype = [ref, ref, ref, ref], None
+    string_at = ctypes.string_at
+
+    def view(value: int) -> tuple[Mpz, bytes]:
+        """A read-only mpz over `value`'s limbs, with the bytes it reads."""
+        limbs = (value.bit_length() + 63) // 64 or 1
+        raw = value.to_bytes(8 * limbs, "little")
+        mpz = Mpz()
+        roinit(mpz, raw, limbs)
+        return mpz, raw
+
+    def gmp_powm(base: int, exp: int, mod: int) -> int:
+        # The *_raw names keep the bytes each view reads alive until powm returns.
+        (b, b_raw), (e, e_raw), (m, m_raw) = view(base), view(exp), view(mod)
+        result = Mpz()
+        init(result)
+        try:
+            powm(result, b, e, m)
+            return int.from_bytes(string_at(result.limbs, 8 * result.size), "little")
+        finally:
+            clear(result)
+
+    return gmp_powm
+
+
+def _powmod(base: int, exp: int, mod: int) -> int:
+    """pow(base, exp, mod), through GMP where it loads and the exponent is
+    at least _GMP_MIN_EXP_BITS wide. Both compute the same integer, and
+    whatever GMP cannot take (mod < 2, exp < 0) stays on pow, which
+    returns or raises as it always does."""
+    if exp.bit_length() < _GMP_MIN_EXP_BITS or exp < 0 or mod < 2 or (powm := _gmp_powm()) is None:
+        return pow(base, exp, mod)
+    return powm(base % mod, exp, mod)
+
+
+# ---------------------------------------------------------------------------
 # Deterministic RSA key generation
 # ---------------------------------------------------------------------------
 
@@ -265,7 +349,7 @@ def _odd_part(m: int) -> tuple[int, int]:
 def _strong_round(n: int, a: int, d: int, s: int) -> bool:
     """One Miller-Rabin round: is n a strong probable prime to base a,
     where n - 1 = d * 2^s?"""
-    x = pow(a, d, n)
+    x = _powmod(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -385,8 +469,8 @@ def _sig_width(n: int) -> int:
 
 def _rsa_private_op(value: int, p: int, q: int, dp: int, dq: int, q_inv: int) -> int:
     """value^d mod pq for 0 <= value < pq, by Garner's recombination."""
-    m_q = pow(value, dq, q)
-    return m_q + (q_inv * (pow(value, dp, p) - m_q) % p) * q
+    m_q = _powmod(value, dq, q)
+    return m_q + (q_inv * (_powmod(value, dp, p) - m_q) % p) * q
 
 
 def _rsa_sign(private_key: bytes, message: bytes) -> bytes:

@@ -788,6 +788,20 @@ def coinbase_issue(
         raise
 
 
+def _spendable(state: Chainstate, outpoints: Sequence[UtxoId]) -> list[TxOutput]:
+    """The active entry of each outpoint, read through an overlay as
+    `utxo_validate` reads it, so a fork stays an overlay."""
+    ledger = _own(state)
+    active, base_active = ledger.active, ledger.below[0]
+    entries = []
+    for outpoint in outpoints:
+        entry = active.get(outpoint, base_active.get(outpoint))
+        if entry is None:
+            raise NotFoundError(f"outpoint {outpoint.render()} is not active")
+        entries.append(entry)
+    return entries
+
+
 def make_spend(
     scheme: CryptoScheme,
     state: Chainstate,
@@ -805,18 +819,15 @@ def make_spend(
     covers every input), pay-to-hash inputs take their preimage from
     `preimages`.
     """
-    active = _flatten(_own(state)).active
-    for outpoint in outpoints:
-        if outpoint not in active:
-            raise NotFoundError(f"outpoint {outpoint.render()} is not active")
+    entries = _spendable(state, outpoints)
     unsigned = UtxoTx(
         "normal", tuple(TxInput(outpoint, ()) for outpoint in outpoints), tuple(outputs)
     )
     payload = utxo_signing_payload(unsigned)
     signature = scheme.sign(signer.private_key, payload) if signer is not None else None
     inputs = []
-    for outpoint in outpoints:
-        template = classify(active[outpoint].locking)
+    for outpoint, entry in zip(outpoints, entries):
+        template = classify(entry.locking)
         if template == "p2pkh":
             if signer is None:
                 raise AuthError(
@@ -850,9 +861,7 @@ def split_payment(
     An exact-value payment degenerates to a single payee output.
     """
     check_amount(amount)
-    entry = _flatten(_own(state)).active.get(outpoint)
-    if entry is None:
-        raise NotFoundError(f"outpoint {outpoint.render()} is not active")
+    [entry] = _spendable(state, [outpoint])
     held = entry.value
     if amount == 0 or amount > held:
         raise FormatError(f"cannot pay {amount} from an outpoint holding {held}")
@@ -873,11 +882,7 @@ def merge_payment(
     """Combine several outpoints into one output carrying their total."""
     if len(outpoints) < 2:
         raise FormatError("merging needs at least two outpoints")
-    active = _flatten(_own(state)).active
-    for outpoint in outpoints:
-        if outpoint not in active:
-            raise NotFoundError(f"outpoint {outpoint.render()} is not active")
-    total = sum(active[outpoint].value for outpoint in outpoints)
+    total = sum(entry.value for entry in _spendable(state, outpoints))
     outputs = [TxOutput(value=total, locking=payee_locking)]
     return make_spend(scheme, state, outpoints, outputs, signer=wallet)
 

@@ -671,3 +671,57 @@ def test_a_round_report_is_the_same_from_a_cold_and_a_warm_cache(name):
     assert VERIFY_CACHES[name].cache_info().currsize
     warm = canonical_json(run_round(state, txs, 4, 5, "arrival-order", scheme)[1].doc())
     assert cold == warm
+
+
+# ---------------------------------------------------------------------------
+# The pow fallback
+# ---------------------------------------------------------------------------
+
+
+def clear_crypto_caches():
+    for value in vars(crypto).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def everything_the_commands_make(monkeypatch, out):
+    """Every RSA key that the bundled scenarios, `ecash_basic.json --crypto
+    real` and `tables` make, plus the REAL_BLIND_SEEDS keys, and every
+    byte they print or write, all computed on cleared caches."""
+    clear_crypto_caches()
+    made = set()
+    keygen = _rsa_keygen
+
+    def recording_keygen(seed, modulus_bits):
+        made.add((seed, modulus_bits))
+        return keygen(seed, modulus_bits)
+
+    monkeypatch.setattr(crypto, "_rsa_keygen", recording_keygen)
+    scenarios = sorted(
+        str(path) for path in (resources.files("ledgerlab") / "scenarios").iterdir()
+        if str(path).endswith(".json")
+    )
+    commands = [["run", path] for path in scenarios]
+    commands += [["run", scenarios[2], "--crypto", "real"], ["tables"]]
+    assert scenarios[2].endswith("ecash_basic.json")
+    printed = []
+    for at, argv in enumerate(commands):
+        target = out / str(at)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--out", str(target)]) == 0, argv
+        written = {path.name: path.read_bytes() for path in sorted(target.iterdir())}
+        printed.append((argv, stdout.getvalue().replace(str(target), "<out>"), written))
+    monkeypatch.setattr(crypto, "_rsa_keygen", keygen)
+    made.update((seed, 2048) for seed in REAL_BLIND_SEEDS)
+    return {key: keygen(*key) for key in sorted(made)}, printed
+
+
+def test_the_pow_fallback_makes_every_key_and_byte_that_gmp_does(monkeypatch, tmp_path):
+    keys, printed = everything_the_commands_make(monkeypatch, tmp_path / "gmp")
+    assert {bits for _, bits in keys} == {256, 2048} and len(keys) >= 34
+    monkeypatch.setattr(crypto, "_gmp_powm", lambda: None)
+    try:
+        assert everything_the_commands_make(monkeypatch, tmp_path / "pow") == (keys, printed)
+    finally:
+        clear_crypto_caches()

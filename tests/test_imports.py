@@ -67,6 +67,16 @@ def test_bare_cli_import_loads_only_errors():
     assert "cryptography" not in modules
 
 
+@pytest.mark.parametrize("module", ["ledgerlab.cli", "ledgerlab.crypto"])
+def test_importing_loads_no_ctypes(module):
+    """libgmp is loaded through ctypes at the first wide exponentiation,
+    never at import."""
+    modules = child_modules(
+        f"import json, sys, {module}\nprint(json.dumps({{'modules': sorted(sys.modules)}}))"
+    )["modules"]
+    assert module in modules and "ctypes" not in modules
+
+
 def test_inspect_loads_no_analysis_or_runner(utxo_run):
     out, _ = utxo_run
     result = child_modules(CHILD, "inspect", str(out / "state.json"))

@@ -998,6 +998,37 @@ def test_a_fork_at_a_fork_point_allocates_per_transaction(toy, issuer, wallets):
     assert peak < one_copy / 2, (peak, one_copy)
 
 
+@pytest.mark.parametrize("builder", ["split_payment", "merge_payment", "make_spend"])
+def test_building_a_spend_at_a_fork_point_keeps_the_fork_an_overlay(
+    toy, issuer, wallets, builder
+):
+    """The spend builders read the outpoints they spend through the fork
+    base, as `utxo_validate` does, so the fork that a state at its fork
+    point makes for them stays an overlay. What they build equals what
+    they build on a flattened copy of the same state."""
+    lock = lock_to_wallet(wallets[0])
+    state = Chainstate.genesis(issuer.public_key)
+    for value in range(2, 42):
+        state = coinbase_issue(state, [(value, lock)] * 2, issuer, toy)
+    utxo_apply(state, split_payment(toy, state, wallets[0], tip(state), 1, lock), toy)
+    outpoints = [tip(state), tip(state, 1)]
+    build = {
+        "split_payment": lambda s: split_payment(toy, s, wallets[0], outpoints[0], 3, lock),
+        "merge_payment": lambda s: merge_payment(toy, s, wallets[0], outpoints, lock),
+        "make_spend": lambda s: make_spend(
+            toy, s, outpoints, [TxOutput(82, lock)], signer=wallets[0]
+        ),
+    }[builder]
+    tx = build(state)
+    ledger = state._ledger
+    assert ledger.below is ledger.fork_base is not None
+    assert not ledger.active and not ledger.log
+    flat = replay_log(state.log, issuer.public_key, toy)
+    assert flat._ledger.below[0] == {} and len(flat._ledger.active) == 80
+    assert build(flat) == tx
+    assert utxo_apply(state, tx, toy)._ledger is ledger
+
+
 @pytest.mark.parametrize("root", ["genesis-family", "shared-base"])
 def test_snapshot_text_with_one_output_object_at_two_outpoints(
     toy, chain, wallets, snapshot_root, root

@@ -27,7 +27,9 @@ summarized like a metric.
 The file written at the repository root holds the commits (with the tree
 ids of their `src/`, and the newline count of their `src/**/*.py` as
 `wc -l` gives it), the change's net `src/` line delta, the environment
-(with the ENV_VARIABLES it was recorded under),
+(with the ENV_VARIABLES it was recorded under, and as `gmp` the version
+of the libgmp.so.10 that loads here, null where none does: `crypto`
+computes its wide modular powers through it when it loads),
 every run's end-to-end metrics, output digest and `detail` metrics (the
 workload's own, such as `utxo-ledger`'s `export_s`, with their
 directions), and per workload and metric each side's median, quartiles
@@ -45,6 +47,7 @@ operation, or when a tier-1 run exited non-zero. Progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -72,6 +75,8 @@ LAYER_PASSES = 5
 # a miss of the keygen LRU.
 LAYER_KEYGENS = 40
 LAYER_BLIND_KEYGENS = 2
+# Fresh blinded values signed per pass under one 2048-bit blind key.
+LAYER_BLIND_SIGNS = 20
 # Forks of one state digested per pass, one per replica of a round.
 LAYER_FORKS = 8
 # Double-spend pairs in the batch a replica round settles, and rounds per
@@ -117,6 +122,14 @@ def cpu_model() -> str:
     except OSError:
         pass
     return platform.processor()
+
+
+def gmp_version() -> str | None:
+    """`__gmp_version` of the libgmp.so.10 that loads here, or None."""
+    try:
+        return ctypes.c_char_p.in_dll(ctypes.CDLL("libgmp.so.10"), "__gmp_version").value.decode()
+    except (OSError, ValueError):
+        return None
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -225,7 +238,9 @@ def measure_layers() -> dict[str, float]:
     that diverges fails the run. Toy keygen runs on LAYER_KEYGENS seeds
     no pass has used, and real blind keygen (`crypto.real.blind_keygen`, a
     2048-bit RSA key) on LAYER_BLIND_KEYGENS; the seeds differ from pass
-    to pass and are the same on both sides. Sign and verify run in both
+    to pass and are the same on both sides. `crypto.real.blind_sign` signs
+    LAYER_BLIND_SIGNS values under one 2048-bit blind key, each a message
+    no pass has used, blinded by a fresh factor. Sign and verify run in both
     crypto modes on messages no pass has signed: each signature is
     verified once with a cold cache, then once warm.
 
@@ -235,7 +250,7 @@ def measure_layers() -> dict[str, float]:
     it differs between the two runs of a pair, one of them ran slow for a
     reason outside `src/`.
     """
-    from ledgerlab import analysis, crypto, encoding, replica, scripts, utxo
+    from ledgerlab import analysis, crypto, encoding, replica, rng, scripts, utxo
 
     now = time.perf_counter
     best: dict[str, float] = {}
@@ -284,6 +299,8 @@ def measure_layers() -> dict[str, float]:
         return sorted(control_ints)
 
     toy = crypto.get_scheme("toy")
+    real = crypto.get_scheme("real")
+    blind_signer = real.blind_keygen(b"layers-blind-signer")
     issuer = toy.keygen(b"layers-issuer")
     payer = crypto.derive_wallet(toy, "layers-payer")
     payee_wallet = crypto.derive_wallet(toy, "layers-payee")
@@ -333,7 +350,20 @@ def measure_layers() -> dict[str, float]:
         seeds = [b"layers-keygen:%d:%d" % (run, i) for i in range(LAYER_KEYGENS)]
         timed("crypto.toy.keygen", toy.keygen, seeds)
         blind_seeds = [b"layers-blind-keygen:%d:%d" % (run, i) for i in range(LAYER_BLIND_KEYGENS)]
-        timed("crypto.real.blind_keygen", crypto.get_scheme("real").blind_keygen, blind_seeds)
+        timed("crypto.real.blind_keygen", real.blind_keygen, blind_seeds)
+        stream = rng.SeededStream(b"layers-blind-factors:%d" % run)
+        blinded = [
+            real.blind(
+                b"layers-coin:%d:%d" % (run, i),
+                real.new_blinding_factor(stream, blind_signer.public_key),
+                blind_signer.public_key,
+            )
+            for i in range(LAYER_BLIND_SIGNS)
+        ]
+        timed(
+            "crypto.real.blind_sign", lambda b: real.blind_sign(blind_signer.private_key, b),
+            blinded,
+        )
         raws = timed("utxo.encode_utxo_tx", utxo.encode_utxo_tx, log)
         held = timed("utxo.decode_utxo_tx", utxo.decode_utxo_tx, raws)
         timed("utxo.decode_utxo_tx_live", utxo.decode_utxo_tx, raws)
@@ -567,6 +597,7 @@ def main(argv=None) -> int:
         envs = [run["env"] for run in runs if "env" in run]
         doc["env"] = dict(
             envs[0] if envs else {}, platform=platform.platform(), cpu=cpu_model(),
+            gmp=gmp_version(),
             **{name: os.environ.get(name) for name in ENV_VARIABLES},
         )
     doc["all_runs_ok"] = all(run_ok(run) for run in runs) and all(
