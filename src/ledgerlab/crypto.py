@@ -17,25 +17,32 @@ and ``verify`` dispatch on the key itself and callers never branch on the
 active scheme.
 
 RSA keys come from a seeded candidate stream; a key is the first pair
-of primes in it, so a faster search must find the same ones. Trial
-division runs in stages sized to the candidate: one gcd with the product
-of the odd primes below 1 000, and for the 1 024-bit primes of a blind
-key two more, with the primes in [1 000, 10 000) and in [10 000, 2^15)
-(built on first use), as FIPS 186-4 Appendix C.3 sieves before it tests.
-A stage only drops a composite before the probable-prime test would.
-Every survivor, whatever its size, gets one test, Baillie-PSW; see
-`_is_probable_prime` for why it does not change a key.
+of primes in it, so a faster search must find the same ones. Every
+candidate gets one test, Baillie-PSW: a strong base-2 round, then a
+strong Lucas test with Selfridge's parameters. Where libgmp.so.10 loads
+(through ``ctypes``, at the first key search or wide power, never at
+import), GMP's mpz_probab_prime_p(n, 24) decides each candidate: trial
+division, then GMP's own Baillie-PSW, with the same parameters and no
+random round at 24. Elsewhere trial division runs in Python, in stages
+sized to the candidate: one gcd with the product of the odd primes below
+1 000, and for the 1 024-bit primes of a blind key two more, with the
+primes in [1 000, 10 000) and in [10 000, 2^15) (built on first use), as
+FIPS 186-4 Appendix C.3 sieves before it tests; a survivor then goes to
+`_is_probable_prime`. Both paths decide the same predicate on the same
+candidates, so both find the same primes; see `_is_probable_prime` for
+why the predicate does not change a key.
 
 An RSA private key is its two primes (``RPRV || p || q``), the CRT form
 of PKCS #1 v2.2, section 3.2; the exponent is always 65537. Every private
 operation, a signature or a blind signature, recombines its two half-size
-exponentiations by Garner's formula (section 5.1.2). Those halves and the
-strong base-2 round of key search go through `_powmod`, which hands an
-exponent of 32 bits or more to GMP's mpz_powm when libgmp.so.10 loads
-(through ``ctypes``, at the first such call, never at import) and
-everything else to CPython's ``pow``. Both compute the same integer, so
-every key and byte is the same either way, and there is nothing to set;
-a BENCH file names the GMP version that ran, or null.
+exponentiations by Garner's formula (section 5.1.2). Those halves, the
+strong base-2 round of the Python path and the e = 65537 powers of
+verification and blinding go through `_powmod`, which hands a power with
+an exponent of 32 bits or more, or a modulus of 192 bits or more, to
+GMP's mpz_powm where libgmp loads, and everything else to CPython's
+``pow``. Both compute the same integer, so every key and byte is the same
+either way, and there is nothing to set; a BENCH file names the GMP
+version that ran, or null.
 
 The blind-signature suite is the classic multiplicative construction over
 the RSA trapdoor permutation: ``blind`` multiplies the hashed message by
@@ -67,7 +74,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConfigError, DomainError, FormatError
 from .rng import SeededStream
@@ -219,21 +226,34 @@ def _decode_rsa_private(private_key: bytes) -> tuple[int, int, int, int, int, in
 # Modular exponentiation
 # ---------------------------------------------------------------------------
 
-# From this exponent width on, libgmp's mpz_powm beat CPython's pow at
-# every modulus measured (32 to 2 048 bits), ctypes call included.
+# GMP's mpz_powm beat CPython's pow, ctypes call included, at every
+# modulus measured (32 to 2 048 bits) from this exponent width on, and
+# for e = 65537 from this modulus width on.
 _GMP_MIN_EXP_BITS = 32
+_GMP_MIN_MOD_BITS = 192
+# mpz_probab_prime_p runs Baillie-PSW and then reps - 24 Miller-Rabin
+# rounds with random bases: at 24 it runs none.
+_GMP_PRIME_REPS = 24
+
+
+class _Gmp(NamedTuple):
+    """The libgmp functions `crypto` calls, each a function of ints."""
+
+    powm: Callable[[int, int, int], int]  # takes 0 <= base < mod, exp >= 0, mod >= 2
+    probab_prime: Callable[[int], bool]  # takes n >= 0, so GMP never tests |n|
 
 
 @lru_cache(maxsize=1)
-def _gmp_powm():
-    """mpz_powm of libgmp.so.10 as a function of three ints, loaded through
+def _gmp() -> _Gmp | None:
+    """mpz_powm and mpz_probab_prime_p of libgmp.so.10, loaded through
     ctypes at the first call; None where the library or a symbol is
     missing, or where its limbs are not 64-bit little-endian words.
 
-    The function takes 0 <= base < mod, exp >= 0 and mod >= 2, which
-    `_powmod` checks first: GMP divides by zero on a zero modulus. Each
-    call reads its operands through read-only views of their bytes
-    (mpz_roinit_n) and writes into an mpz of its own, so calls share
+    `_powmod` checks powm's operands first: GMP divides by zero on a zero
+    modulus. probab_prime(n) is mpz_probab_prime_p(n, 24) != 0, the
+    candidate test of key search; a negative n raises OverflowError in
+    Python. Each call reads its operands through read-only views of their
+    bytes (mpz_roinit_n) and writes into an mpz of its own, so calls share
     nothing and may run in any threads (ctypes releases the GIL).
     """
     import ctypes
@@ -241,8 +261,9 @@ def _gmp_powm():
     try:
         lib = ctypes.CDLL("libgmp.so.10")
         limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
-        init, clear, roinit, powm = (
-            getattr(lib, f"__gmpz_{name}") for name in ("init", "clear", "roinit_n", "powm")
+        init, clear, roinit, powm, probab_prime_p = (
+            getattr(lib, f"__gmpz_{name}")
+            for name in ("init", "clear", "roinit_n", "powm", "probab_prime_p")
         )
     except (OSError, AttributeError, ValueError):
         return None
@@ -257,6 +278,7 @@ def _gmp_powm():
     clear.argtypes, clear.restype = [ref], None
     roinit.argtypes, roinit.restype = [ref, ctypes.c_char_p, ctypes.c_long], ref
     powm.argtypes, powm.restype = [ref, ref, ref, ref], None
+    probab_prime_p.argtypes, probab_prime_p.restype = [ref, ctypes.c_int], ctypes.c_int
     string_at = ctypes.string_at
 
     def view(value: int) -> tuple[Mpz, bytes]:
@@ -278,17 +300,24 @@ def _gmp_powm():
         finally:
             clear(result)
 
-    return gmp_powm
+    def gmp_probab_prime(n: int) -> bool:
+        z, raw = view(n)  # raw keeps the bytes alive for the call
+        return probab_prime_p(z, _GMP_PRIME_REPS) != 0
+
+    return _Gmp(gmp_powm, gmp_probab_prime)
 
 
 def _powmod(base: int, exp: int, mod: int) -> int:
     """pow(base, exp, mod), through GMP where it loads and the exponent is
-    at least _GMP_MIN_EXP_BITS wide. Both compute the same integer, and
-    whatever GMP cannot take (mod < 2, exp < 0) stays on pow, which
-    returns or raises as it always does."""
-    if exp.bit_length() < _GMP_MIN_EXP_BITS or exp < 0 or mod < 2 or (powm := _gmp_powm()) is None:
+    at least _GMP_MIN_EXP_BITS or the modulus _GMP_MIN_MOD_BITS wide.
+    Both compute the same integer, and whatever GMP cannot take (mod < 2,
+    exp < 0) stays on pow, which returns or raises as it always does."""
+    if (
+        (exp.bit_length() < _GMP_MIN_EXP_BITS and mod.bit_length() < _GMP_MIN_MOD_BITS)
+        or exp < 0 or mod < 2 or (gmp := _gmp()) is None
+    ):
         return pow(base, exp, mod)
-    return powm(base % mod, exp, mod)
+    return gmp.powm(base % mod, exp, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +448,12 @@ def _is_probable_prime(n: int) -> bool:
     the one 24 Miller-Rabin rounds pick only where the two tests disagree
     on a composite that the stream draws: none is known to pass
     Baillie-PSW, and one passes 24 rounds with chance below 4^-24.
+
+    Where libgmp loads, key search asks mpz_probab_prime_p(n, 24) instead,
+    and this function is the oracle the tests hold it to. GMP 6.2 runs the
+    same two halves after its trial division, and its Lucas half takes
+    Selfridge's method A too: the first D of 5, -7, 9, -11, ... with
+    (D/n) = -1 (it skips 9, a square), P = 1, Q = (1 - D) / 4.
     """
     if n < 2:
         return False
@@ -428,15 +463,24 @@ def _is_probable_prime(n: int) -> bool:
     return _strong_round(n, 2, *_odd_part(n - 1)) and _is_strong_lucas_probable_prime(n)
 
 
+def _sieved_probable_prime(n: int) -> bool:
+    """Staged trial division, then `_is_probable_prime`: the candidate test
+    where GMP does not load. A stage only drops a composite before the
+    probable-prime test would, so it decides the cost and never the result."""
+    return (n <= _TRIAL_PRIMES[-1] or _survives_trial_division(n)) and _is_probable_prime(n)
+
+
 def _gen_prime(stream: SeededStream, bits: int) -> int:
-    """The first prime of the candidate stream. Trial division only drops
-    composites before the probable-prime test would, so it decides the
-    cost and never the result."""
+    """The first prime of the candidate stream: the first candidate that
+    GMP's mpz_probab_prime_p(n, 24) passes where libgmp loads, and else
+    the first that `_sieved_probable_prime` passes. Both decide
+    Baillie-PSW with Selfridge's parameters on the same candidates, so the
+    prime is the same either way."""
+    gmp = _gmp()
+    is_prime = _sieved_probable_prime if gmp is None else gmp.probab_prime
     while True:
         candidate = stream.randint_bits(bits) | 1
-        if candidate > _TRIAL_PRIMES[-1] and not _survives_trial_division(candidate):
-            continue
-        if _is_probable_prime(candidate):
+        if is_prime(candidate):
             return candidate
 
 
@@ -499,7 +543,7 @@ def _rsa_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     if len(signature) != _sig_width(n):
         return False
     sigma = int.from_bytes(signature, "big")
-    return sigma < n and pow(sigma, e, n) == _fdh(message, n)
+    return sigma < n and _powmod(sigma, e, n) == _fdh(message, n)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -573,7 +617,7 @@ class CryptoScheme(ABC):
     def blind(self, message: bytes, factor: bytes, public_key: bytes) -> bytes:
         n, e = _decode_rsa_public(public_key)
         r = _decode_factor(factor, n)
-        blinded = (_fdh(message, n) * pow(r, e, n)) % n
+        blinded = (_fdh(message, n) * _powmod(r, e, n)) % n
         return blinded.to_bytes(_sig_width(n), "big")
 
     def blind_sign(self, private_key: bytes, blinded: bytes) -> bytes:

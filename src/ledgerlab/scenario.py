@@ -30,24 +30,12 @@ scenario's own chainstate is not advanced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import growth_report, matrix_report, measure_state, render_tables_text
 from .crypto import CryptoScheme, Wallet, derive_wallet, get_scheme
-from .ecash import (
-    Coin,
-    IssuerKeys,
-    SpentList,
-    WithdrawalTranscript,
-    coin_record,
-    issuer_public_record,
-    issuer_setup,
-    redeem,
-    withdraw,
-)
 from .errors import LedgerError, ScenarioError, UnfundedError
 from .kernels import KERNEL_TABLE
-from .replica import ORDERING_RULES, RoundReport, run_round
 from .rng import SeededStream
 from .utxo import (
     UtxoId,
@@ -57,6 +45,12 @@ from .utxo import (
     split_payment,
     txid_of,
 )
+
+# `ecash` loads for an e-cash kernel and `replica` for a broadcast-round
+# action, so a run imports neither unless its document needs it.
+if TYPE_CHECKING:
+    from .ecash import Coin, IssuerKeys
+    from .replica import RoundReport
 
 SCHEMA_VERSION = 1
 # The largest count a document may set (`times`, `count`, `replicas`,
@@ -168,6 +162,12 @@ def _only_valid_for(setting: str) -> tuple:
 # settings replace these entries.
 _ELSEWHERE = {s: _only_valid_for(s) for entry in _KERNELS.values() for s in entry.settings}
 
+def _ordering_rules() -> tuple[str, ...]:
+    from .replica import ORDERING_RULES
+
+    return ORDERING_RULES
+
+
 _ACTION_FIELDS: dict[str, dict[str, tuple]] = {
     "issue": {"to": _WHO, "amount": _AMOUNT, "token": _TOKEN},
     "pay": {
@@ -189,7 +189,7 @@ _ACTION_FIELDS: dict[str, dict[str, tuple]] = {
     },
     "broadcast-round": {
         "from": _WHO, "to": _PAIR, "amount": _AMOUNT, "replicas": _COUNT,
-        "rule": (False, lambda v: v in ORDERING_RULES, "must be an ordering rule"),
+        "rule": (False, lambda v: v in _ordering_rules(), "must be an ordering rule"),
         "round_seed": _INDEX,
     },
     "withdraw": {"wallet": _WHO, "denomination": _AMOUNT, "count": _COUNT},
@@ -325,6 +325,8 @@ class _Runner:
                 scheme, issuer_seed, doc.get("allow_p2h", True)
             )
         elif self.kernel == "ecash":
+            from .ecash import SpentList, WithdrawalTranscript, issuer_setup
+
             self.bank: IssuerKeys = issuer_setup(
                 list(issuer_cfg["denominations"]), issuer_seed, scheme
             )
@@ -518,6 +520,8 @@ class _Runner:
         self._event(index, action, **details, attempts=attempts)
 
     def _do_broadcast_round(self, index: int, action: dict) -> None:
+        from .replica import run_round
+
         payer = self.wallets[action["from"]]
         targets = [self.wallets[name] for name in action["to"]]
         txs = self.ops.spends(self.state, payer, targets, action["amount"], self.scheme)
@@ -539,6 +543,8 @@ class _Runner:
         )
 
     def _do_withdraw(self, index: int, action: dict) -> None:
+        from .ecash import withdraw
+
         wallet_name = action["wallet"]
         denomination = action["denomination"]
         count = action.get("count", 1)
@@ -558,6 +564,8 @@ class _Runner:
     def _redeem(self, index: int, action: dict, times: int) -> None:
         """Redeem one of a wallet's coins `times` times, logging each outcome;
         a single redemption that is refused fails the action."""
+        from .ecash import redeem
+
         wallet_name = action["wallet"]
         stash = self.coins.get(wallet_name, [])
         if not stash:
@@ -610,6 +618,8 @@ class _Runner:
                     "rounds": [r.doc() for r in self.rounds],
                 }
             elif report == "coins":
+                from .ecash import coin_record, issuer_public_record
+
                 reports[report] = {
                     "report": "coins",
                     "issuer_public_keys": issuer_public_record(self.bank),

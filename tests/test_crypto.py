@@ -246,8 +246,12 @@ def test_real_blind_key_primes_pass_all_24_rounds(real, seed):
 
 
 def test_real_blind_key_equals_the_24_round_keygen(real, monkeypatch):
+    """With the loader forced to None, key search runs the 24 rounds in
+    place of `_is_probable_prime`; while GMP loads it would decide every
+    candidate itself and this patch would test nothing."""
     seed = REAL_BLIND_SEEDS[0]
     pair = real.blind_keygen(seed)
+    monkeypatch.setattr(crypto, "_gmp", lambda: None)
     monkeypatch.setattr(crypto, "_is_probable_prime", reference_is_probable_prime)
     assert _rsa_keygen.__wrapped__(seed, 2048) == pair  # the private key is p and q
 
@@ -720,7 +724,7 @@ def everything_the_commands_make(monkeypatch, out):
 def test_the_pow_fallback_makes_every_key_and_byte_that_gmp_does(monkeypatch, tmp_path):
     keys, printed = everything_the_commands_make(monkeypatch, tmp_path / "gmp")
     assert {bits for _, bits in keys} == {256, 2048} and len(keys) >= 34
-    monkeypatch.setattr(crypto, "_gmp_powm", lambda: None)
+    monkeypatch.setattr(crypto, "_gmp", lambda: None)
     try:
         assert everything_the_commands_make(monkeypatch, tmp_path / "pow") == (keys, printed)
     finally:

@@ -119,6 +119,31 @@ def test_toy_crypto_commands_load_no_cryptography(command, utxo_run, tmp_path):
     assert not [name for name in result["modules"] if name.partition(".")[0] == "cryptography"]
 
 
+@pytest.mark.parametrize(
+    "scenario, loaded, absent",
+    [
+        ("utxo_basic.json", (), ("ecash", "replica")),
+        ("account_nonce.json", (), ("ecash", "replica")),
+        ("replica_round.json", ("replica",), ("ecash",)),
+        ("ecash_basic.json", ("ecash",), ("replica",)),
+    ],
+)
+def test_run_loads_ecash_and_replica_only_when_the_document_needs_them(
+    scenario, loaded, absent, tmp_path
+):
+    """`ecash` loads for an e-cash kernel, and `replica` for a
+    broadcast-round action, whose rule check needs it too."""
+    path = resources.files("ledgerlab") / "scenarios" / scenario
+    result = child_modules(CHILD, "run", str(path), "--out", str(tmp_path))
+    assert result["code"] == 0
+    modules = ledgerlab_modules(result["modules"])
+    assert "ledgerlab.scenario" in modules
+    for name in loaded:
+        assert f"ledgerlab.{name}" in modules
+    for name in absent:
+        assert f"ledgerlab.{name}" not in modules
+
+
 def test_every_export_is_its_submodule_binding():
     assert sorted(ledgerlab.__all__) == sorted(
         name for names in ledgerlab._EXPORTS.values() for name in names

@@ -1,5 +1,10 @@
-"""The modular exponentiation seam, `crypto._powmod`: the same integer as
-`pow` on every operand, GMP on the wide exponents where libgmp loads.
+"""The libgmp binding, `crypto._gmp`, and what goes through it.
+
+The modular exponentiation seam, `crypto._powmod`, returns the same
+integer as `pow` on every operand, and GMP computes the wide powers where
+libgmp loads. Key search's candidate test, mpz_probab_prime_p, answers as
+the Python oracle `crypto._is_probable_prime` does, and every candidate
+reaches it.
 
 This module generates no key at import, so a binding that computes wrong
 integers fails its tests here instead of hanging a key search.
@@ -7,6 +12,8 @@ integers fails its tests here instead of hanging a key search.
 
 import ctypes
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -18,13 +25,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ledgerlab import crypto
-from ledgerlab.crypto import _RSA_EXPONENT, _TAG_RSA_PRV, _fdh, _pack_ints
+from ledgerlab.crypto import _RSA_EXPONENT, _TAG_RSA_PRV, _TAG_RSA_PUB, _fdh, _pack_ints
 from ledgerlab.rng import SeededStream
 
 
 def gmp_matches_the_binding():
     """Whether libgmp.so.10 loads here with the 64-bit little-endian limbs
-    that `_gmp_powm` reads, checked without it."""
+    that `_gmp` reads, checked without it."""
     try:
         lib = ctypes.CDLL("libgmp.so.10")
         limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
@@ -61,16 +68,20 @@ EDGE_CHILD = (
 )
 
 
-def test_powmod_returns_or_raises_what_pow_does_on_edge_operands():
-    env = {
+def child_env():
+    """This environment, with the package under test first on PYTHONPATH."""
+    return {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(
             filter(None, [str(Path(crypto.__file__).parents[1]), os.environ.get("PYTHONPATH")])
         ),
     }
+
+
+def test_powmod_returns_or_raises_what_pow_does_on_edge_operands():
     done = subprocess.run(
         [sys.executable, "-c", EDGE_CHILD], input=json.dumps(EDGE_CASES),
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert done.returncode == 0, (done.returncode, done.stderr)
     outcomes = json.loads(done.stdout)
@@ -100,28 +111,36 @@ def test_powmod_equals_pow(base, negative, exp, mod):
 
 @needs_gmp
 def test_wide_exponents_go_through_gmp_and_narrow_ones_do_not(monkeypatch):
-    """The strong base-2 round of key search and both CRT halves of a
-    signature reach mpz_powm, each with an exponent of at least
-    _GMP_MIN_EXP_BITS bits, and sign as pow(m, d, n) does; a narrower
-    exponent stays on pow."""
-    powm = crypto._gmp_powm()
-    assert powm is not None
+    """A power reaches mpz_powm when its exponent has at least
+    _GMP_MIN_EXP_BITS bits or its modulus at least _GMP_MIN_MOD_BITS. So
+    the strong base-2 round and both CRT halves of a signature reach it
+    and sign as pow(m, d, n) does, and so does e = 65537 on the 216-bit
+    modulus of that signature's key; a narrow exponent on a narrow
+    modulus stays on pow."""
+    gmp = crypto._gmp()
+    assert gmp is not None
     widths = []
 
     def counting(base, exp, mod):
-        widths.append(exp.bit_length())
-        return powm(base, exp, mod)
+        widths.append((exp.bit_length(), mod.bit_length()))
+        return gmp.powm(base, exp, mod)
 
-    monkeypatch.setattr(crypto, "_gmp_powm", lambda: counting)
+    monkeypatch.setattr(crypto, "_gmp", lambda: gmp._replace(powm=counting))
     p, q = (1 << 127) - 1, (1 << 89) - 1  # Mersenne primes
     assert crypto._is_probable_prime(p) and crypto._is_probable_prime(q)
     assert len(widths) == 2
     signature = crypto.get_scheme("toy").sign(_pack_ints(_TAG_RSA_PRV, (p, q)), b"gmp-path")
-    assert len(widths) == 4 and min(widths) >= crypto._GMP_MIN_EXP_BITS
+    assert len(widths) == 4 and min(exp for exp, _ in widths) >= crypto._GMP_MIN_EXP_BITS
     narrow = (1 << crypto._GMP_MIN_EXP_BITS - 1) - 1
-    assert crypto._powmod(7, narrow, p) == pow(7, narrow, p)
+    below = (1 << crypto._GMP_MIN_MOD_BITS - 1) - 1
+    for mod in (p, below):
+        assert crypto._powmod(7, narrow, mod) == pow(7, narrow, mod)
     assert len(widths) == 4
     n, d = p * q, pow(_RSA_EXPONENT, -1, (p - 1) * (q - 1))
+    assert n.bit_length() == 216 >= crypto._GMP_MIN_MOD_BITS
+    public = _pack_ints(_TAG_RSA_PUB, (n, _RSA_EXPONENT))
+    assert crypto._rsa_verify.__wrapped__(public, b"gmp-path", signature)
+    assert widths[4:] == [(_RSA_EXPONENT.bit_length(), 216)]
     assert int.from_bytes(signature, "big") == pow(_fdh(b"gmp-path", n), d, n)
 
 
@@ -158,3 +177,138 @@ def test_powmod_from_eight_threads_at_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
+
+
+# ---------------------------------------------------------------------------
+# Key search's candidate test
+# ---------------------------------------------------------------------------
+
+CARMICHAEL_NUMBERS = [561, 1105, 1729, 41041, 825265, 1050985, 1152271, 1193221, 321197185]
+# Primes above 2^15, so that no trial division on either side finds them
+# as factors of a product.
+LARGE_PRIMES = [32771, 65537, 2147483647, (1 << 61) - 1]
+MERSENNE_PRIMES = [(1 << 521) - 1, (1 << 1279) - 1]
+
+
+def chernick_carmichael(k):
+    """(6k + 1)(12k + 1)(18k + 1), a Carmichael number when all three are prime."""
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+def gmp_test_equals_the_oracle(n):
+    assert crypto._gmp().probab_prime(n) == crypto._is_probable_prime(n), n
+
+
+def next_probable_prime(n):
+    """The first probable prime from n on, within 20 000 odd numbers (no
+    prime gap that long is known at these sizes), so that a broken power
+    fails the test instead of hanging it."""
+    for candidate in range(n | 1, n + 40_000, 2):
+        if crypto._is_probable_prime(candidate):
+            return candidate
+    raise AssertionError(f"no probable prime among 20 000 odd numbers from {n}")
+
+
+# Random odd numbers are almost all composite with a small factor, so the
+# property also draws primes and products of two primes.
+PRIMES = of_width(512, minimum=3).map(next_probable_prime)
+CANDIDATES = st.one_of(
+    of_width(2100).map(lambda n: n | 1), PRIMES, st.builds(operator.mul, PRIMES, PRIMES)
+)
+
+
+@needs_gmp
+@given(n=CANDIDATES)
+@example(n=1093 ** 2)  # a strong base-2 pseudoprime above GMP's small-number path
+@example(n=3511 ** 2)
+@example(n=5459)  # strong Lucas pseudoprimes
+@example(n=5777)
+@example(n=3215031751)  # a strong pseudoprime to bases 2, 3, 5 and 7
+@example(n=3825123056546413051)  # strong base-2 pseudoprimes with no factor below 2^15
+@example(n=318665857834031151167461)
+@example(n=chernick_carmichael(1_000_005))
+@example(n=MERSENNE_PRIMES[0])
+@example(n=MERSENNE_PRIMES[1])
+@example(n=MERSENNE_PRIMES[0] * MERSENNE_PRIMES[1])
+def test_the_gmp_candidate_test_equals_the_python_oracle(n):
+    gmp_test_equals_the_oracle(n)
+
+
+@needs_gmp
+def test_the_gmp_candidate_test_equals_the_oracle_on_pseudoprimes():
+    """Every strong base-2 pseudoprime below 2 * 10^6, found by brute
+    force; Carmichael numbers; and p * q and p^2 for primes above 2^15,
+    where each side's Lucas half has no small factor to stop at."""
+    limit = 2 * 10**6
+    composite = bytearray(limit)
+    for i in range(3, math.isqrt(limit) + 1, 2):
+        if not composite[i]:
+            composite[i * i :: 2 * i] = b"\1" * len(range(i * i, limit, 2 * i))
+    pseudoprimes = [
+        n for n in range(9, limit, 2)
+        if composite[n] and crypto._strong_round(n, 2, *crypto._odd_part(n - 1))
+    ]
+    assert pseudoprimes[:3] == [2047, 3277, 4033] and 1093 ** 2 in pseudoprimes
+    assert any(n > 10**6 for n in pseudoprimes)
+    chernick = [
+        chernick_carmichael(k) for k in range(1, 2000)
+        if all(crypto._is_probable_prime(m * k + 1) for m in (6, 12, 18))
+    ]
+    products = [p * q for p in LARGE_PRIMES for q in LARGE_PRIMES]
+    for n in pseudoprimes + CARMICHAEL_NUMBERS + chernick + products:
+        assert not crypto._is_probable_prime(n), n
+        gmp_test_equals_the_oracle(n)
+    for n in LARGE_PRIMES:
+        assert crypto._gmp().probab_prime(n) and crypto._is_probable_prime(n)
+
+
+EDGE_PRIME_CHILD = (
+    "import json\n"
+    "from ledgerlab import crypto\n"
+    "def outcome(n):\n"
+    "    try:\n"
+    "        return crypto._gmp().probab_prime(n)\n"
+    "    except Exception as exc:\n"
+    "        return type(exc).__name__\n"
+    "print(json.dumps({n: [outcome(n), crypto._is_probable_prime(n)] for n in range(-7, 5)}))\n"
+)
+
+
+@needs_gmp
+def test_the_gmp_candidate_test_on_edge_operands():
+    """0 to 4 answer as the oracle does, and a negative n raises before
+    any native call, since GMP would test |n| (-7 would pass). Run in a
+    child, as the powmod edge test is."""
+    done = subprocess.run(
+        [sys.executable, "-c", EDGE_PRIME_CHILD],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    outcomes = {int(n): pair for n, pair in json.loads(done.stdout).items()}
+    for n in range(5):
+        assert outcomes[n][0] == outcomes[n][1] == (n in (2, 3)), n
+    for n in range(-7, 0):
+        assert outcomes[n] == ["OverflowError", False], n
+
+
+@needs_gmp
+@pytest.mark.parametrize("bits", [16, 128, 1024])
+def test_every_candidate_of_a_key_search_reaches_gmp(monkeypatch, bits):
+    """While GMP loads, `_gen_prime` hands each candidate its stream draws
+    to mpz_probab_prime_p, in order, with no Python test in front, and
+    returns the first one GMP passes."""
+    gmp = crypto._gmp()
+    seen = []
+
+    def counting(n):
+        seen.append(n)
+        assert len(seen) <= 10_000, "no prime among 10 000 candidates"  # not a hang
+        return gmp.probab_prime(n)
+
+    monkeypatch.setattr(crypto, "_gmp", lambda: gmp._replace(probab_prime=counting))
+    label = b"every-candidate-%d" % bits
+    prime = crypto._gen_prime(SeededStream(label), bits)
+    stream = SeededStream(label)
+    assert seen == [stream.randint_bits(bits) | 1 for _ in seen]
+    assert seen[-1] == prime and crypto._is_probable_prime(prime)
+    assert len(seen) > 1 and min(seen) >= 2
