@@ -162,7 +162,9 @@ def _only_valid_for(setting: str) -> tuple:
 # settings replace these entries.
 _ELSEWHERE = {s: _only_valid_for(s) for entry in _KERNELS.values() for s in entry.settings}
 
+
 def _ordering_rules() -> tuple[str, ...]:
+    """The replica harness's rules, loaded when a document names one."""
     from .replica import ORDERING_RULES
 
     return ORDERING_RULES

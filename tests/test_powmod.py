@@ -190,6 +190,18 @@ LARGE_PRIMES = [32771, 65537, 2147483647, (1 << 61) - 1]
 MERSENNE_PRIMES = [(1 << 521) - 1, (1 << 1279) - 1]
 
 
+def is_carmichael(n):
+    """Korselt's criterion: n is composite and squarefree, and p - 1
+    divides n - 1 for every prime p dividing it."""
+    factors, rest = [], n
+    for p in range(2, math.isqrt(n) + 1):
+        while rest % p == 0:
+            factors.append(p)
+            rest //= p
+    factors += [rest] if rest > 1 else []
+    return len(set(factors)) == len(factors) > 1 and all((n - 1) % (p - 1) == 0 for p in factors)
+
+
 def chernick_carmichael(k):
     """(6k + 1)(12k + 1)(18k + 1), a Carmichael number when all three are prime."""
     return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
@@ -254,12 +266,76 @@ def test_the_gmp_candidate_test_equals_the_oracle_on_pseudoprimes():
         chernick_carmichael(k) for k in range(1, 2000)
         if all(crypto._is_probable_prime(m * k + 1) for m in (6, 12, 18))
     ]
+    assert all(map(is_carmichael, CARMICHAEL_NUMBERS + chernick[:5]))
     products = [p * q for p in LARGE_PRIMES for q in LARGE_PRIMES]
     for n in pseudoprimes + CARMICHAEL_NUMBERS + chernick + products:
         assert not crypto._is_probable_prime(n), n
         gmp_test_equals_the_oracle(n)
     for n in LARGE_PRIMES:
         assert crypto._gmp().probab_prime(n) and crypto._is_probable_prime(n)
+
+
+def gmp_exports_its_lucas_half():
+    """Whether libgmp exports mpz_stronglucas, the strong Lucas half of its
+    Baillie-PSW test (an internal function, exported as __gmpz_stronglucas)."""
+    return gmp_matches_the_binding() and hasattr(ctypes.CDLL("libgmp.so.10"), "__gmpz_stronglucas")
+
+
+# Prints, for each n read from stdin, whether GMP's own strong Lucas half
+# passes it. Run in a child: the function is internal to GMP, and its
+# scratch operands are sized here with room to spare.
+LUCAS_CHILD = (
+    "import ctypes, json, sys\n"
+    "lib = ctypes.CDLL('libgmp.so.10')\n"
+    "class Mpz(ctypes.Structure):\n"
+    "    _fields_ = [('alloc', ctypes.c_int), ('size', ctypes.c_int), ('limbs', ctypes.c_void_p)]\n"
+    "ref = ctypes.POINTER(Mpz)\n"
+    "init2, set_str, clear, lucas = (lib.__gmpz_init2, lib.__gmpz_set_str,\n"
+    "                                lib.__gmpz_clear, lib.__gmpz_stronglucas)\n"
+    "init2.argtypes, init2.restype = [ref, ctypes.c_ulong], None\n"
+    "set_str.argtypes, set_str.restype = [ref, ctypes.c_char_p, ctypes.c_int], ctypes.c_int\n"
+    "clear.argtypes, clear.restype = [ref], None\n"
+    "lucas.argtypes, lucas.restype = [ref, ref, ref], ctypes.c_int\n"
+    "def passes(n):\n"
+    "    mpzs = [Mpz() for _ in range(3)]\n"
+    "    for z in mpzs:\n"
+    "        init2(z, 256 * (n.bit_length() // 64 + 2))\n"
+    "    assert set_str(mpzs[0], b'%x' % n, 16) == 0\n"
+    "    try:\n"
+    "        return lucas(*mpzs) != 0\n"
+    "    finally:\n"
+    "        for z in mpzs:\n"
+    "            clear(z)\n"
+    "print(json.dumps([passes(n) for n in json.loads(sys.stdin.read())]))\n"
+)
+
+
+@pytest.mark.skipif(
+    not gmp_exports_its_lucas_half(), reason="libgmp.so.10 does not export __gmpz_stronglucas"
+)
+def test_gmp_takes_its_lucas_parameters_by_selfridges_method_a():
+    """GMP's strong Lucas half passes exactly what the Python one does, on
+    every odd n below 10^5 with no factor below 50 (among them the strong
+    Lucas pseudoprimes of Selfridge's method A: other parameters have other
+    pseudoprimes), on primes and on random odd numbers up to 2 048 bits. So
+    both halves of mpz_probab_prime_p are the ones `_is_probable_prime`
+    runs, and key search picks the same primes on either path."""
+    small = [n for n in range(51, 10**5, 2) if all(n % p for p in range(3, 50, 2))]
+    stream = SeededStream("gmp-lucas")
+    wide = [stream.randint_bits(bits) | 1 for bits in (64, 65, 128, 1024, 2048) for _ in range(40)]
+    wide = [n for n in wide if all(n % p for p in range(3, 50, 2))]
+    numbers = small + wide + LARGE_PRIMES + MERSENNE_PRIMES
+    done = subprocess.run(
+        [sys.executable, "-c", LUCAS_CHILD], input=json.dumps(numbers),
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    by_gmp = json.loads(done.stdout)
+    assert len(by_gmp) == len(numbers)
+    for n, passed in zip(numbers, by_gmp):
+        assert passed == crypto._is_strong_lucas_probable_prime(n), n
+    pseudoprimes = [n for n, passed in zip(small, by_gmp) if passed and not crypto._is_probable_prime(n)]
+    assert pseudoprimes[:5] == [5459, 5777, 10877, 16109, 18971]
 
 
 EDGE_PRIME_CHILD = (
