@@ -42,6 +42,7 @@ from .crypto import (
 )
 from .encoding import u8, u64, varbytes
 from .errors import AuthError, FormatError, FundsError, ReplayError
+from .kernels import Kernel, StateMetrics
 
 AccountMode = Literal["naive", "nonce-protected"]
 
@@ -233,3 +234,47 @@ def account_from_snapshot(doc: dict) -> AccountState:
         if key not in balances:
             raise FormatError(f"nonce entry {key!r} has no balance entry")
     return AccountState(balances=dict(balances), nonces=dict(nonces))
+
+
+# ---------------------------------------------------------------------------
+# The kernel table's entry (see ledgerlab.kernels)
+# ---------------------------------------------------------------------------
+
+
+class AccountKernel(Kernel):
+    state_type = AccountState
+    columns = ("address", "balance", "nonce")
+
+    def mint(self, state, to, amount, token, issuer, scheme):
+        return account_mint(state, to.address, amount)
+
+    def transfer(self, state, payer, payee, amount, mode, scheme, nonce=None):
+        """Under nonce protection the nonce defaults to the one the
+        payer's account expects next."""
+        if nonce is None and mode == "nonce-protected":
+            nonce = state.nonce(payer.address)
+        return make_account_tx(scheme, payer, payee.address, amount, nonce=nonce)
+
+    def apply(self, state, entry, mode, scheme):
+        return account_apply(state, entry, mode, scheme)
+
+    def describe(self, entry) -> dict:
+        return {"txid": account_txid(entry).hex()}
+
+    def snapshot(self, state) -> dict:
+        return account_snapshot(state)
+
+    def decode(self, doc: dict):
+        return account_from_snapshot(doc)
+
+    def rows(self, state) -> list[tuple[str, str, str]]:
+        return [
+            (address, str(balance), str(state.nonce(address)))
+            for address, balance in sorted(state.balances.items())
+        ]
+
+    def metrics(self, state) -> StateMetrics:
+        return StateMetrics("account", len(state.balances))
+
+
+KERNEL = AccountKernel()

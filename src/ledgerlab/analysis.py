@@ -25,26 +25,19 @@ seed; safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
-from .accounts import AccountState
 from .crypto import CryptoScheme, derive_wallet
 from .errors import ConfigError, FormatError, NotFoundError
-from .kernels import KERNEL_TABLE, render_rows
+from .kernels import KERNEL_TABLE, StateMetrics, render_rows
 from .rng import SeededStream
-from .tokens import TokenRegistry
-from .utxo import (
-    REASON_DUPLICATE_TXID,
-    Chainstate,
-    LogEntry,
-    UtxoId,
-    UtxoTx,
-    ValidationReport,
-    _advance,
-    _unjournaled_genesis,
-    txid_of,
-    utxo_validate,
-)
+
+# A kernel module loads when a report first uses it: through the kernel
+# table, or, for the UTXO log and lineage tools, by a function-level import.
+if TYPE_CHECKING:
+    from .accounts import AccountState
+    from .tokens import TokenRegistry
+    from .utxo import Chainstate, LogEntry, UtxoId, UtxoTx, ValidationReport
 
 # ---------------------------------------------------------------------------
 # Lineage
@@ -88,6 +81,8 @@ class LineageChain:
 
 
 def _index_by_txid(txs: Sequence[UtxoTx]) -> dict[bytes, tuple[int, UtxoTx]]:
+    from .utxo import txid_of
+
     return {txid_of(tx): (position, tx) for position, tx in enumerate(txs)}
 
 
@@ -176,6 +171,10 @@ def audit_replay(
     ones flagged. A row recorded under an id an earlier row recorded is
     flagged `duplicate-txid`, whichever of the two rows was tampered with.
     """
+    from .utxo import (
+        REASON_DUPLICATE_TXID, _advance, _unjournaled_genesis, txid_of, utxo_validate,
+    )
+
     audits: list[StepAudit] = []
     shadow = _unjournaled_genesis(issuer_public_key, allow_p2h)
     seen: set[bytes] = set()
@@ -291,30 +290,17 @@ def audit_trace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateMetrics:
-    kernel: Literal["account", "token", "utxo"]
-    entry_count: int
-    log_length: int | None = None
-
-    def doc(self) -> dict:
-        out = {"kernel": self.kernel, "entry_count": self.entry_count}
-        if self.log_length is not None:
-            out["log_length"] = self.log_length
-        return out
-
-
 def measure_state(state: AccountState | TokenRegistry | Chainstate) -> StateMetrics:
     """Exact size of a ledger state.
 
     Accounts count holders; token registries count objects ever issued;
     chainstates report both the active set and the log length, because
-    "the state" is genuinely two different sizes there.
+    "the state" is genuinely two different sizes there. The kernel
+    entry whose state type matches does the counting.
     """
-    for name, kernel in KERNEL_TABLE.items():
+    for kernel in KERNEL_TABLE.values():
         if isinstance(state, kernel.state_type):
-            entry_count, log_length = kernel.size(state)
-            return StateMetrics(kernel=name, entry_count=entry_count, log_length=log_length)
+            return kernel.metrics(state)
     raise ConfigError(f"no metrics for {type(state).__name__}")
 
 
@@ -479,8 +465,8 @@ def run_fraud_scenario(
             outcome, evidence = OUTCOME_SUCCEEDED, {"second_spend": "accepted"}
         elif name == "utxo":
             outcome, evidence = OUTCOME_PREVENTED, {
-                "accepted_txid": txid_of(first).hex(),
-                "rejected_txid": txid_of(second).hex(),
+                "accepted_txid": ops.describe(first)["txid"],
+                "rejected_txid": ops.describe(second)["txid"],
                 "rejection_reasons": refused.get("reasons", []),
             }
         elif name == "token":
@@ -529,7 +515,7 @@ def run_fraud_scenario(
             )
         }
         if name == "utxo":
-            evidence["replayed_txid"] = txid_of(tx).hex()
+            evidence["replayed_txid"] = ops.describe(tx)["txid"]
             evidence["rejection_reasons"] = refusals[0].get("reasons", [])
         else:
             evidence["failure"] = refusals[0]["error"]
@@ -593,6 +579,8 @@ def traceability_report(
         return ops.apply(state, tx, "naive", scheme)
 
     if kernel == "utxo":
+        from .utxo import UtxoId, txid_of
+
         state = ops.mint(genesis, a, 10, None, issuer, scheme)
         state = pay(pay(state, a, b, 4), b, c, 1)
         leaf = UtxoId(txid=txid_of(state.log[-1]), index=0)

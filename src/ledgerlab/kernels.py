@@ -3,34 +3,55 @@ matrix, the scenario runner and the CLI.
 
 An entry holds what those callers would otherwise branch on the kernel
 for: a fresh state, mint, build a transfer, apply, snapshot, the strict
-snapshot decoder, and one step per attack the paper compares kernels by
-(a double spend and a replay). A step returns the successor state and
-its attempts. An attempt applies an entry and describes a refusal
-instead of raising it: ``{"accepted": True}``, ``{"accepted": False,
-"reasons": [...]}`` with a UTXO rejection's reason codes, or
-``{"accepted": False, "error": "..."}`` for any other refusal.
+snapshot decoder, its size metrics, and one step per attack the paper
+compares kernels by (a double spend and a replay). A step returns the
+successor state and its attempts. An attempt applies an entry and
+describes a refusal instead of raising it: ``{"accepted": True}``,
+``{"accepted": False, "reasons": [...]}`` with a UTXO rejection's reason
+codes, or ``{"accepted": False, "error": "..."}`` for any other refusal.
 
 An entry is an AccountTx, a (payer, payee, token id) transfer, or a
 UtxoTx. A transfer's stake is a token id on the token kernel and an
 amount elsewhere. A kernel ignores the arguments it has no use for: the
 account mode, the token id, the issuer.
 
+This module holds the base class; each entry lives in its kernel's own
+module as ``KERNEL`` (``accounts.AccountKernel``, ``tokens.TokenKernel``,
+``utxo.UtxoKernel``). ``KERNEL_TABLE`` maps kernel names to entries
+read-only: iterating its names or testing one loads nothing, and looking
+an entry up imports that kernel's module, so a command loads only the
+kernels it uses.
+
 ``render_rows`` lays out an entry's ``columns`` over its ``rows`` as the
 plain-text table ``inspect`` prints; the property matrix reuses it.
 
-Kernel functions are called through their modules at call time, so a
-wrapper installed over a module's name (as bench/tracer.py does) sees
-every call made through the table.
+An entry calls its kernel's functions through its own module's globals
+at call time, so a wrapper installed over a module's name (as
+bench/tracer.py does) sees every call made through the table.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass
+from importlib import import_module
+from typing import Iterator, Literal, Sequence
 
-from . import accounts, tokens, utxo
 from .encoding import canonical_json
-from .errors import LedgerError, TxRejected, UnfundedError
-from .scripts import script_to_text
+from .errors import LedgerError, TxRejected
+
+
+@dataclass(frozen=True)
+class StateMetrics:
+    kernel: Literal["account", "token", "utxo"]
+    entry_count: int
+    log_length: int | None = None
+
+    def doc(self) -> dict:
+        out = {"kernel": self.kernel, "entry_count": self.entry_count}
+        if self.log_length is not None:
+            out["log_length"] = self.log_length
+        return out
 
 
 class Kernel:
@@ -78,162 +99,27 @@ class Kernel:
         return canonical_json(self.snapshot(state))
 
 
-class AccountKernel(Kernel):
-    state_type = accounts.AccountState
-    columns = ("address", "balance", "nonce")
-
-    def mint(self, state, to, amount, token, issuer, scheme):
-        return accounts.account_mint(state, to.address, amount)
-
-    def transfer(self, state, payer, payee, amount, mode, scheme, nonce=None):
-        """Under nonce protection the nonce defaults to the one the
-        payer's account expects next."""
-        if nonce is None and mode == "nonce-protected":
-            nonce = state.nonce(payer.address)
-        return accounts.make_account_tx(scheme, payer, payee.address, amount, nonce=nonce)
-
-    def apply(self, state, entry, mode, scheme):
-        return accounts.account_apply(state, entry, mode, scheme)
-
-    def describe(self, entry) -> dict:
-        return {"txid": accounts.account_txid(entry).hex()}
-
-    def snapshot(self, state) -> dict:
-        return accounts.account_snapshot(state)
-
-    def decode(self, doc: dict):
-        return accounts.account_from_snapshot(doc)
-
-    def rows(self, state) -> list[tuple[str, str, str]]:
-        return [
-            (address, str(balance), str(state.nonce(address)))
-            for address, balance in sorted(state.balances.items())
-        ]
-
-    def size(self, state) -> tuple[int, int | None]:
-        return len(state.balances), None
+# Kernel name -> the module whose `KERNEL` is its entry, in matrix order.
+_MODULES = {"account": ".accounts", "token": ".tokens", "utxo": ".utxo"}
 
 
-class TokenKernel(Kernel):
-    state_type = tokens.TokenRegistry
-    columns = ("token", "value", "owner")
+class _KernelTable(Mapping):
+    """Kernel names to entries; a lookup imports the entry's module."""
 
-    def mint(self, state, to, amount, token, issuer, scheme):
-        return tokens.token_issue(state, token, amount, to.address)
+    def __getitem__(self, name: str) -> Kernel:
+        return import_module(_MODULES[name], __package__).KERNEL
 
-    def transfer(self, state, payer, payee, token, mode, scheme, nonce=None):
-        return (payer.address, payee.address, token)
+    def __contains__(self, name: object) -> bool:
+        return name in _MODULES
 
-    def apply(self, state, entry, mode, scheme):
-        return tokens.token_transfer(state, *entry)
+    def __iter__(self) -> Iterator[str]:
+        return iter(_MODULES)
 
-    def describe(self, entry) -> dict:
-        return {"token": entry[2]}
-
-    def snapshot(self, state) -> dict:
-        return tokens.token_snapshot(state)
-
-    def decode(self, doc: dict):
-        return tokens.token_from_snapshot(doc)
-
-    def rows(self, registry) -> list[tuple[str, str, str]]:
-        return [
-            (token, str(entry.value), entry.owner)
-            for token, entry in sorted(registry.objects.items())
-        ]
-
-    def size(self, state) -> tuple[int, int | None]:
-        return len(state.objects), None
+    def __len__(self) -> int:
+        return len(_MODULES)
 
 
-class UtxoKernel(Kernel):
-    state_type = utxo.Chainstate
-    columns = ("outpoint", "value", "locking")
-
-    def genesis(self, scheme, issuer_seed, allow_p2h=True):
-        issuer = scheme.keygen(issuer_seed)
-        return utxo.Chainstate.genesis(issuer.public_key, allow_p2h=allow_p2h), issuer
-
-    def mint(self, state, to, amount, token, issuer, scheme):
-        return utxo.coinbase_issue(state, [(amount, utxo.lock_to_wallet(to))], issuer, scheme)
-
-    def holdings(self, state, wallet) -> list[tuple[utxo.UtxoId, int]]:
-        """The wallet's active outpoints, deterministically ordered."""
-        lock = utxo.lock_to_wallet(wallet)
-        found = [
-            (outpoint, entry.value)
-            for outpoint, entry in state.active.items()
-            if entry.locking == lock
-        ]
-        found.sort(key=lambda item: item[0].render())
-        return found
-
-    def spends(self, state, payer, targets, amount, scheme) -> list[utxo.UtxoTx]:
-        """Greedy funding from the payer's holdings, then one spend of it
-        per target: the amount to the target first, any change to the
-        payer second. Raises UnfundedError if the holdings fall short."""
-        funding, total = [], 0
-        for outpoint, value in self.holdings(state, payer):
-            funding.append(outpoint)
-            total += value
-            if total >= amount:
-                break
-        else:
-            raise UnfundedError(f"{payer.address} holds {total}, cannot fund {amount}")
-        change = []
-        if total > amount:
-            change.append(utxo.TxOutput(total - amount, utxo.lock_to_wallet(payer)))
-        return [
-            utxo.make_spend(
-                scheme,
-                state,
-                funding,
-                [utxo.TxOutput(amount, utxo.lock_to_wallet(target)), *change],
-                signer=payer,
-            )
-            for target in targets
-        ]
-
-    def transfer(self, state, payer, payee, amount, mode, scheme, nonce=None):
-        return self.spends(state, payer, [payee], amount, scheme)[0]
-
-    def apply(self, state, entry, mode, scheme):
-        return utxo.utxo_apply(state, entry, scheme)
-
-    def double_spend(self, state, payer, targets, amount, mode, scheme):
-        """As Kernel.double_spend, but every spend is built against the
-        same state, from the same funding, before any is attempted."""
-        attempts = []
-        for tx in self.spends(state, payer, targets, amount, scheme):
-            state, outcome = self.attempt(state, tx, mode, scheme)
-            attempts.append((tx, outcome))
-        return state, attempts
-
-    def describe(self, entry) -> dict:
-        return {"txid": utxo.txid_of(entry).hex()}
-
-    def snapshot(self, state) -> dict:
-        return utxo.chainstate_snapshot(state)
-
-    def decode(self, doc: dict):
-        """The active set alone: a snapshot carries no log."""
-        return utxo.active_from_snapshot(doc)
-
-    def rows(self, active) -> list[tuple[str, str, str]]:
-        return sorted(
-            (outpoint.render(), str(entry.value), script_to_text(entry.locking))
-            for outpoint, entry in active.items()
-        )
-
-    def size(self, state) -> tuple[int, int | None]:
-        return len(state.active), len(state.log)
-
-
-KERNEL_TABLE: dict[str, Kernel] = {
-    "account": AccountKernel(),
-    "token": TokenKernel(),
-    "utxo": UtxoKernel(),
-}
+KERNEL_TABLE: Mapping[str, Kernel] = _KernelTable()
 
 
 def render_rows(header: tuple[str, ...], rows: Sequence[tuple[str, ...]]) -> str:

@@ -32,22 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .analysis import growth_report, matrix_report, measure_state, render_tables_text
 from .crypto import CryptoScheme, Wallet, derive_wallet, get_scheme
 from .errors import LedgerError, ScenarioError, UnfundedError
 from .kernels import KERNEL_TABLE
 from .rng import SeededStream
-from .utxo import (
-    UtxoId,
-    export_log,
-    lock_to_wallet,
-    merge_payment,
-    split_payment,
-    txid_of,
-)
 
-# `ecash` loads for an e-cash kernel and `replica` for a broadcast-round
-# action, so a run imports neither unless its document needs it.
+# A run imports what its document needs when it needs it: its kernel's
+# module through the kernel table, `utxo` for the UTXO-only actions and
+# the `log` report, `ecash` for an e-cash kernel, `replica` for a
+# broadcast-round action, and `analysis` for the `matrix`, `tables` and
+# `growth` reports.
 if TYPE_CHECKING:
     from .ecash import Coin, IssuerKeys
     from .replica import RoundReport
@@ -417,6 +411,8 @@ class _Runner:
         self._event(index, action, **details)
 
     def _do_split(self, index: int, action: dict) -> None:
+        from .utxo import UtxoId, lock_to_wallet, split_payment, txid_of
+
         payer = self.wallets[action["from"]]
         payee = self.wallets[action["to"]]
         amount = action["amount"]
@@ -444,6 +440,8 @@ class _Runner:
         )
 
     def _do_merge(self, index: int, action: dict) -> None:
+        from .utxo import UtxoId, lock_to_wallet, merge_payment, txid_of
+
         payer = self.wallets[action["from"]]
         payee = self.wallets[action["to"]] if "to" in action else payer
         if "outpoints" in action:
@@ -523,6 +521,7 @@ class _Runner:
 
     def _do_broadcast_round(self, index: int, action: dict) -> None:
         from .replica import run_round
+        from .utxo import txid_of
 
         payer = self.wallets[action["from"]]
         targets = [self.wallets[name] for name in action["to"]]
@@ -602,10 +601,14 @@ class _Runner:
             if report == "state":
                 reports[report] = self.ops.snapshot(self.state)
             elif report == "metrics":
-                reports[report] = measure_state(self.state).doc()
+                reports[report] = self.ops.metrics(self.state).doc()
             elif report == "log":
+                from .utxo import export_log
+
                 reports[report] = export_log(self.state)
             elif report == "growth":
+                from .analysis import growth_report
+
                 growth = self.doc.get("growth", {})
                 reports[report] = growth_report(
                     growth.get("payments", 30),
@@ -641,6 +644,8 @@ class _Runner:
                     "transcript_disjoint_from_coins": self._transcript_disjoint(),
                 }
             elif report in ("matrix", "tables"):
+                from .analysis import matrix_report, render_tables_text
+
                 if matrix is None:
                     matrix = matrix_report(self.seed, self.scheme)
                 reports[report] = matrix if report == "matrix" else render_tables_text(matrix)

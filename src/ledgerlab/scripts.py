@@ -22,6 +22,9 @@ top item is all zero bytes; anything else is TRUE.
 The unlocking script must be push-only, which precludes preparing the
 stack with computed values a later locking script was never meant to see.
 
+`write_script` and `read_script` are the wire codec of the scripts a
+UTXO transaction's bytes embed; the reader is strict.
+
 Everything in this module is pure and immutable; it is safe for
 unrestricted concurrent use.
 """
@@ -32,6 +35,7 @@ import enum
 from typing import NamedTuple
 
 from .crypto import DIGEST_SIZE, CryptoScheme, digest as _digest, from_hex
+from .encoding import MAX_FIELD_BYTES, item_count
 from .errors import FormatError
 
 
@@ -60,7 +64,7 @@ class Op(_OpFields):
     """One instruction; only PUSH carries an operand.
 
     A tuple, so scripts compare and hash in C. Construction, `_make` and
-    `_replace` check the operand; only `encoding.read_script` builds a
+    `_replace` check the operand; only `read_script` builds a
     PUSH unchecked, after checking its wire fields itself."""
 
     __slots__ = ()
@@ -228,6 +232,72 @@ def execute(unlocking: Script, locking: Script, ctx: ExecutionContext) -> ExecRe
         fault = _run(locking, stack, ctx)
     ok = fault is None and bool(stack) and is_truthy(stack[-1])
     return ExecResult(ok, fault, tuple(stack))
+
+
+# ---------------------------------------------------------------------------
+# Wire format
+# ---------------------------------------------------------------------------
+
+_OPCODE_WIRE = {
+    Opcode.PUSH: 0,
+    Opcode.DUP: 1,
+    Opcode.HASH: 2,
+    Opcode.EQUAL: 3,
+    Opcode.EQUALVERIFY: 4,
+    Opcode.CHECKSIG: 5,
+}
+# By opcode value: a str hashes in C, where an Enum member hashes in Python.
+_OPCODE_TAG = {opcode._value_: bytes((wire,)) for opcode, wire in _OPCODE_WIRE.items()}
+_PUSH_TAG = _OPCODE_TAG[_PUSH._value_]
+_PUSH_WIRE = _OPCODE_WIRE[_PUSH]
+_WIRE_BARE_OP = {_OPCODE_WIRE[opcode]: op for opcode, op in BARE_OPS.items()}
+
+
+def write_script(parts: list[bytes], script: Script) -> None:
+    """Append the wire form of `script` to `parts`: a u32 op count, then
+    each op's one-byte tag, a PUSH followed by its operand as varbytes."""
+    parts.append(len(script).to_bytes(4, "big"))
+    for op in script:
+        operand = op.operand
+        if operand is None:
+            parts.append(_OPCODE_TAG[op.opcode._value_])
+        else:
+            if len(operand) > MAX_FIELD_BYTES:
+                raise FormatError(f"field of {len(operand)} bytes exceeds encoding cap")
+            parts += (_PUSH_TAG, len(operand).to_bytes(4, "big"), operand)
+
+
+def read_script(data: bytes, offset: int) -> tuple[Script, int]:
+    """Strictly decode the script written at `offset`; return it with the
+    offset just past it. Raises FormatError on truncation, a count or
+    length over its cap, or an unknown opcode tag.
+
+    A field cut short by the end of `data` reads as fewer bytes, but the
+    offset advances by the field's full width, so it ends past the end."""
+    at = offset + 4
+    ops = []
+    try:
+        for _ in range(item_count(data[offset:at])):
+            wire = data[at]
+            at += 1
+            op = _WIRE_BARE_OP.get(wire)
+            if op is None:
+                if wire != _PUSH_WIRE:
+                    raise FormatError(f"unknown opcode tag {wire}")
+                start = at + 4
+                length = int.from_bytes(data[at:start], "big")
+                if length > MAX_FIELD_BYTES:
+                    raise FormatError(f"declared field length {length} exceeds encoding cap")
+                at = start + length
+                # Unchecked: a PUSH carrying an operand is all Op() checks.
+                # An operand cut short is refused below.
+                op = tuple.__new__(Op, (_PUSH, data[start:at]))
+            ops.append(op)
+    except IndexError:
+        raise FormatError(f"truncated input: a script op at offset {at}") from None
+    if at > len(data):
+        raise FormatError(f"truncated input: the script at offset {offset}")
+    return tuple(ops), at
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import ClassVar
 
 from .crypto import Address, Amount, check_address, check_amount
 from .errors import ConfigError, FormatError, NotFoundError, OwnershipError
+from .kernels import Kernel, StateMetrics
 
 TokenId = str
 
@@ -113,3 +114,41 @@ def token_from_snapshot(doc: dict) -> TokenRegistry:
             raise FormatError(f"token {tid!r} value must be positive")
         objects[tid] = TokenObject(value=value, owner=check_address(entry.get("owner")))
     return TokenRegistry(objects=objects)
+
+
+# The kernel table's entry (see ledgerlab.kernels).
+
+
+class TokenKernel(Kernel):
+    state_type = TokenRegistry
+    columns = ("token", "value", "owner")
+
+    def mint(self, state, to, amount, token, issuer, scheme):
+        return token_issue(state, token, amount, to.address)
+
+    def transfer(self, state, payer, payee, token, mode, scheme, nonce=None):
+        return (payer.address, payee.address, token)
+
+    def apply(self, state, entry, mode, scheme):
+        return token_transfer(state, *entry)
+
+    def describe(self, entry) -> dict:
+        return {"token": entry[2]}
+
+    def snapshot(self, state) -> dict:
+        return token_snapshot(state)
+
+    def decode(self, doc: dict):
+        return token_from_snapshot(doc)
+
+    def rows(self, registry) -> list[tuple[str, str, str]]:
+        return [
+            (token, str(entry.value), entry.owner)
+            for token, entry in sorted(registry.objects.items())
+        ]
+
+    def metrics(self, state) -> StateMetrics:
+        return StateMetrics("token", len(state.objects))
+
+
+KERNEL = TokenKernel()

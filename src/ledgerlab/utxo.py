@@ -131,8 +131,9 @@ from .crypto import (
     digest,
     from_hex,
 )
-from .encoding import MAX_FIELD_BYTES, item_count, read_script, varbytes, write_script
-from .errors import AuthError, FormatError, NotFoundError, TxRejected
+from .encoding import MAX_FIELD_BYTES, item_count, varbytes
+from .errors import AuthError, FormatError, NotFoundError, TxRejected, UnfundedError
+from .kernels import Kernel, StateMetrics
 from .scripts import (
     ExecutionContext,
     Script,
@@ -141,8 +142,10 @@ from .scripts import (
     execute,
     p2h_unlocking,
     p2pkh_unlocking,
+    read_script,
     script_from_text,
     script_to_text,
+    write_script,
 )
 
 _MAGIC = b"UTX1"
@@ -1096,3 +1099,94 @@ def import_log(doc: dict, scheme: CryptoScheme) -> Chainstate:
         scheme,
         allow_p2h=allow_p2h,
     )
+
+
+# ---------------------------------------------------------------------------
+# The kernel table's entry (see ledgerlab.kernels)
+# ---------------------------------------------------------------------------
+
+
+class UtxoKernel(Kernel):
+    state_type = Chainstate
+    columns = ("outpoint", "value", "locking")
+
+    def genesis(self, scheme, issuer_seed, allow_p2h=True):
+        issuer = scheme.keygen(issuer_seed)
+        return Chainstate.genesis(issuer.public_key, allow_p2h=allow_p2h), issuer
+
+    def mint(self, state, to, amount, token, issuer, scheme):
+        return coinbase_issue(state, [(amount, lock_to_wallet(to))], issuer, scheme)
+
+    def holdings(self, state, wallet) -> list[tuple[UtxoId, int]]:
+        """The wallet's active outpoints, deterministically ordered."""
+        lock = lock_to_wallet(wallet)
+        found = [
+            (outpoint, entry.value)
+            for outpoint, entry in state.active.items()
+            if entry.locking == lock
+        ]
+        found.sort(key=lambda item: item[0].render())
+        return found
+
+    def spends(self, state, payer, targets, amount, scheme) -> list[UtxoTx]:
+        """Greedy funding from the payer's holdings, then one spend of it
+        per target: the amount to the target first, any change to the
+        payer second. Raises UnfundedError if the holdings fall short."""
+        funding, total = [], 0
+        for outpoint, value in self.holdings(state, payer):
+            funding.append(outpoint)
+            total += value
+            if total >= amount:
+                break
+        else:
+            raise UnfundedError(f"{payer.address} holds {total}, cannot fund {amount}")
+        change = []
+        if total > amount:
+            change.append(TxOutput(total - amount, lock_to_wallet(payer)))
+        return [
+            make_spend(
+                scheme,
+                state,
+                funding,
+                [TxOutput(amount, lock_to_wallet(target)), *change],
+                signer=payer,
+            )
+            for target in targets
+        ]
+
+    def transfer(self, state, payer, payee, amount, mode, scheme, nonce=None):
+        return self.spends(state, payer, [payee], amount, scheme)[0]
+
+    def apply(self, state, entry, mode, scheme):
+        return utxo_apply(state, entry, scheme)
+
+    def double_spend(self, state, payer, targets, amount, mode, scheme):
+        """As Kernel.double_spend, but every spend is built against the
+        same state, from the same funding, before any is attempted."""
+        attempts = []
+        for tx in self.spends(state, payer, targets, amount, scheme):
+            state, outcome = self.attempt(state, tx, mode, scheme)
+            attempts.append((tx, outcome))
+        return state, attempts
+
+    def describe(self, entry) -> dict:
+        return {"txid": txid_of(entry).hex()}
+
+    def snapshot(self, state) -> dict:
+        return chainstate_snapshot(state)
+
+    def decode(self, doc: dict):
+        """The active set alone: a snapshot carries no log."""
+        return active_from_snapshot(doc)
+
+    def rows(self, active) -> list[tuple[str, str, str]]:
+        return sorted(
+            (outpoint.render(), str(entry.value), script_to_text(entry.locking))
+            for outpoint, entry in active.items()
+        )
+
+    def metrics(self, state) -> StateMetrics:
+        return StateMetrics("utxo", len(state.active), len(state.log))
+
+
+KERNEL = UtxoKernel()

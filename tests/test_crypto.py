@@ -4,7 +4,6 @@ import contextlib
 import functools
 import hashlib
 import io
-import itertools
 import math
 from importlib import resources
 
@@ -515,30 +514,41 @@ def test_hand_packed_key_signs_by_plain_pow(toy):
     assert all(toy.verify(public, m, s) for m, s in zip(messages, signatures))
 
 
-def _malformed_private_keys():
+# A prime one above a multiple of e, 14 * 65537 + 1: e^-1 mod (p - 1)
+# does not exist. A literal, so no search runs at collection.
+P_E = 917_519
+
+
+def test_p_e_is_a_prime_one_above_a_multiple_of_e():
+    assert (P_E - 1) % _RSA_EXPONENT == 0 and _is_probable_prime(P_E)
+
+
+MALFORMED_PRIVATE_KEYS = (
+    "truncated", "trailing-bytes", "p-equals-q", "p-below-3", "e-divides-p-minus-1",
+    "common-factor",
+)
+
+
+@pytest.fixture(scope="module")
+def malformed_private_keys():
+    """Each malformed key by name, built at first use, so a broken prime
+    search holds up only the tests that use it, never collection."""
     stream = SeededStream("malformed-private-key")
     p, q = _gen_prime(stream, 128), _gen_prime(stream, 128)
     valid = _pack_ints(_TAG_RSA_PRV, (p, q))
-    # A prime one above a multiple of e: e^-1 mod (p' - 1) does not exist.
-    p_e = next(
-        k * _RSA_EXPONENT + 1 for k in itertools.count(2, 2)
-        if _is_probable_prime(k * _RSA_EXPONENT + 1)
-    )
     return {
         "truncated": valid[:-1],
         "trailing-bytes": valid + b"\x00",
         "p-equals-q": _pack_ints(_TAG_RSA_PRV, (p, p)),
         "p-below-3": _pack_ints(_TAG_RSA_PRV, (2, q)),
-        "e-divides-p-minus-1": _pack_ints(_TAG_RSA_PRV, (p_e, q)),
+        "e-divides-p-minus-1": _pack_ints(_TAG_RSA_PRV, (P_E, q)),
         "common-factor": _pack_ints(_TAG_RSA_PRV, (3 * 7, 3 * 11)),
     }
 
 
-MALFORMED_PRIVATE_KEYS = _malformed_private_keys()
-
-
-@pytest.mark.parametrize("private", MALFORMED_PRIVATE_KEYS.values(), ids=MALFORMED_PRIVATE_KEYS)
-def test_a_malformed_private_key_raises_format_error(toy, real, private):
+@pytest.mark.parametrize("case", MALFORMED_PRIVATE_KEYS)
+def test_a_malformed_private_key_raises_format_error(toy, real, malformed_private_keys, case):
+    private = malformed_private_keys[case]
     for scheme in (toy, real):
         with pytest.raises(FormatError):
             scheme.sign(private, b"m")

@@ -19,15 +19,22 @@ from ledgerlab.encoding import (
     MAX_ITEM_COUNT,
     canonical_json,
     parse_json,
-    read_script,
     u8,
     u32,
     u64,
     varbytes,
-    write_script,
 )
 from ledgerlab.errors import FormatError
-from ledgerlab.scripts import BARE_OPS, Op, Opcode, compile_p2h, compile_p2pkh, push
+from ledgerlab.scripts import (
+    BARE_OPS,
+    Op,
+    Opcode,
+    compile_p2h,
+    compile_p2pkh,
+    push,
+    read_script,
+    write_script,
+)
 from ledgerlab.utxo import (
     Chainstate,
     TxInput,

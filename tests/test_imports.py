@@ -59,6 +59,15 @@ def utxo_run(tmp_path_factory):
     return out, rows[-1]["txid"] + ":0"
 
 
+@pytest.fixture(scope="module")
+def account_state(tmp_path_factory):
+    """The account_nonce scenario's state snapshot on disk."""
+    out = tmp_path_factory.mktemp("account-run")
+    scenario = resources.files("ledgerlab") / "scenarios" / "account_nonce.json"
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    return out / "state.json"
+
+
 def test_bare_cli_import_loads_only_errors():
     modules = child_modules(
         "import json, sys, ledgerlab.cli\nprint(json.dumps({'modules': sorted(sys.modules)}))"
@@ -142,6 +151,66 @@ def test_run_loads_ecash_and_replica_only_when_the_document_needs_them(
         assert f"ledgerlab.{name}" in modules
     for name in absent:
         assert f"ledgerlab.{name}" not in modules
+
+
+def test_kernel_table_loads_a_kernel_module_only_on_lookup():
+    result = child_modules(
+        "import json, sys\n"
+        "from ledgerlab.kernels import KERNEL_TABLE as table\n"
+        "names = [list(table), len(table), 'utxo' in table, 'ecash' in table]\n"
+        "before = sorted(sys.modules)\n"
+        "missing = table.get('ecash')\n"
+        "entry = table['token']\n"
+        "print(json.dumps({'names': names, 'before': before, 'after': sorted(sys.modules),\n"
+        "                  'missing': missing, 'entry': type(entry).__module__}))"
+    )
+    kernels = {"ledgerlab.accounts", "ledgerlab.tokens", "ledgerlab.utxo"}
+    assert result["names"] == [["account", "token", "utxo"], 3, True, False]
+    assert not kernels & set(result["before"])
+    assert result["missing"] is None
+    assert result["entry"] == "ledgerlab.tokens"
+    assert kernels & set(result["after"]) == {"ledgerlab.tokens"}
+
+
+_NO_KERNEL = {"analysis", "ecash", "replica"}
+# Per command, the ledgerlab modules it must load and those it must not:
+# a run loads its own kernel's module and no other.
+COMMAND_MODULES = {
+    "run account_naive_replay.json": (
+        {"accounts"}, {"tokens", "utxo", "scripts", *_NO_KERNEL},
+    ),
+    "run account_nonce.json": ({"accounts"}, {"tokens", "utxo", "scripts", *_NO_KERNEL}),
+    "run token_basic.json": ({"tokens"}, {"accounts", "utxo", "scripts", *_NO_KERNEL}),
+    "run ecash_basic.json": (
+        {"ecash"}, {"accounts", "tokens", "utxo", "scripts", "analysis", "replica"},
+    ),
+    "run utxo_basic.json": ({"utxo"}, {"accounts", "tokens", *_NO_KERNEL}),
+    "run replica_round.json": ({"utxo", "replica"}, {"accounts", "tokens", "analysis", "ecash"}),
+    "inspect utxo state": ({"utxo"}, {"accounts", "tokens"}),
+    "inspect account state": ({"accounts"}, {"utxo", "tokens", "scripts"}),
+    "trace": ({"utxo", "analysis"}, {"accounts", "tokens", "scenario"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_its_own_kernel_and_no_other(
+    command, utxo_run, account_state, tmp_path
+):
+    out, target = utxo_run
+    verb, _, subject = command.partition(" ")
+    if verb == "run":
+        argv = ["run", str(resources.files("ledgerlab") / "scenarios" / subject),
+                "--out", str(tmp_path)]
+    elif verb == "inspect":
+        argv = ["inspect", str(account_state if subject == "account state" else out / "state.json")]
+    else:
+        argv = ["trace", str(out / "log.json"), target]
+    result = child_modules(CHILD, *argv)
+    assert result["code"] == 0
+    loaded = {name.removeprefix("ledgerlab.") for name in ledgerlab_modules(result["modules"])}
+    loads, absent = COMMAND_MODULES[command]
+    assert loads <= loaded
+    assert not absent & loaded
 
 
 def test_every_export_is_its_submodule_binding():

@@ -24,6 +24,19 @@ public functions on the same fixed inputs (see `measure_layers`). Each
 run prints the per-call microseconds of every layer, and each layer is
 summarized like a metric.
 
+The `cli` leg comes next: ten alternating pairs in which each side runs
+every CLI row as its own `python -m ledgerlab.cli` process and the wall
+time of each is recorded. The rows are `run` on each bundled scenario
+(toy crypto, seed CLI_SEED), then `inspect` of the state and `trace` of
+the last transaction's first output through the log that `run
+utxo_basic` wrote. Each row is timed twice: `cold`, with
+PYTHONDONTWRITEBYTECODE=1 and no `__pycache__` under `src/`, so every
+ledgerlab module a command imports is compiled from source, as in the
+benchmark's recorded environment; and `warm`, reading a scratch
+PYTHONPYCACHEPREFIX that one untimed run of every row filled first. The
+leg also records, per side and row, how many `ledgerlab.*` modules the
+command loads.
+
 The file written at the repository root holds the commits (with the tree
 ids of their `src/`, and the newline count of their `src/**/*.py` as
 `wc -l` gives it), the change's net `src/` line delta, the environment
@@ -55,6 +68,7 @@ import os
 import platform
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -87,6 +101,18 @@ LAYER_ROUNDS = 4
 LAYER_TAMPERED = (1, LAYER_TXS // 2, LAYER_TXS)
 # Calls of the `control.stdlib` work per pass.
 LAYER_CONTROLS = 20
+# Pairs of the cli leg, and the seed its `run` rows take.
+CLI_RUNS = 10
+CLI_SEED = 7
+# Runs the CLI, then prints how many ledgerlab.* modules it loaded.
+CLI_MODULES_CHILD = (
+    "import contextlib, io, sys\n"
+    "from ledgerlab.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), "
+    "contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, sum(name.startswith('ledgerlab.') for name in sys.modules))\n"
+)
 # Variables of the recording environment that change what a run measures
 # (null where unset): compiling at every import, and hashing order.
 ENV_VARIABLES = ("PYTHONDONTWRITEBYTECODE", "PYTHONUNBUFFERED", "PYTHONHASHSEED")
@@ -447,6 +473,88 @@ def run_layers(checkout: Path) -> dict:
     return run
 
 
+def cli_env(checkout: Path, pycache: Path | None) -> dict:
+    """The environment of a cli-leg process: without bytecode when
+    `pycache` is None, else reading and writing it under `pycache`."""
+    env = {
+        k: v for k, v in os.environ.items() if k not in ("LEDGERLAB_SEED", "PYTHONPYCACHEPREFIX")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(checkout / "src"), env.get("PYTHONPATH")])
+    )
+    if pycache is None:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    else:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
+def run_cli(argv: list[str], env: dict, cwd: Path) -> tuple[int, float]:
+    """One CLI process: its exit status and wall seconds."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ledgerlab.cli", *argv], cwd=cwd, env=env, capture_output=True,
+    )
+    return proc.returncode, time.perf_counter() - start
+
+
+def cli_leg(sides: dict[str, Path], scratch: Path) -> dict:
+    """The cli leg (see the module docstring): per row and side, the
+    ledgerlab modules loaded, and CLI_RUNS alternating pairs of timings."""
+    commands, envs, modules = {}, {}, {}
+    for side, checkout in sides.items():
+        for cache in list(checkout.glob("src/**/__pycache__")):
+            shutil.rmtree(cache)
+        out = scratch / f"cli-{side}"
+        scenarios = sorted((checkout / "src" / "ledgerlab" / "scenarios").glob("*.json"))
+        commands[side] = {
+            f"run.{path.stem}": [
+                "run", str(path), "--seed", str(CLI_SEED), "--out", str(out / path.stem),
+            ]
+            for path in scenarios
+        }
+        commands[side]["inspect"] = ["inspect", str(out / "utxo_basic" / "state.json")]
+        commands[side]["trace"] = ["trace", str(out / "utxo_basic" / "log.json")]
+        envs[side] = {
+            "cold": cli_env(checkout, None),
+            "warm": cli_env(checkout, scratch / f"pycache-{side}"),
+        }
+        modules[side] = {}
+        for row, argv in commands[side].items():
+            if row == "trace":
+                rows = json.loads((out / "utxo_basic" / "log.json").read_text(encoding="utf-8"))
+                argv.append(rows["txs"][-1]["txid"] + ":0")
+            code, _ = run_cli(argv, envs[side]["warm"], checkout)
+            counted = subprocess.run(
+                [sys.executable, "-c", CLI_MODULES_CHILD, *argv], cwd=checkout,
+                env=envs[side]["cold"], capture_output=True, text=True,
+            ).stdout.split()
+            if code != 0 or counted[:1] != ["0"]:
+                return {"error": f"{side} {row} failed before timing", "modules": modules}
+            modules[side][row] = int(counted[1])
+
+    def run(side: str, i: int) -> dict:
+        metrics = {}
+        for mode in ("cold", "warm"):
+            for row, argv in commands[side].items():
+                code, seconds = run_cli(argv, envs[side][mode], sides[side])
+                if code != 0:
+                    return {"exit": code, "error": f"{row} ({mode}) exited {code}"}
+                metrics[f"{row}.{mode}_ms"] = 1e3 * seconds
+        return {"exit": 0, "metrics": metrics}
+
+    pairs = alternate("cli", CLI_RUNS, run)
+    names = sorted({name for pair in pairs for r in pair.values() for name in r.get("metrics", {})})
+    return {
+        "unit": "ms per process",
+        "seed": CLI_SEED,
+        "modules": modules,
+        "runs": pairs,
+        "summary": summarize(pairs, dict.fromkeys(names, "lower")),
+    }
+
+
 def alternate(label: str, count: int, run, start=lambda i: {}) -> list[dict]:
     """`count` pairs of runs, `run(side, i)` on each side of pair i: base
     first when i is even, change first when odd. `start(i)` gives the keys
@@ -574,6 +682,7 @@ def main(argv=None) -> int:
                     for side in SIDES
                 },
             }
+        doc["cli"] = cli_leg(sides, Path(tmp))
         layers = alternate("layers", LAYER_RUNS, lambda side, i: run_layers(sides[side]))
         names = sorted({name for pair in layers for run in pair.values()
                         for name in run.get("metrics", {})})
@@ -602,8 +711,8 @@ def main(argv=None) -> int:
         )
     doc["all_runs_ok"] = all(run_ok(run) for run in runs) and all(
         pair[side]["exit"] == 0 and "error" not in pair[side]
-        for pair in tier1 + layers for side in pair
-    )
+        for pair in tier1 + layers + doc["cli"].get("runs", []) for side in pair
+    ) and "error" not in doc["cli"]
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
