@@ -80,15 +80,15 @@ def cli(*argv: str) -> None:
         raise RuntimeError(f"ledgerlab {' '.join(argv)} exited {code}")
 
 
-def product_paths(scratch: Path) -> None:
+def product_paths(work: Path) -> None:
     scenarios = sorted((PACKAGE / "scenarios").glob("*.json"))
     runs = []
     for seed in SEEDS:
         for scenario in scenarios:
-            out = scratch / f"{scenario.stem}-{seed}"
+            out = work / f"{scenario.stem}-{seed}"
             cli("run", str(scenario), "--seed", str(seed), "--out", str(out))
             runs.append(out)
-    out = scratch / "ecash-real"
+    out = work / "ecash-real"
     cli("run", str(PACKAGE / "scenarios" / "ecash_basic.json"), "--crypto", "real",
         "--out", str(out))
     runs.append(out)
@@ -107,7 +107,7 @@ def product_paths(scratch: Path) -> None:
     import workloads
 
     for name in ("utxo-ledger", "replica-conflict"):
-        workload = workloads.make_workload(name, 1, workloads.SCALES["tiny"], scratch / name)
+        workload = workloads.make_workload(name, 1, workloads.SCALES["tiny"], work / name)
         workload.setup()
         for index in range(2):
             iteration = workload.run(index, lambda: None)

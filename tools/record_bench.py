@@ -32,7 +32,7 @@ the last transaction's first output through the log that `run
 utxo_basic` wrote. Each row is timed twice: `cold`, with
 PYTHONDONTWRITEBYTECODE=1 and no `__pycache__` under `src/`, so every
 ledgerlab module a command imports is compiled from source, as in the
-benchmark's recorded environment; and `warm`, reading a scratch
+benchmark's recorded environment; and `warm`, reading a temporary
 PYTHONPYCACHEPREFIX that one untimed run of every row filled first. The
 leg also records, per side and row, how many `ledgerlab.*` modules the
 command loads.
@@ -499,14 +499,14 @@ def run_cli(argv: list[str], env: dict, cwd: Path) -> tuple[int, float]:
     return proc.returncode, time.perf_counter() - start
 
 
-def cli_leg(sides: dict[str, Path], scratch: Path) -> dict:
+def cli_leg(sides: dict[str, Path], work: Path) -> dict:
     """The cli leg (see the module docstring): per row and side, the
     ledgerlab modules loaded, and CLI_RUNS alternating pairs of timings."""
     commands, envs, modules = {}, {}, {}
     for side, checkout in sides.items():
         for cache in list(checkout.glob("src/**/__pycache__")):
             shutil.rmtree(cache)
-        out = scratch / f"cli-{side}"
+        out = work / f"cli-{side}"
         scenarios = sorted((checkout / "src" / "ledgerlab" / "scenarios").glob("*.json"))
         commands[side] = {
             f"run.{path.stem}": [
@@ -518,7 +518,7 @@ def cli_leg(sides: dict[str, Path], scratch: Path) -> dict:
         commands[side]["trace"] = ["trace", str(out / "utxo_basic" / "log.json")]
         envs[side] = {
             "cold": cli_env(checkout, None),
-            "warm": cli_env(checkout, scratch / f"pycache-{side}"),
+            "warm": cli_env(checkout, work / f"pycache-{side}"),
         }
         modules[side] = {}
         for row, argv in commands[side].items():
